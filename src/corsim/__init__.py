@@ -11,7 +11,6 @@ checks the recycling properties on the recorded traces.
 
 from .env import (
     CoinOracle,
-    CoinRecord,
     Params,
     ValidationReport,
     clock_read,
@@ -43,15 +42,12 @@ from .transport import (
     EstPayload,
     RoundMail,
     SigPayload,
-    demultiplex,
     exchange,
-    multiplex,
     serialize_envelope,
 )
 
 __all__ = [
     "CoinOracle",
-    "CoinRecord",
     "Params",
     "ValidationReport",
     "clock_read",
@@ -82,9 +78,7 @@ __all__ = [
     "EstPayload",
     "RoundMail",
     "SigPayload",
-    "demultiplex",
     "exchange",
-    "multiplex",
     "serialize_envelope",
 ]
 

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .env import Params, derived_int, seeded_rng
+from .sig_index import index_vote, vote_bit
 from .transport import CoPayload, Envelope, EstPayload, RoundMail, SigPayload
 
 if TYPE_CHECKING:
@@ -176,51 +177,20 @@ class Adversary:
             runner = counts[1][0] if len(counts) > 1 else top + 1
             return SigPayload(kind="index", value=runner)
         if phase == k - 3:
-            proposals = self._predict_proposals(view)
+            proposals = predict(view, index_vote)
             non_empty = [v for v in proposals if v is not None]
             if not non_empty:
                 return SigPayload(kind="propose", value=None)
             # push half the receivers over the majority line, starve the rest
             return SigPayload(kind="propose", value=non_empty[0] if j % 2 == 0 else None)
         if phase == k - 2:
-            bits = self._predict_bits(view)
+            bits = predict(view, vote_bit)
             ones = sum(bits)
             zeros = len(bits) - ones
             if ones >= p.quorum or zeros >= p.quorum:
                 return SigPayload(kind="bit", value=self.rng.getrandbits(1))
             return SigPayload(kind="bit", value=0 if ones >= zeros else 1)
         return None
-
-    def _predict_proposals(self, view: AdversaryView) -> list[object]:
-        """What each correct node proposes this phase, given last round's traffic."""
-        p = view.params
-        result = []
-        for i in sorted(view.correct_nodes):
-            counts: dict[object, int] = {}
-            for sender, box in view.last_outboxes.items():
-                env = box.get(i)
-                if env and isinstance(env.sig, SigPayload) and env.sig.kind == "index":
-                    counts[env.sig.value] = counts.get(env.sig.value, 0) + 1
-            chosen = None
-            for value, count in counts.items():
-                if value is not None and count >= p.quorum:
-                    chosen = value
-                    break
-            result.append(chosen)
-        return result
-
-    def _predict_bits(self, view: AdversaryView) -> list[int]:
-        p = view.params
-        bits = []
-        for i in sorted(view.correct_nodes):
-            non_empty = 0
-            for sender, box in view.last_outboxes.items():
-                env = box.get(i)
-                if env and isinstance(env.sig, SigPayload) and env.sig.kind == "propose":
-                    if env.sig.value is not None:
-                        non_empty += 1
-            bits.append(1 if non_empty >= p.quorum else 0)
-        return bits
 
     def _worst_eig_field(self, view: AdversaryView, b: int, j: int) -> CoPayload | None:
         """Split the information-gathering tree: opposite stories per receiver half."""
@@ -244,6 +214,20 @@ class Adversary:
                         entries.append((label, value))
             return CoPayload(level=level, entries=tuple(entries))
         return None
+
+
+def predict(view: AdversaryView, rule: Callable[[dict, int], object]) -> list:
+    """What an index-phase rule yields at each correct node this round.
+
+    Receiver i's sig inbox is what every sender sent it last round, so from
+    round 1 on (round 0 delivers the injected channel contents) the rule
+    applied to that inbox is exactly what node i computes.
+    """
+    outcomes = []
+    for i in sorted(view.correct_nodes):
+        inbox = {sender: box[i].sig for sender, box in view.last_outboxes.items() if i in box}
+        outcomes.append(rule(inbox, view.params.quorum))
+    return outcomes
 
 
 def _counts(values: list) -> list[tuple[object, int]]:

@@ -62,11 +62,20 @@ DEFAULTS = {
 }
 
 
+# options that take a string; every other option takes an integer
+STR_KEYS = ("adversary", "inject", "core", "out")
+
+
 def resolve_options(args: argparse.Namespace) -> dict:
     options = dict(DEFAULTS)
     if args.config:
-        with open(args.config) as fh:
-            loaded = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                loaded = json.load(fh)
+        except (OSError, ValueError) as err:
+            raise ConfigError([f"cannot read config {args.config}: {err}"]) from err
+        if not isinstance(loaded, dict):
+            raise ConfigError(["config must be a JSON object"])
         unknown = set(loaded) - set(DEFAULTS)
         if unknown:
             raise ConfigError([f"unknown config keys: {sorted(unknown)}"])
@@ -75,7 +84,25 @@ def resolve_options(args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             options[key] = value
+    check_options(options)
     return options
+
+
+def check_options(options: dict) -> None:
+    """Reject values of the wrong type, and ensembles without a trial."""
+    problems = []
+    for key, value in options.items():
+        if value is None and DEFAULTS[key] is None:
+            continue  # kappa and out may stay unset
+        if key in STR_KEYS:
+            if not isinstance(value, str):
+                problems.append(f"{key} must be a string (got {value!r})")
+        elif not isinstance(value, int) or isinstance(value, bool):
+            problems.append(f"{key} must be an integer (got {value!r})")
+    if not problems and options["trials"] < 1:
+        problems.append(f"trials >= 1 (got trials={options['trials']})")
+    if problems:
+        raise ConfigError(problems)
 
 
 def main(argv: list[str] | None = None) -> int:

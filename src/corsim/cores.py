@@ -63,8 +63,9 @@ class StubOracle:
 
     A slot's record triggers once every correct node's object at that slot
     carries a proposal; the decision value is the majority of those proposals
-    and each node learns it reveal-delay rounds later. The record clears when
-    every correct node's object at the slot is back to its initial state.
+    and each node learns it reveal-delay rounds later. The round engine calls
+    forget(slot) when the slot's incarnation ends, that is when every correct
+    node's object at the slot is back to its initial state.
     """
 
     def __init__(self, seed: int, correct_ids: list[int], dmax: int):
@@ -78,29 +79,30 @@ class StubOracle:
         self.now = round_index
 
     def observe(self, round_index: int, objects_by_node: dict[int, list]) -> None:
-        """End-of-round sweep: trigger new decisions, clear recycled slots."""
+        """End-of-round sweep: trigger a decision for every newly proposed slot."""
         slot_count = len(objects_by_node[self.correct_ids[0]])
         for slot in range(slot_count):
-            objs = {i: objects_by_node[i][slot] for i in self.correct_ids}
-            rec = self.records.get(slot)
-            if rec is None:
-                if all(o.core.proposed is not None for o in objs.values()):
-                    proposals = [objs[i].core.proposed for i in self.correct_ids]
-                    self.records[slot] = _SlotRecord(
-                        trigger_round=round_index,
-                        value=_majority_bit(proposals),
-                        reveal={
-                            i: round_index
-                            + derived_int(
-                                self.seed, "stub-delay", slot, round_index, i,
-                                bound=self.dmax + 1,
-                            )
-                            for i in self.correct_ids
-                        },
-                        members={i: objs[i].core for i in self.correct_ids},
-                    )
-            elif all(o.is_fresh() for o in objs.values()):
-                del self.records[slot]
+            if slot in self.records:
+                continue
+            cores = {i: objects_by_node[i][slot].core for i in self.correct_ids}
+            if all(core.proposed is not None for core in cores.values()):
+                self.records[slot] = _SlotRecord(
+                    trigger_round=round_index,
+                    value=_majority_bit([core.proposed for core in cores.values()]),
+                    reveal={
+                        i: round_index
+                        + derived_int(
+                            self.seed, "stub-delay", slot, round_index, i,
+                            bound=self.dmax + 1,
+                        )
+                        for i in self.correct_ids
+                    },
+                    members=cores,
+                )
+
+    def forget(self, slot: int) -> None:
+        """Drop the slot's record once its incarnation has ended."""
+        self.records.pop(slot, None)
 
     def decision_for(self, node_id: int, slot: int, core: "DelayStubCore") -> int | None:
         rec = self.records.get(slot)

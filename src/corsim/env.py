@@ -48,45 +48,36 @@ def rcc_draw(round_index: int, seed: int) -> int:
     return _digest64(seed, "rcc", round_index) & 1
 
 
-@dataclass(frozen=True)
-class CoinRecord:
-    """One revealed coin: its round, its bit, and whether the instance is enabling.
-
-    The default oracle is always enabling (every correct node observes the
-    same bit).
-    """
-
-    round: int
-    value: int
-    enabling: bool = True
-
-
 class CoinOracle:
     """Per-trial coin source. Holds no mutable state beyond the seed."""
 
     def __init__(self, seed: int):
         self.seed = seed
 
-    def draw(self, round_index: int) -> CoinRecord:
-        return CoinRecord(round=round_index, value=rcc_draw(round_index, self.seed))
+    def draw(self, round_index: int) -> int:
+        """The round's coin bit; every correct node observes the same one."""
+        return rcc_draw(round_index, self.seed)
 
 
 @dataclass(frozen=True)
 class Params:
     """Global protocol parameters for one trial.
 
-    index_states is the bound on index values (the counter wraps mod
-    index_states); index_num is the object-array length. The two are kept
-    equal so that window slides stay aligned with index increments.
+    index_num is the object-array length; index_states, the bound on index
+    values (the counter wraps mod index_states), equals it so that window
+    slides stay aligned with index increments.
     """
 
     n: int
     t: int
     kappa: int
-    index_states: int
     index_num: int
     log_size: int
     seed: int = 0
+
+    @property
+    def index_states(self) -> int:
+        return self.index_num
 
     @property
     def quorum(self) -> int:
@@ -112,12 +103,11 @@ def make_params(
     kappa: int | None = None,
     seed: int = 0,
 ) -> Params:
-    """Build Params with the default kappa derivation and index_states=index_num."""
+    """Build Params with the default kappa derivation."""
     return Params(
         n=n,
         t=t,
         kappa=kappa if kappa is not None else derive_kappa(t, log_size),
-        index_states=index_num,
         index_num=index_num,
         log_size=log_size,
         seed=seed,
@@ -157,10 +147,6 @@ def params_validate(p: Params) -> ValidationReport:
     if not (0 <= p.log_size <= p.index_num - 2):
         bad.append(
             f"0 <= log_size <= index_num-2 (got log_size={p.log_size}, index_num={p.index_num})"
-        )
-    if p.index_states != p.index_num:
-        bad.append(
-            f"index_states == index_num (got index_states={p.index_states}, index_num={p.index_num})"
         )
 
     if p.kappa < p.t + 5:

@@ -254,7 +254,8 @@ class RoundEngine:
         self.coin = CoinOracle(p.seed)
         self.stub_oracle = StubOracle(p.seed, self.correct_ids, config.dmax)
         self.slot_gen = {s: 0 for s in range(p.index_num)}
-        self.slot_active_seen = {s: False for s in range(p.index_num)}
+        # slots not fresh at some correct node after the last round
+        self.slots_in_use: set[int] = set()
 
         def proposer(slot: int, node_id: int) -> int:
             return derived_int(
@@ -308,13 +309,13 @@ class RoundEngine:
                 last_outboxes=self.last_outboxes,
             )
         )
-        coin = self.coin.draw(r)
+        coin_bit = self.coin.draw(r)
         self.stub_oracle.begin_round(r)
 
         outboxes: dict[int, dict[int, Envelope]] = {}
         reports = {}
         for i in self.correct_ids:
-            outbox, report = self.nodes[i].step(r, phase, self.pending[i].inbox, coin.value)
+            outbox, report = self.nodes[i].step(r, phase, self.pending[i].inbox, coin_bit)
             outboxes[i] = outbox
             reports[i] = report
         for b, box in byz_out.items():
@@ -338,9 +339,14 @@ class RoundEngine:
         self.stub_oracle.observe(
             r, {i: self.nodes[i].objects.slots for i in self.correct_ids}
         )
-        self._record(r, phase, coin.value, reports, outboxes)
+        # the round's one freshness sweep, for the trace and the generation sweep
+        non_fresh = [self.nodes[i].objects.non_fresh_slots() for i in self.correct_ids]
+        self._record(r, phase, coin_bit, reports, outboxes, non_fresh)
+        self._end_incarnations(set().union(*non_fresh))
 
-    def _record(self, r: int, phase: int, coin_bit: int, reports: dict, outboxes: dict) -> None:
+    def _record(
+        self, r: int, phase: int, coin_bit: int, reports: dict, outboxes: dict, non_fresh: list
+    ) -> None:
         p = self.params
         nodes = self.nodes
         ids = self.correct_ids
@@ -373,26 +379,26 @@ class RoundEngine:
             save=tuple(nodes[i].sig.save for i in ids) if at_cycle_end else None,
             inc=tuple(nodes[i].sig.inc for i in ids) if at_cycle_end else None,
             quorum1=(
-                tuple(int(reports[i].saw_one_quorum) for i in ids) if at_cycle_end else None
+                tuple(int(nodes[i].sig.last_quorum == "ones") for i in ids)
+                if at_cycle_end else None
             ),
             quorum0=(
-                tuple(int(reports[i].saw_zero_quorum) for i in ids) if at_cycle_end else None
+                tuple(int(nodes[i].sig.last_quorum == "zeros") for i in ids)
+                if at_cycle_end else None
             ),
             recycled=tuple(reports[i].recycled for i in ids),
             active=tuple(reports[i].active_slot for i in ids),
-            non_fresh=tuple(len(nodes[i].objects.non_fresh_slots()) for i in ids),
+            non_fresh=tuple(map(len, non_fresh)),
             digest=traffic_digest(outboxes),
         )
         self.trace.rounds.append(record)
 
-        # generation sweep: a slot's incarnation ends when every correct copy is fresh
-        for slot in range(p.index_num):
-            fresh = all(nodes[i].objects.slots[slot].is_fresh() for i in ids)
-            if not fresh:
-                self.slot_active_seen[slot] = True
-            elif self.slot_active_seen[slot]:
-                self.slot_active_seen[slot] = False
-                self.slot_gen[slot] += 1
+    def _end_incarnations(self, in_use: set[int]) -> None:
+        """Generation sweep: a slot's incarnation ends when every correct copy is fresh."""
+        for slot in self.slots_in_use - in_use:
+            self.slot_gen[slot] += 1
+            self.stub_oracle.forget(slot)
+        self.slots_in_use = in_use
 
 
 def _jsonable_plan(plan: dict) -> dict:

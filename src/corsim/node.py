@@ -1,10 +1,10 @@
 """Per-node composition of the protocol stack for one simulated round.
 
-A correct node's step: demultiplex arriving envelopes, merge slot-tagged
-delivery flags into the object array, run the consensus recomputation
-pulse, run the index pulse, sweep the recycler window, propose to and step
-the active object, and read results. Fresh proposals bind to the slot the
-index points at during phase 0.
+A correct node's step: split arriving envelopes into their est, co and sig
+fields, merge slot-tagged delivery flags into the object array, run the
+consensus recomputation pulse, run the index pulse, sweep the recycler
+window, propose to and step the active object, and read results. Fresh
+proposals bind to the slot the index points at during phase 0.
 
 Non-active in-window objects are still read every round (their results must
 reach every correct node before the window slides past them), but only the
@@ -32,8 +32,6 @@ class StepReport:
     active_slot: int = 0
     proposed_value: object = None  # set when a fresh proposal was made
     retrievals: tuple = ()  # (slot, value) pairs newly read this round
-    saw_one_quorum: bool = False
-    saw_zero_quorum: bool = False
 
 
 class CorrectNode:
@@ -99,10 +97,6 @@ class CorrectNode:
 
         # index pulse, then the recycler sweep on the possibly-updated index
         sig_out = self.sig.pulse(phase, sig_by_sender, self.mvc.result, coin_bit)
-        if phase == params.kappa - 1:
-            counts = self.sig.tally(sig_by_sender, "bit")
-            report.saw_one_quorum = counts.get(1, 0) >= params.quorum
-            report.saw_zero_quorum = counts.get(0, 0) >= params.quorum
 
         if self.fixed_slot is None:
             recycled = self.objects.recycler_pulse(self.sig.get_index())

@@ -29,9 +29,6 @@ class ObjectArray:
             for slot in range(index_num)
         ]
 
-    def at(self, ind: int) -> RecyclableObject:
-        return self.slots[ind % self.index_num]
-
     def recycler_pulse(self, ind: int) -> list[int]:
         """Recycle every slot outside window(ind).
 

@@ -9,6 +9,12 @@ quorum of 0-bits it becomes 0, and otherwise the shared coin multiplies
 probability at least 1/2 per cycle. inc is 1 exactly when the multivalued
 consensus decided 1, which is how agreed recycling evidence turns into one
 index increment.
+
+The quorum rules are the module-level functions below; SigIndex.pulse and
+the worst_sig adversary's predictions both call them. Every inbox holds at
+most one payload per sender, and 2(n-t) > n because n >= 3t+1, so at most
+one value can reach an n-t quorum: the vote, and the branch a write takes,
+never depend on the order in which values are counted.
 """
 
 from __future__ import annotations
@@ -17,6 +23,29 @@ from typing import Callable
 
 from .env import Params
 from .transport import SigPayload
+
+
+def tally(msgs: dict[int, SigPayload | None], kind: str) -> dict[object, int]:
+    """Senders per value among the payloads of one kind."""
+    counts: dict[object, int] = {}
+    for payload in msgs.values():
+        if isinstance(payload, SigPayload) and payload.kind == kind:
+            counts[payload.value] = counts.get(payload.value, 0) + 1
+    return counts
+
+
+def index_vote(msgs: dict[int, SigPayload | None], quorum: int) -> object:
+    """Phase kappa-3: the non-None index reported by >= quorum senders, else None."""
+    for value, count in tally(msgs, "index").items():
+        if value is not None and count >= quorum:
+            return value
+    return None
+
+
+def vote_bit(msgs: dict[int, SigPayload | None], quorum: int) -> int:
+    """Phase kappa-2: 1 when >= quorum senders cast a non-None vote."""
+    counts = tally(msgs, "propose")
+    return 1 if sum(c for v, c in counts.items() if v is not None) >= quorum else 0
 
 
 class SigIndex:
@@ -28,19 +57,12 @@ class SigIndex:
         self.save: object = None
         self.bit = 0
         self.inc = 0
-        # diagnostics for the harness: which branch the last write took
+        # which branch the last write took: "ones", "zeros" or "coin"
         self.last_quorum: str | None = None
 
     def get_index(self) -> int:
         """Raw read; out-of-range corrupted values are normalized at the next write."""
         return self.index
-
-    def tally(self, msgs: dict[int, SigPayload | None], kind: str) -> dict[object, int]:
-        counts: dict[object, int] = {}
-        for payload in msgs.values():
-            if isinstance(payload, SigPayload) and payload.kind == kind:
-                counts[payload.value] = counts.get(payload.value, 0) + 1
-        return counts
 
     def pulse(
         self,
@@ -55,31 +77,21 @@ class SigIndex:
             return SigPayload(kind="index", value=self.index)
 
         if phase == k - 3:
-            counts = self.tally(msgs, "index")
-            self.propose_val = None
-            for value, count in sorted(counts.items(), key=lambda kv: repr(kv[0])):
-                if value is not None and count >= p.quorum:
-                    self.propose_val = value
-                    break
+            self.propose_val = index_vote(msgs, p.quorum)
             return SigPayload(kind="propose", value=self.propose_val)
 
         if phase == k - 2:
-            counts = self.tally(msgs, "propose")
-            self.bit = 0
-            self.save = None
-            for value, count in sorted(counts.items(), key=lambda kv: repr(kv[0])):
+            self.bit = vote_bit(msgs, p.quorum)
+            # a strict majority is unique, so the first one found is the one
+            self.save = 0
+            for value, count in tally(msgs, "propose").items():
                 if value is not None and 2 * count > p.n:
                     self.save = value
                     break
-            non_empty = sum(c for v, c in counts.items() if v is not None)
-            if non_empty >= p.quorum:
-                self.bit = 1
-            if self.save is None:
-                self.save = 0
             return SigPayload(kind="bit", value=self.bit)
 
         if phase == k - 1:
-            counts = self.tally(msgs, "bit")
+            counts = tally(msgs, "bit")
             self.inc = 1 if mvc_result() == 1 else 0
             save = self.save if isinstance(self.save, int) else 0
             if counts.get(1, 0) >= p.quorum:

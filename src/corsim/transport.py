@@ -1,4 +1,4 @@
-"""Lock-step reliable message exchange and the multiplexed per-round envelope.
+"""Lock-step reliable message exchange and the per-round envelope.
 
 Every sub-protocol rides one envelope per (sender, receiver, round): an
 est field for the recyclable object layer, a co field for the synchronous
@@ -51,20 +51,6 @@ class RoundMail:
     """Per-receiver mail for one round: sender id -> envelope."""
 
     inbox: dict[int, Envelope]
-    complete: bool = True
-
-
-def multiplex(
-    sender: int,
-    est: EstPayload | None = None,
-    co: CoPayload | None = None,
-    sig: SigPayload | None = None,
-) -> Envelope:
-    return Envelope(sender=sender, est=est, co=co, sig=sig)
-
-
-def demultiplex(env: Envelope) -> tuple[EstPayload | None, CoPayload | None, SigPayload | None]:
-    return env.est, env.co, env.sig
 
 
 class TransportError(Exception):

@@ -8,10 +8,13 @@ from corsim.adversary import (
     AdversaryView,
     inject,
     plan_corruption,
+    predict,
 )
 from corsim.cores import stub_core_factory, StubOracle
 from corsim.env import make_params
+from corsim.harness import RoundEngine, TrialConfig
 from corsim.node import CorrectNode
+from corsim.sig_index import index_vote, vote_bit
 from corsim.transport import RoundMail
 
 P = make_params(n=4, t=1, log_size=3, index_num=8, seed=11)
@@ -82,6 +85,34 @@ class TestStrategies:
         for env in out[3].values():
             # no tally can reach n-t: the runner-up is boosted, never the top
             assert env.sig.value != 1
+
+    def test_worst_sig_predictions_are_exact(self):
+        # the adversary's view of the index rules matches what every correct
+        # node computes in the same round, whatever the Byzantine traffic
+        checked = set()
+        for seed in range(3):
+            for policy, inject_mode in (("worst_sig", "full"), ("worst_sig", "targeted"),
+                                        ("random", "full")):
+                p = make_params(4, 1, 3, 8, seed=40 + seed)
+                engine = RoundEngine(TrialConfig(params=p, rounds=15 * p.kappa,
+                                                 adversary=policy, inject=inject_mode))
+                for r in range(engine.config.rounds):
+                    phase = r % p.kappa
+                    view = AdversaryView(round=r, phase=phase, params=p,
+                                         correct_nodes=engine.nodes,
+                                         last_outboxes=engine.last_outboxes)
+                    votes = predict(view, index_vote)
+                    bits = predict(view, vote_bit)
+                    engine._round(r)
+                    ids = sorted(engine.nodes)
+                    if phase == p.kappa - 3:
+                        assert votes == [engine.nodes[i].sig.propose_val for i in ids]
+                        checked.add(("vote", votes[0] is None))
+                    if phase == p.kappa - 2:
+                        assert bits == [engine.nodes[i].sig.bit for i in ids]
+                        checked.add(("bit", bits[0]))
+        # both outcomes of each rule were exercised
+        assert checked == {("vote", True), ("vote", False), ("bit", 0), ("bit", 1)}
 
     def test_deterministic_given_seed_and_policy(self):
         a1 = Adversary(AdversaryStrategy(frozenset({3}), "random", 9), P)

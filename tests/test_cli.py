@@ -3,6 +3,8 @@
 import csv
 import json
 
+import pytest
+
 from corsim.cli import main
 
 
@@ -77,3 +79,27 @@ def test_identical_invocations_identical_csv(tmp_path):
     assert main(argv + ["--out", str(a)]) == 0
     assert main(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["--trials", "0"], None, "trials >= 1"),
+    (["--trials", "-3", "--strict"], None, "trials >= 1"),
+    ([], {"trials": 0}, "trials >= 1"),
+    ([], {"n": "4"}, "n must be an integer"),
+    ([], {"seed": True}, "seed must be an integer"),
+    ([], {"n": None}, "n must be an integer"),
+    ([], {"adversary": 3}, "adversary must be a string"),
+    ([], {"out": 5}, "out must be a string"),
+    ([], {"out": 1}, "out must be a string"),
+    ([], [4], "JSON object"),
+    ([], "{not json", "cannot read config"),
+])
+def test_bad_input_exits_2_with_message(tmp_path, capsys, argv, config, message):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config if isinstance(config, str) else json.dumps(config))
+        argv = argv + ["--config", str(cfg)]
+    assert main(["run", "--rounds", "20", *argv]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""

@@ -7,6 +7,8 @@ from corsim.cores import (
     StubOracle,
     mmr_core_factory,
 )
+from corsim.env import make_params
+from corsim.harness import RoundEngine, TrialConfig
 from corsim.recyclable import RecyclableObject
 
 
@@ -58,17 +60,25 @@ class TestDelayStub:
         assert objs[1].core.decided() is None
         assert objs[0].core.decided() == (DECIDED, 1)
 
-    def test_record_clears_when_all_copies_fresh(self):
-        oracle = StubOracle(seed=6, correct_ids=[0, 1, 2], dmax=0)
-        objs = wire_objects(oracle)
-        for obj in objs.values():
-            obj.propose(1)
-        oracle.observe(0, {i: [objs[i]] for i in objs})
-        assert 0 in oracle.records
-        for obj in objs.values():
-            obj.recycle()
-        oracle.observe(1, {i: [objs[i]] for i in objs})
-        assert 0 not in oracle.records
+    def test_record_clears_when_incarnation_ends(self):
+        """In an engine run a slot's record lives exactly as long as its
+        incarnation: it is dropped, and slot_gen advances, in the round where
+        every correct copy of the slot is back to its initial state."""
+        engine = RoundEngine(TrialConfig(params=make_params(4, 1, 3, 8, seed=6), rounds=200))
+        ended = 0
+        for r in range(engine.config.rounds):
+            recorded = set(engine.stub_oracle.records)
+            gens = dict(engine.slot_gen)
+            engine._round(r)
+            for slot in recorded:
+                copies = [node.objects.slots[slot] for node in engine.nodes.values()]
+                if all(obj.is_fresh() for obj in copies):
+                    assert slot not in engine.stub_oracle.records
+                    assert engine.slot_gen[slot] == gens[slot] + 1
+                    ended += 1
+                else:
+                    assert slot in engine.stub_oracle.records
+        assert ended > 10
 
     def test_corrupted_cache_reports_fault(self):
         oracle = StubOracle(seed=7, correct_ids=[0, 1, 2], dmax=0)

@@ -42,7 +42,7 @@ def test_coin_deterministic():
 
 def test_coin_sequence_replayable():
     seq1 = [rcc_draw(r, seed=5) for r in range(200)]
-    seq2 = [CoinOracle(5).draw(r).value for r in range(200)]
+    seq2 = [CoinOracle(5).draw(r) for r in range(200)]
     assert seq1 == seq2
 
 
@@ -57,10 +57,9 @@ def test_coin_varies_across_rounds():
     assert bits == {0, 1}
 
 
-def test_coin_record_enabling_by_default():
-    rec = CoinOracle(7).draw(3)
-    assert rec.enabling is True
-    assert rec.value in (0, 1)
+def test_coin_oracle_draws_the_round_bit():
+    oracle = CoinOracle(7)
+    assert [oracle.draw(r) for r in range(32)] == [rcc_draw(r, seed=7) for r in range(32)]
 
 
 def test_derive_kappa_floor():
@@ -71,30 +70,26 @@ def test_derive_kappa_floor():
 
 class TestParamsValidate:
     def test_reference_params_ok(self):
-        p = Params(n=4, t=1, kappa=5, index_states=8, index_num=8, log_size=3, seed=0)
+        p = Params(n=4, t=1, kappa=5, index_num=8, log_size=3, seed=0)
         assert params_validate(p).ok
 
     def test_n_below_3t_plus_1(self):
-        p = Params(n=3, t=1, kappa=5, index_states=8, index_num=8, log_size=3)
+        p = Params(n=3, t=1, kappa=5, index_num=8, log_size=3)
         report = params_validate(p)
         assert any("3t+1" in v for v in report.violations)
 
     def test_log_size_exceeds_index_num(self):
-        p = Params(n=4, t=1, kappa=5, index_states=4, index_num=4, log_size=3)
+        p = Params(n=4, t=1, kappa=5, index_num=4, log_size=3)
         report = params_validate(p)
         assert any("log_size" in v for v in report.violations)
 
     def test_kappa_floor(self):
-        p = Params(n=4, t=1, kappa=4, index_states=8, index_num=8, log_size=3)
+        p = Params(n=4, t=1, kappa=4, index_num=8, log_size=3)
         assert any("kappa >= 5" in v for v in params_validate(p).violations)
 
     def test_kappa_must_fit_processing_window(self):
-        p = Params(n=16, t=5, kappa=6, index_states=8, index_num=8, log_size=3)
+        p = Params(n=16, t=5, kappa=6, index_num=8, log_size=3)
         assert any("t+2" in v for v in params_validate(p).violations)
-
-    def test_index_bound_mismatch(self):
-        p = Params(n=4, t=1, kappa=5, index_states=9, index_num=8, log_size=3)
-        assert any("index_states" in v for v in params_validate(p).violations)
 
     def test_phase_overlap_is_warning_not_violation(self):
         p = make_params(4, 1, 3, 8)
@@ -103,6 +98,6 @@ class TestParamsValidate:
         assert any("t+5" in w for w in report.warnings)
 
     def test_violations_accumulate(self):
-        p = Params(n=2, t=1, kappa=3, index_states=5, index_num=4, log_size=3)
+        p = Params(n=2, t=1, kappa=3, index_num=4, log_size=3)
         report = params_validate(p)
         assert len(report.violations) >= 3

@@ -45,7 +45,7 @@ class TestRunTrial:
 
     def test_invalid_config_reports_violations(self):
         bad = TrialConfig(
-            params=Params(n=3, t=1, kappa=5, index_states=8, index_num=8, log_size=3),
+            params=Params(n=3, t=1, kappa=5, index_num=8, log_size=3),
         )
         with pytest.raises(ConfigError) as err:
             run_trial(bad)
@@ -76,7 +76,7 @@ class TestRunTrial:
 def trace_params(trace):
     m = trace.meta
     return Params(
-        n=m["n"], t=m["t"], kappa=m["kappa"], index_states=m["index_states"],
+        n=m["n"], t=m["t"], kappa=m["kappa"],
         index_num=m["index_num"], log_size=m["log_size"], seed=m["seed"],
     )
 

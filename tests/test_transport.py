@@ -1,4 +1,4 @@
-"""Envelope multiplexing and lock-step delivery."""
+"""Envelope serialization and lock-step delivery."""
 
 import pytest
 
@@ -8,9 +8,7 @@ from corsim.transport import (
     EstPayload,
     SigPayload,
     TransportError,
-    demultiplex,
     exchange,
-    multiplex,
     serialize_envelope,
     traffic_digest,
 )
@@ -18,23 +16,6 @@ from corsim.transport import (
 
 def broadcast(sender, env, ids):
     return {j: env for j in ids}
-
-
-class TestMultiplex:
-    def test_single_field(self):
-        co = CoPayload(level=0, entries=(((), 1),))
-        env = multiplex(sender=2, co=co)
-        assert demultiplex(env) == (None, co, None)
-
-    def test_all_fields_round_trip(self):
-        est = EstPayload(slot=3, core=("EST", 1, (0,)), delivered=True)
-        co = CoPayload(level=1, entries=(((0,), 1),))
-        sig = SigPayload(kind="bit", value=1)
-        env = multiplex(sender=0, est=est, co=co, sig=sig)
-        assert demultiplex(env) == (est, co, sig)
-
-    def test_empty_envelope(self):
-        assert demultiplex(multiplex(sender=1)) == (None, None, None)
 
 
 class TestExchange:
