@@ -345,7 +345,8 @@ class RoundEngine:
         self._end_incarnations(set().union(*non_fresh))
 
     def _record(
-        self, r: int, phase: int, coin_bit: int, reports: dict, outboxes: dict, non_fresh: list
+        self, r: int, phase: int, coin_bit: int, reports: dict, outboxes: dict,
+        non_fresh: list[list[int]],
     ) -> None:
         p = self.params
         nodes = self.nodes
