@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from corsim import TrialConfig, make_params
-from corsim.harness import RoundEngine
+from corsim.harness import RoundEngine, Trace
 
 TABLE = Path(__file__).with_name("golden_digests.json")
 ROUNDS = 120
@@ -36,6 +36,9 @@ def grid() -> list[dict]:
     # a two-against-one index split is what makes worst_sig force the coin branch
     cases.append(dict(n=4, t=1, adversary="worst_sig", inject="none", core="stub",
                       recycling=True, indices=(5, 5, 2)))
+    # the per-delivery traffic lines are part of the trace bytes
+    cases.append(dict(n=4, t=1, adversary="equivocate", inject="full", core="stub",
+                      recycling=True, log_traffic=True))
     for k, case in enumerate(cases):
         case["seed"] = 300 + k
     return cases
@@ -44,11 +47,12 @@ def grid() -> list[dict]:
 def case_id(case: dict) -> str:
     recycling = "" if case["recycling"] else "-norecycle"
     split = "-split" if "indices" in case else ""
+    traffic = "-traffic" if case.get("log_traffic") else ""
     return (f"n{case['n']}-{case['adversary']}-{case['inject']}-{case['core']}"
-            f"{recycling}{split}-s{case['seed']}")
+            f"{recycling}{split}{traffic}-s{case['seed']}")
 
 
-def digest(case: dict) -> str:
+def run(case: dict) -> Trace:
     config = TrialConfig(
         params=make_params(case["n"], case["t"], 3, 8, seed=case["seed"]),
         rounds=ROUNDS,
@@ -56,11 +60,16 @@ def digest(case: dict) -> str:
         inject=case["inject"],
         core=case["core"],
         recycling=case["recycling"],
+        log_traffic=case.get("log_traffic", False),
     )
     engine = RoundEngine(config)
     for i, index in enumerate(case.get("indices", ())):
         engine.nodes[i].sig.index = index
-    return engine.run().digest()
+    return engine.run()
+
+
+def digest(case: dict) -> str:
+    return run(case).digest()
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +84,22 @@ def test_trace_digest_unchanged(case, golden):
 
 def test_table_covers_grid_exactly(golden):
     assert set(golden) == {case_id(case) for case in grid()}
+
+
+def test_split_case_takes_coin_branch():
+    """The pinned split case reaches the paper's probability-1/2 coin path.
+
+    A node took the coin branch at a cycle end when it saw neither a ones
+    nor a zeros quorum.
+    """
+    (case,) = [case for case in grid() if "indices" in case]
+    coin = [
+        rec.round
+        for rec in run(case).rounds
+        if rec.quorum1 is not None
+        and any(q1 == q0 == 0 for q1, q0 in zip(rec.quorum1, rec.quorum0))
+    ]
+    assert coin
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
