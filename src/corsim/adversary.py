@@ -61,29 +61,30 @@ class Adversary:
         """Envelopes for every (Byzantine sender, receiver) pair this round."""
         out: dict[int, dict[int, Envelope]] = {}
         receivers = sorted(view.correct_nodes)
+        fields_for = self._round_fields(view)
         for b in sorted(self.strategy.byz_set):
             per_dest: dict[int, Envelope] = {}
             for j in receivers:
-                est, co, sig = self._fields_for(view, b, j)
+                est, co, sig = fields_for(b, j)
                 per_dest[j] = Envelope(sender=b, est=est, co=co, sig=sig)
             out[b] = per_dest
         return out
 
     # per-policy field builders
 
-    def _fields_for(self, view: AdversaryView, b: int, j: int):
+    def _round_fields(self, view: AdversaryView) -> Callable[[int, int], tuple]:
+        """The round's (sender, receiver) -> (est, co, sig) builder for the policy."""
         policy = self.strategy.policy
-        if policy == "silent":
-            return None, None, None
         if policy == "random":
-            return self._random_fields(view, j)
+            return lambda b, j: self._random_fields(view, j)
         if policy == "equivocate":
-            return self._equivocate_fields(view, b, j)
+            return lambda b, j: self._equivocate_fields(view, b, j)
         if policy == "worst_sig":
-            return None, None, self._worst_sig_field(view, j)
+            sig_for = self._worst_sig_fields(view)
+            return lambda b, j: (None, None, sig_for(j))
         if policy == "worst_eig":
-            return None, self._worst_eig_field(view, b, j), None
-        return None, None, None
+            return lambda b, j: (None, self._worst_eig_field(view, b, j), None)
+        return lambda b, j: (None, None, None)
 
     def _random_fields(self, view: AdversaryView, j: int):
         rng = self.rng
@@ -149,12 +150,14 @@ class Adversary:
             return value & 1
         return value
 
-    def _worst_sig_field(self, view: AdversaryView, j: int) -> SigPayload | None:
+    def _worst_sig_fields(self, view: AdversaryView) -> Callable[[int], SigPayload | None]:
         """Keep correct tallies just below their thresholds whenever possible.
 
         The adversary simulates what each correct node is about to receive
         (it knows all fixed traffic) and picks the value that denies the
-        next phase's quorum, splitting receivers when that helps.
+        next phase's quorum, splitting receivers when that helps. The
+        simulation is the same for every pair, so it runs once per round;
+        the returned function gives receiver j's value.
         """
         p = view.params
         k = p.kappa
@@ -166,31 +169,34 @@ class Adversary:
             top, top_count = counts[0]
             if top_count >= p.quorum:
                 # quorum unavoidable: send noise and fight at later phases
-                return SigPayload(kind="index", value=top + 1 + j)
+                return lambda j: SigPayload(kind="index", value=top + 1 + j)
             if top_count == p.quorum - 1:
                 # plant partial quorums: enough receivers adopt the leader to
                 # split saves two phases later, the rest see nothing
                 boosted = sorted(nodes)[: p.quorum - 1]
-                if j in boosted:
-                    return SigPayload(kind="index", value=top)
-                return SigPayload(kind="index", value=top + 1 + j)
+                return lambda j: SigPayload(
+                    kind="index", value=top if j in boosted else top + 1 + j
+                )
             runner = counts[1][0] if len(counts) > 1 else top + 1
-            return SigPayload(kind="index", value=runner)
+            return lambda j: SigPayload(kind="index", value=runner)
         if phase == k - 3:
             proposals = predict(view, index_vote)
             non_empty = [v for v in proposals if v is not None]
             if not non_empty:
-                return SigPayload(kind="propose", value=None)
+                return lambda j: SigPayload(kind="propose", value=None)
             # push half the receivers over the majority line, starve the rest
-            return SigPayload(kind="propose", value=non_empty[0] if j % 2 == 0 else None)
+            return lambda j: SigPayload(
+                kind="propose", value=non_empty[0] if j % 2 == 0 else None
+            )
         if phase == k - 2:
             bits = predict(view, vote_bit)
             ones = sum(bits)
             zeros = len(bits) - ones
             if ones >= p.quorum or zeros >= p.quorum:
-                return SigPayload(kind="bit", value=self.rng.getrandbits(1))
-            return SigPayload(kind="bit", value=0 if ones >= zeros else 1)
-        return None
+                # one draw per (sender, receiver) pair, in pair order
+                return lambda j: SigPayload(kind="bit", value=self.rng.getrandbits(1))
+            return lambda j: SigPayload(kind="bit", value=0 if ones >= zeros else 1)
+        return lambda j: None
 
     def _worst_eig_field(self, view: AdversaryView, b: int, j: int) -> CoPayload | None:
         """Split the information-gathering tree: opposite stories per receiver half."""

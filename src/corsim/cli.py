@@ -35,6 +35,20 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--inject", choices=["none", "full", "targeted"])
     run.add_argument("--core", choices=["stub", "mmr-lite"])
     run.add_argument("--dmax", type=int)
+    run.add_argument(
+        "--no-recycling",
+        action="store_const",
+        const=False,
+        dest="recycling",
+        help="keep slot 0 active forever instead of recycling",
+    )
+    run.add_argument(
+        "--log-traffic",
+        action="store_const",
+        const=True,
+        dest="log_traffic",
+        help="record every delivered envelope in the trace (see --trace)",
+    )
     run.add_argument("--out", help="CSV output path")
     run.add_argument("--trace", action="store_true", help="write per-trial trace files")
     run.add_argument(
@@ -58,12 +72,15 @@ DEFAULTS = {
     "inject": "none",
     "core": "stub",
     "dmax": 3,
+    "recycling": True,
+    "log_traffic": False,
     "out": None,
 }
 
 
-# options that take a string; every other option takes an integer
+# options that take a string or a boolean; every other option takes an integer
 STR_KEYS = ("adversary", "inject", "core", "out")
+BOOL_KEYS = ("recycling", "log_traffic")
 
 
 def resolve_options(args: argparse.Namespace) -> dict:
@@ -97,6 +114,9 @@ def check_options(options: dict) -> None:
         if key in STR_KEYS:
             if not isinstance(value, str):
                 problems.append(f"{key} must be a string (got {value!r})")
+        elif key in BOOL_KEYS:
+            if not isinstance(value, bool):
+                problems.append(f"{key} must be a boolean (got {value!r})")
         elif not isinstance(value, int) or isinstance(value, bool):
             problems.append(f"{key} must be an integer (got {value!r})")
     if not problems and options["trials"] < 1:
@@ -124,6 +144,8 @@ def main(argv: list[str] | None = None) -> int:
             inject=options["inject"],
             core=options["core"],
             dmax=options["dmax"],
+            recycling=options["recycling"],
+            log_traffic=options["log_traffic"],
         )
         results = run_ensemble(config, options["trials"])
     except ConfigError as err:

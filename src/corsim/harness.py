@@ -38,7 +38,6 @@ from .transport import (
     RoundMail,
     TransportError,
     exchange,
-    serialize_envelope,
     traffic_digest,
 )
 
@@ -331,21 +330,22 @@ class RoundEngine:
                         f"round {r}: envelope {i}->{j} missing after exchange"
                     )
         self.last_outboxes = outboxes
-        if self.config.log_traffic:
-            for i in sorted(outboxes):
-                for j in sorted(outboxes[i]):
-                    line = f"{r} {i} {j} {serialize_envelope(outboxes[i][j]).hex()}"
-                    self.trace.traffic.append(line)
+        deliveries = [] if self.config.log_traffic else None
+        digest = traffic_digest(outboxes, deliveries)
+        if deliveries is not None:
+            self.trace.traffic.extend(
+                f"{r} {i} {j} {data.hex()}" for i, j, data in deliveries
+            )
         self.stub_oracle.observe(
             r, {i: self.nodes[i].objects.slots for i in self.correct_ids}
         )
         # the round's one freshness sweep, for the trace and the generation sweep
         non_fresh = [self.nodes[i].objects.non_fresh_slots() for i in self.correct_ids]
-        self._record(r, phase, coin_bit, reports, outboxes, non_fresh)
+        self._record(r, phase, coin_bit, reports, digest, non_fresh)
         self._end_incarnations(set().union(*non_fresh))
 
     def _record(
-        self, r: int, phase: int, coin_bit: int, reports: dict, outboxes: dict,
+        self, r: int, phase: int, coin_bit: int, reports: dict, digest: str,
         non_fresh: list[list[int]],
     ) -> None:
         p = self.params
@@ -390,7 +390,7 @@ class RoundEngine:
             recycled=tuple(reports[i].recycled for i in ids),
             active=tuple(reports[i].active_slot for i in ids),
             non_fresh=tuple(map(len, non_fresh)),
-            digest=traffic_digest(outboxes),
+            digest=digest,
         )
         self.trace.rounds.append(record)
 

@@ -132,15 +132,14 @@ class CorrectNode:
                     retrievals.append((slot, value))
         report.retrievals = tuple(retrievals)
 
-        outbox = {
-            j: Envelope(
-                sender=self.node_id,
-                est=est_out,
-                co=co_out.get(j),
-                sig=sig_out,
-            )
-            for j in range(params.n)
-        }
+        # a correct node broadcasts: one envelope object serves every receiver
+        env = Envelope(
+            sender=self.node_id,
+            est=est_out,
+            co=co_out.get(self.node_id),
+            sig=sig_out,
+        )
+        outbox = dict.fromkeys(range(params.n), env)
         return outbox, report
 
     # state views used by the trace and the checks

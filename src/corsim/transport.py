@@ -1,10 +1,11 @@
 """Lock-step reliable message exchange and the per-round envelope.
 
-Every sub-protocol rides one envelope per (sender, receiver, round): an
-est field for the recyclable object layer, a co field for the synchronous
-consensus recomputation, and a sig field for the shared index. Delivery is
-exact and authenticated; Byzantine senders may equivocate per receiver but
-cannot alter their sender id.
+Every sub-protocol rides one envelope per (sender, round): an est field for
+the recyclable object layer, a co field for the synchronous consensus
+recomputation, and a sig field for the shared index. A correct sender only
+broadcasts, so its outbox maps every receiver to one shared envelope object;
+a Byzantine sender may equivocate with a distinct envelope per receiver.
+Delivery is exact and authenticated: no sender can alter its sender id.
 """
 
 from __future__ import annotations
@@ -99,12 +100,33 @@ def serialize_envelope(env: Envelope) -> bytes:
     return bytes(out)
 
 
-def traffic_digest(outboxes: dict[int, dict[int, Envelope]]) -> str:
-    """Stable digest of one round's full message traffic."""
+def traffic_digest(
+    outboxes: dict[int, dict[int, Envelope]],
+    deliveries: list[tuple[int, int, bytes]] | None = None,
+) -> str:
+    """Stable digest of one round's full message traffic.
+
+    Hashes sender, receiver and serialized envelope for every delivery, in
+    sender-then-receiver order. Each distinct envelope object is serialized
+    once, so a broadcast costs one serialization, not n. The memo is keyed
+    by identity, not equality: equal payloads can have different reprs
+    (``delivered=True`` and ``delivered=1``). It lives for one call only,
+    because ids are reused once an envelope is collected.
+
+    When ``deliveries`` is a list, every (sender, receiver, bytes) is
+    appended to it in the same order.
+    """
     h = hashlib.sha256()
+    wire: dict[int, bytes] = {}
     for i in sorted(outboxes):
-        for j in sorted(outboxes[i]):
-            h.update(i.to_bytes(2, "little"))
-            h.update(j.to_bytes(2, "little"))
-            h.update(serialize_envelope(outboxes[i][j]))
+        box = outboxes[i]
+        for j in sorted(box):
+            env = box[j]
+            data = wire.get(id(env))
+            if data is None:
+                data = wire[id(env)] = serialize_envelope(env)
+            h.update(i.to_bytes(2, "little") + j.to_bytes(2, "little"))
+            h.update(data)
+            if deliveries is not None:
+                deliveries.append((i, j, data))
     return h.hexdigest()[:16]

@@ -114,6 +114,23 @@ class TestStrategies:
         # both outcomes of each rule were exercised
         assert checked == {("vote", True), ("vote", False), ("bit", 0), ("bit", 1)}
 
+    def test_worst_sig_predicts_once_per_round(self, monkeypatch):
+        # a prediction is the same for every (sender, receiver) pair, so
+        # each index rule is simulated once per round that needs it
+        import corsim.adversary as adversary
+
+        rounds = []
+        original = adversary.predict
+
+        def counting(view, rule):
+            rounds.append(view.round)
+            return original(view, rule)
+
+        monkeypatch.setattr(adversary, "predict", counting)
+        p = make_params(7, 2, 3, 8, seed=12)
+        RoundEngine(TrialConfig(params=p, rounds=100, adversary="worst_sig")).run()
+        assert rounds == [r for r in range(100) if r % p.kappa in (p.kappa - 3, p.kappa - 2)]
+
     def test_deterministic_given_seed_and_policy(self):
         a1 = Adversary(AdversaryStrategy(frozenset({3}), "random", 9), P)
         a2 = Adversary(AdversaryStrategy(frozenset({3}), "random", 9), P)

@@ -54,6 +54,38 @@ def test_trace_flag_writes_trace_files(tmp_path):
     assert (tmp_path / "trace_4.json").exists()
 
 
+def test_log_traffic_writes_one_line_per_delivery(tmp_path):
+    out = tmp_path / "runs.csv"
+    code = main([
+        "run", "--rounds", "12", "--seed", "4", "--adversary", "equivocate",
+        "--out", str(out), "--trace", "--log-traffic",
+    ])
+    assert code == 0
+    trace = json.loads((tmp_path / "trace_4.json").read_text())
+    correct, byz = trace["correct_ids"], trace["byz_ids"]
+    # correct senders reach all n nodes, Byzantine senders the correct ones
+    expected = [
+        (r, i, j)
+        for r in range(12)
+        for i in sorted(correct + byz)
+        for j in (sorted(correct + byz) if i in correct else correct)
+    ]
+    lines = [line.split() for line in trace["traffic"]]
+    assert [(int(r), int(i), int(j)) for r, i, j, _ in lines] == expected
+    assert all(bytes.fromhex(raw)[0] == int(i) for _, i, _, raw in lines)
+
+
+def test_no_recycling_flag_pins_slot_zero(tmp_path):
+    out = tmp_path / "runs.csv"
+    assert main(["run", "--rounds", "40", "--seed", "4", "--inject", "full",
+                 "--no-recycling", "--out", str(out), "--trace"]) == 0
+    assert list(csv.DictReader(out.open()))[0]["recycling"] == "False"
+    trace = json.loads((tmp_path / "trace_4.json").read_text())
+    assert trace["meta"]["recycling"] is False
+    assert all(rec["active"] == [0, 0, 0] for rec in trace["rounds"])
+    assert trace["traffic"] == []
+
+
 def test_adversary_flag_spelling(tmp_path):
     out = tmp_path / "runs.csv"
     code = main([
@@ -93,6 +125,8 @@ def test_identical_invocations_identical_csv(tmp_path):
     ([], {"out": 1}, "out must be a string"),
     ([], [4], "JSON object"),
     ([], "{not json", "cannot read config"),
+    ([], {"recycling": 0}, "recycling must be a boolean"),
+    ([], {"log_traffic": "yes"}, "log_traffic must be a boolean"),
 ])
 def test_bad_input_exits_2_with_message(tmp_path, capsys, argv, config, message):
     if config is not None:

@@ -1,5 +1,7 @@
 """Envelope serialization and lock-step delivery."""
 
+import hashlib
+
 import pytest
 
 from corsim.transport import (
@@ -12,6 +14,8 @@ from corsim.transport import (
     serialize_envelope,
     traffic_digest,
 )
+from corsim.env import make_params
+from corsim.harness import RoundEngine, TrialConfig
 
 
 def broadcast(sender, env, ids):
@@ -85,3 +89,70 @@ class TestSerialization:
         out1 = {0: {1: env, 0: env}}
         out2 = {0: {0: env, 1: env}}
         assert traffic_digest(out1) == traffic_digest(out2)
+
+
+def reference_digest(outboxes):
+    """The per-delivery loop: one serialization for every (sender, receiver) pair."""
+    h = hashlib.sha256()
+    for i in sorted(outboxes):
+        for j in sorted(outboxes[i]):
+            h.update(i.to_bytes(2, "little"))
+            h.update(j.to_bytes(2, "little"))
+            h.update(serialize_envelope(outboxes[i][j]))
+    return h.hexdigest()[:16]
+
+
+class TestDigestOncePerEnvelope:
+    ids = [0, 1, 2, 3]
+
+    def mixed_outboxes(self):
+        shared = Envelope(
+            sender=0,
+            est=EstPayload(slot=2, core=None, delivered=True),
+            co=CoPayload(level=1, entries=(((1,), 0), ((2,), 1))),
+            sig=SigPayload(kind="bit", value=1),
+        )
+        # equal envelopes whose payload reprs differ: identity, not equality,
+        # decides what is serialized once
+        yes = Envelope(sender=3, est=EstPayload(slot=0, core=None, delivered=True))
+        one = Envelope(sender=3, est=EstPayload(slot=0, core=None, delivered=1))
+        assert yes == one and serialize_envelope(yes) != serialize_envelope(one)
+        return {
+            0: dict.fromkeys(self.ids, shared),
+            1: dict.fromkeys(self.ids, Envelope(sender=1)),
+            2: {j: Envelope(sender=2, sig=SigPayload(kind="index", value=j)) for j in self.ids},
+            3: {0: yes, 1: one, 2: yes},
+        }
+
+    def test_equals_per_delivery_loop(self):
+        outboxes = self.mixed_outboxes()
+        assert traffic_digest(outboxes) == reference_digest(outboxes)
+
+    def test_deliveries_carry_each_pair_serialized(self):
+        outboxes = self.mixed_outboxes()
+        deliveries = []
+        traffic_digest(outboxes, deliveries)
+        assert deliveries == [
+            (i, j, serialize_envelope(outboxes[i][j]))
+            for i in sorted(outboxes)
+            for j in sorted(outboxes[i])
+        ]
+
+
+def test_correct_nodes_broadcast_one_envelope_object():
+    p = make_params(4, 1, 3, 8, seed=21)
+    engine = RoundEngine(TrialConfig(params=p, rounds=10, adversary="equivocate"))
+    for r in range(p.kappa):
+        engine._round(r)
+        outboxes = engine.last_outboxes
+        for i in engine.correct_ids:
+            env = outboxes[i][i]
+            assert sorted(outboxes[i]) == engine.node_ids
+            assert all(outboxes[i][j] is env for j in engine.node_ids)
+            assert all(engine.pending[j].inbox[i] is env for j in engine.node_ids)
+        # Byzantine senders still equivocate: one envelope object per receiver
+        for b in engine.byz_ids:
+            box = outboxes[b]
+            assert len({id(e) for e in box.values()}) == len(box) == len(engine.correct_ids)
+            assert len(set(box.values())) == 2
+            assert all(engine.pending[j].inbox[b] is box[j] for j in box)
