@@ -39,6 +39,10 @@ def grid() -> list[dict]:
     # the per-delivery traffic lines are part of the trace bytes
     cases.append(dict(n=4, t=1, adversary="equivocate", inject="full", core="stub",
                       recycling=True, log_traffic=True))
+    # two Byzantine senders: the per-sender draw and derivation order is pinned
+    for adversary in ("random", "equivocate", "worst_sig"):
+        cases.append(dict(n=7, t=2, adversary=adversary, inject="full", core="stub",
+                          recycling=True))
     for k, case in enumerate(cases):
         case["seed"] = 300 + k
     return cases
