@@ -5,15 +5,21 @@ coin is revealed; it sees everything else (full prior traffic and live
 correct-node state). Per-receiver equivocation is allowed everywhere, but
 sender ids are stamped by the transport and cannot be forged.
 
+A policy is a per-round builder: given the round's view it returns a
+function (sender, receiver) -> (est, co, sig), and POLICIES finds it by
+name. Work shared by several pairs is done once, when the builder runs.
+
 Transient faults strike once, before round 0: every targeted mutable field
 is replaced while containers stay structurally valid (vector lengths, tag
-kinds). Program code, parameters and the clock are never touched.
+kinds). Program code, parameters and the clock are never touched. The
+corruption plan is a plain dict, recorded in the trace as it was applied.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import permutations
 from typing import TYPE_CHECKING, Callable
 
 from .env import Params, derived_int, seeded_rng
@@ -23,18 +29,7 @@ from .transport import CoPayload, Envelope, EstPayload, RoundMail, SigPayload
 if TYPE_CHECKING:
     from .node import CorrectNode
 
-POLICIES = ("silent", "random", "equivocate", "worst_sig", "worst_eig")
-
-
-@dataclass
-class AdversaryStrategy:
-    byz_set: frozenset[int]
-    policy: str
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.policy not in POLICIES:
-            raise ValueError(f"unknown policy {self.policy!r}")
+Fields = Callable[[int, int], tuple]  # (sender, receiver) -> (est, co, sig)
 
 
 @dataclass
@@ -52,60 +47,52 @@ class AdversaryView:
 
 
 class Adversary:
-    def __init__(self, strategy: AdversaryStrategy, params: Params):
-        self.strategy = strategy
+    def __init__(self, policy: str, params: Params, byz_ids: list[int]):
+        if policy not in POLICIES:
+            raise ValueError(f"unknown policy {policy!r}")
+        self.policy = policy
         self.params = params
-        self.rng = seeded_rng(strategy.seed, "adversary", strategy.policy)
+        self.byz_ids = sorted(byz_ids)
+        self.rng = seeded_rng(params.seed, "adversary", policy)
 
     def byz_outboxes(self, view: AdversaryView) -> dict[int, dict[int, Envelope]]:
         """Envelopes for every (Byzantine sender, receiver) pair this round."""
-        out: dict[int, dict[int, Envelope]] = {}
+        fields = POLICIES[self.policy](self, view)
         receivers = sorted(view.correct_nodes)
-        fields_for = self._round_fields(view)
-        for b in sorted(self.strategy.byz_set):
-            per_dest: dict[int, Envelope] = {}
-            for j in receivers:
-                est, co, sig = fields_for(b, j)
-                per_dest[j] = Envelope(sender=b, est=est, co=co, sig=sig)
-            out[b] = per_dest
-        return out
+        return {
+            b: {j: Envelope(b, *fields(b, j)) for j in receivers} for b in self.byz_ids
+        }
 
-    # per-policy field builders
+    # per-round policy builders
 
-    def _round_fields(self, view: AdversaryView) -> Callable[[int, int], tuple]:
-        """The round's (sender, receiver) -> (est, co, sig) builder for the policy."""
-        policy = self.strategy.policy
-        if policy == "random":
-            return lambda b, j: self._random_fields(view, j)
-        if policy == "equivocate":
-            return lambda b, j: self._equivocate_fields(view, b, j)
-        if policy == "worst_sig":
-            sig_for = self._worst_sig_fields(view)
-            return lambda b, j: (None, None, sig_for(j))
-        if policy == "worst_eig":
-            return lambda b, j: (None, self._worst_eig_field(view, b, j), None)
+    def _silent(self, view: AdversaryView) -> Fields:
         return lambda b, j: (None, None, None)
 
-    def _random_fields(self, view: AdversaryView, j: int):
+    def _random(self, view: AdversaryView) -> Fields:
+        """Fresh random fields for every pair, drawn in pair order."""
+        return lambda b, j: self._random_fields()
+
+    def _random_fields(self) -> tuple:
         rng = self.rng
+        p = self.params
         est = None
         if rng.random() < 0.7:
             est = EstPayload(
-                slot=rng.randrange(view.params.index_num),
+                slot=rng.randrange(p.index_num),
                 core=None,
                 delivered=bool(rng.getrandbits(1)),
             )
         co = None
         if rng.random() < 0.7:
-            level = rng.randrange(view.params.t + 2)
+            level = rng.randrange(p.t + 2)
             co = CoPayload(level=level, entries=self._random_entries(level))
         sig = None
         if rng.random() < 0.8:
             kind = rng.choice(("index", "propose", "bit"))
             if kind == "index":
-                value: object = rng.randrange(2 * view.params.index_states)
+                value: object = rng.randrange(2 * p.index_states)
             elif kind == "propose":
-                value = rng.choice((None, rng.randrange(view.params.index_states)))
+                value = rng.choice((None, rng.randrange(p.index_states)))
             else:
                 value = rng.getrandbits(1)
             sig = SigPayload(kind=kind, value=value)
@@ -124,102 +111,98 @@ class Adversary:
             entries.append((label, rng.choice((0, 1, None))))
         return tuple(entries)
 
-    def _equivocate_fields(self, view: AdversaryView, b: int, j: int):
+    def _equivocate(self, view: AdversaryView) -> Fields:
         """Two-faced values: one story for low node ids, another for the rest."""
         p = view.params
-        half = j < self.params.n // 2
-        a_val = derived_int(self.strategy.seed, "equiv-a", view.round, b, bound=p.index_states)
-        shift = 1 + derived_int(self.strategy.seed, "equiv-b", view.round, b, bound=p.index_states - 1)
-        value = a_val if half else (a_val + shift) % p.index_states
-        sig = SigPayload(kind=self._phase_kind(view.phase), value=self._coerce(view.phase, value))
-        bit = 0 if half else 1
-        co = CoPayload(level=0, entries=(((), bit),))
-        est = EstPayload(slot=0, core=None, delivered=half)
-        return est, co, sig
+        k = p.kappa
+        kind = {k - 4: "index", k - 3: "propose"}.get(view.phase, "bit")
+        stories = {}  # sender -> [story of the high half, story of the low half]
+        for b in self.byz_ids:
+            low = derived_int(p.seed, "equiv-a", view.round, b, bound=p.index_states)
+            shift = 1 + derived_int(p.seed, "equiv-b", view.round, b, bound=p.index_states - 1)
+            high = (low + shift) % p.index_states
+            stories[b] = [
+                (
+                    EstPayload(slot=0, core=None, delivered=half),
+                    CoPayload(level=0, entries=(((), 0 if half else 1),)),
+                    SigPayload(kind=kind, value=value & 1 if kind == "bit" else value),
+                )
+                for half, value in ((False, high), (True, low))
+            ]
+        half_line = p.n // 2
+        return lambda b, j: stories[b][j < half_line]
 
-    def _phase_kind(self, phase: int) -> str:
-        k = self.params.kappa
-        if phase == k - 4:
-            return "index"
-        if phase == k - 3:
-            return "propose"
-        return "bit"
-
-    def _coerce(self, phase: int, value: int) -> object:
-        if self._phase_kind(phase) == "bit":
-            return value & 1
-        return value
-
-    def _worst_sig_fields(self, view: AdversaryView) -> Callable[[int], SigPayload | None]:
+    def _worst_sig(self, view: AdversaryView) -> Fields:
         """Keep correct tallies just below their thresholds whenever possible.
 
         The adversary simulates what each correct node is about to receive
         (it knows all fixed traffic) and picks the value that denies the
-        next phase's quorum, splitting receivers when that helps. The
-        simulation is the same for every pair, so it runs once per round;
-        the returned function gives receiver j's value.
+        next phase's quorum, splitting receivers when that helps.
         """
         p = view.params
         k = p.kappa
         phase = view.phase
         nodes = view.correct_nodes
+
+        def sig(kind: str, value_for: Callable[[int], object]) -> Fields:
+            return lambda b, j: (None, None, SigPayload(kind=kind, value=value_for(j)))
+
         if phase == k - 4:
             values = [nodes[i].sig.index for i in sorted(nodes)]
             counts = _counts(values)
             top, top_count = counts[0]
             if top_count >= p.quorum:
                 # quorum unavoidable: send noise and fight at later phases
-                return lambda j: SigPayload(kind="index", value=top + 1 + j)
+                return sig("index", lambda j: top + 1 + j)
             if top_count == p.quorum - 1:
                 # plant partial quorums: enough receivers adopt the leader to
                 # split saves two phases later, the rest see nothing
                 boosted = sorted(nodes)[: p.quorum - 1]
-                return lambda j: SigPayload(
-                    kind="index", value=top if j in boosted else top + 1 + j
-                )
+                return sig("index", lambda j: top if j in boosted else top + 1 + j)
             runner = counts[1][0] if len(counts) > 1 else top + 1
-            return lambda j: SigPayload(kind="index", value=runner)
+            return sig("index", lambda j: runner)
         if phase == k - 3:
             proposals = predict(view, index_vote)
             non_empty = [v for v in proposals if v is not None]
             if not non_empty:
-                return lambda j: SigPayload(kind="propose", value=None)
+                return sig("propose", lambda j: None)
             # push half the receivers over the majority line, starve the rest
-            return lambda j: SigPayload(
-                kind="propose", value=non_empty[0] if j % 2 == 0 else None
-            )
+            return sig("propose", lambda j: non_empty[0] if j % 2 == 0 else None)
         if phase == k - 2:
             bits = predict(view, vote_bit)
             ones = sum(bits)
             zeros = len(bits) - ones
             if ones >= p.quorum or zeros >= p.quorum:
                 # one draw per (sender, receiver) pair, in pair order
-                return lambda j: SigPayload(kind="bit", value=self.rng.getrandbits(1))
-            return lambda j: SigPayload(kind="bit", value=0 if ones >= zeros else 1)
-        return lambda j: None
+                return sig("bit", lambda j: self.rng.getrandbits(1))
+            return sig("bit", lambda j: 0 if ones >= zeros else 1)
+        return self._silent(view)
 
-    def _worst_eig_field(self, view: AdversaryView, b: int, j: int) -> CoPayload | None:
+    def _worst_eig(self, view: AdversaryView) -> Fields:
         """Split the information-gathering tree: opposite stories per receiver half."""
-        t = self.params.t
-        phase = view.phase
-        if phase == 0:
-            return CoPayload(level=0, entries=(((), 1 if j % 2 == 0 else 0),))
-        if 1 <= phase <= t + 1:
-            level = phase
-            n = self.params.n
-            value = 1 if j % 2 == 0 else 0
-            ids = [x for x in range(n) if x != b]
-            if level == 1:
-                entries = [((i,), value) for i in ids]
-            else:
-                # labels must be distinct-id tuples of the right length without b
-                entries = []
-                for i in ids:
-                    label = tuple((i + d) % n for d in range(level))
-                    if b not in label and len(set(label)) == len(label):
-                        entries.append((label, value))
-            return CoPayload(level=level, entries=tuple(entries))
-        return None
+        p = view.params
+        level = view.phase
+        if level > p.t + 1:
+            return self._silent(view)
+        stories = {}
+        for b in self.byz_ids:
+            # labels are distinct-id tuples of the phase's length without b
+            chains = (tuple((i + d) % p.n for d in range(level)) for i in range(p.n))
+            labels = [()] if level == 0 else [label for label in chains if b not in label]
+            stories[b] = [
+                CoPayload(level=level, entries=tuple((label, value) for label in labels))
+                for value in (1, 0)
+            ]
+        return lambda b, j: (None, stories[b][j % 2], None)
+
+
+POLICIES: dict[str, Callable[[Adversary, AdversaryView], Fields]] = {
+    "silent": Adversary._silent,
+    "random": Adversary._random,
+    "equivocate": Adversary._equivocate,
+    "worst_sig": Adversary._worst_sig,
+    "worst_eig": Adversary._worst_eig,
+}
 
 
 def predict(view: AdversaryView, rule: Callable[[dict, int], object]) -> list:
@@ -248,27 +231,18 @@ def _counts(values: list) -> list[tuple[object, int]]:
 INJECT_MODES = ("none", "full", "targeted")
 
 
-@dataclass
-class TransientFault:
-    """One-shot corruption applied before round 0."""
-
-    mode: str
-    seed: int
-    plan: dict = field(default_factory=dict)
-
-
-def plan_corruption(mode: str, params: Params, correct_ids: list[int], seed: int) -> TransientFault:
+def plan_corruption(mode: str, params: Params, correct_ids: list[int]) -> dict:
+    """The one-shot corruption plan: per correct node, the fields to overwrite."""
     if mode not in INJECT_MODES:
         raise ValueError(f"unknown injection mode {mode!r}")
-    fault = TransientFault(mode=mode, seed=seed)
     if mode == "none":
-        return fault
-    rng = seeded_rng(seed, "inject")
-    plan: dict = {"nodes": {}}
+        return {}
+    rng = seeded_rng(params.seed, "inject")
+    nodes: dict = {}
     if mode == "targeted":
         distinct = rng.sample(range(params.index_states), k=min(len(correct_ids), params.index_states))
         for pos, i in enumerate(sorted(correct_ids)):
-            plan["nodes"][i] = {
+            nodes[i] = {
                 "index": distinct[pos % len(distinct)],
                 "current_result": 1,
                 "eig_all_ones": True,
@@ -276,7 +250,7 @@ def plan_corruption(mode: str, params: Params, correct_ids: list[int], seed: int
             }
     else:
         for i in sorted(correct_ids):
-            plan["nodes"][i] = {
+            nodes[i] = {
                 "index": rng.randrange(-(2**31), 2**31),
                 "propose_val": rng.choice((None, rng.randrange(2**16))),
                 "save": rng.choice((None, rng.randrange(2**16))),
@@ -287,31 +261,21 @@ def plan_corruption(mode: str, params: Params, correct_ids: list[int], seed: int
                 "objects_garbage": rng.getrandbits(32),
                 "mail_garbage": rng.getrandbits(32),
             }
-    fault.plan = plan
-    return fault
+    return {"nodes": nodes}
 
 
 def inject(
     nodes: dict[int, "CorrectNode"],
     round0_mail: dict[int, RoundMail],
-    fault: TransientFault,
+    plan: dict,
     params: Params,
 ) -> None:
     """Apply the corruption plan to node state and round-0 channel contents."""
-    if fault.mode == "none":
-        return
-    for i, fields in fault.plan.get("nodes", {}).items():
+    for i, fields in plan.get("nodes", {}).items():
         node = nodes[i]
-        if "index" in fields:
-            node.sig.index = fields["index"]
-        if "propose_val" in fields:
-            node.sig.propose_val = fields["propose_val"]
-        if "save" in fields:
-            node.sig.save = fields["save"]
-        if "bit" in fields:
-            node.sig.bit = fields["bit"]
-        if "inc" in fields:
-            node.sig.inc = fields["inc"]
+        for name in ("index", "propose_val", "save", "bit", "inc"):
+            if name in fields:
+                setattr(node.sig, name, fields[name])
         if "current_result" in fields:
             node.mvc.current_result = fields["current_result"]
         if fields.get("eig_all_ones"):
@@ -320,31 +284,26 @@ def inject(
             for obj in node.objects.slots:
                 obj.delivered = [False] * params.n
         if "eig_garbage" in fields:
-            rng = seeded_rng(fault.seed, "inject-eig", i, fields["eig_garbage"])
+            rng = seeded_rng(params.seed, "inject-eig", i, fields["eig_garbage"])
             _garble_tree(node, rng, params)
         if "objects_garbage" in fields:
-            rng = seeded_rng(fault.seed, "inject-objs", i, fields["objects_garbage"])
+            rng = seeded_rng(params.seed, "inject-objs", i, fields["objects_garbage"])
             _garble_objects(node, rng, params)
         if "mail_garbage" in fields:
-            rng = seeded_rng(fault.seed, "inject-mail", i, fields["mail_garbage"])
+            rng = seeded_rng(params.seed, "inject-mail", i, fields["mail_garbage"])
             _garble_mail(round0_mail, i, rng, params)
 
 
 def _fill_tree(node: "CorrectNode", value: int, params: Params) -> None:
+    """A complete, consistent tree: every distinct-id label up to depth t+1."""
     co = node.mvc.co
     co.started = True
     co.exchanges_done = params.t + 1
-    co.tree = {(): value}
-    _fill_labels(co.tree, (), value, params.n, params.t + 1)
-
-
-def _fill_labels(tree: dict, label: tuple, value: int, n: int, depth: int) -> None:
-    if len(label) == depth:
-        return
-    for j in range(n):
-        if j not in label:
-            tree[label + (j,)] = value
-            _fill_labels(tree, label + (j,), value, n, depth)
+    co.tree = {
+        label: value
+        for k in range(params.t + 2)
+        for label in permutations(range(params.n), k)
+    }
 
 
 def _garble_tree(node: "CorrectNode", rng: random.Random, params: Params) -> None:
@@ -364,12 +323,10 @@ def _garble_objects(node: "CorrectNode", rng: random.Random, params: Params) -> 
         if rng.random() < 0.5:
             continue
         obj.delivered = [bool(rng.getrandbits(1)) for _ in range(params.n)]
-        obj.proposed = rng.choice((None, 0, 1, rng.randrange(8)))
         core = obj.core
+        core.proposed = rng.choice((None, 0, 1, rng.randrange(8)))
         if hasattr(core, "decided_cache"):
             core.decided_cache = rng.choice((None, 0, 1, rng.randrange(2, 9)))
-        if hasattr(core, "proposed"):
-            core.proposed = obj.proposed
         if hasattr(core, "round"):
             core.round = rng.choice((1, 2, rng.randrange(1, 50)))
         if hasattr(core, "est"):

@@ -7,8 +7,9 @@ import json
 import os
 import sys
 
+from .adversary import INJECT_MODES, POLICIES
 from .env import make_params
-from .harness import ConfigError, TrialConfig, emit, run_ensemble
+from .harness import CORES, ConfigError, TrialConfig, emit, run_ensemble
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -28,12 +29,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--rounds", type=int)
     run.add_argument("--trials", type=int)
     run.add_argument("--seed", type=int)
-    run.add_argument(
-        "--adversary",
-        choices=["silent", "random", "equivocate", "worst-sig", "worst-eig"],
-    )
-    run.add_argument("--inject", choices=["none", "full", "targeted"])
-    run.add_argument("--core", choices=["stub", "mmr-lite"])
+    run.add_argument("--adversary", choices=[name.replace("_", "-") for name in POLICIES])
+    run.add_argument("--inject", choices=INJECT_MODES)
+    run.add_argument("--core", choices=CORES)
     run.add_argument("--dmax", type=int)
     run.add_argument(
         "--no-recycling",

@@ -33,7 +33,10 @@ class AsyncCore(Protocol):
     decided() returns None while undecided, (DECIDED, v) once a value is
     fixed, or (CORE_FAULT, None) when internal self-checks fail after a
     transient fault. Completion must eventually hold from any state.
+    proposed holds the incarnation's proposal (None until propose).
     """
+
+    proposed: int | None
 
     def propose(self, value: int) -> None: ...
 
@@ -52,7 +55,6 @@ def _majority_bit(values: list[object]) -> int:
 
 @dataclass
 class _SlotRecord:
-    trigger_round: int
     value: int
     reveal: dict[int, int]
     members: dict[int, object]  # node id -> the core instance bound at trigger time
@@ -87,7 +89,6 @@ class StubOracle:
             cores = {i: objects_by_node[i][slot].core for i in self.correct_ids}
             if all(core.proposed is not None for core in cores.values()):
                 self.records[slot] = _SlotRecord(
-                    trigger_round=round_index,
                     value=_majority_bit([core.proposed for core in cores.values()]),
                     reveal={
                         i: round_index

@@ -21,15 +21,7 @@ import os
 import statistics
 from dataclasses import dataclass, field, replace
 
-from .adversary import (
-    Adversary,
-    AdversaryStrategy,
-    AdversaryView,
-    INJECT_MODES,
-    POLICIES,
-    inject,
-    plan_corruption,
-)
+from .adversary import INJECT_MODES, POLICIES, Adversary, AdversaryView, inject, plan_corruption
 from .cores import StubOracle, mmr_core_factory, stub_core_factory
 from .env import CoinOracle, Params, clock_read, derived_int, params_validate
 from .node import CorrectNode
@@ -67,7 +59,7 @@ class TrialConfig:
         report = params_validate(self.params)
         problems = list(report.violations)
         if self.adversary not in POLICIES:
-            problems.append(f"adversary must be one of {POLICIES}")
+            problems.append(f"adversary must be one of {tuple(POLICIES)}")
         if self.inject not in INJECT_MODES:
             problems.append(f"inject must be one of {INJECT_MODES}")
         if self.core not in CORES:
@@ -272,12 +264,7 @@ class RoundEngine:
                 node.fixed_slot = 0
             self.nodes[i] = node
 
-        self.adversary = Adversary(
-            AdversaryStrategy(
-                byz_set=frozenset(self.byz_ids), policy=config.adversary, seed=p.seed
-            ),
-            p,
-        )
+        self.adversary = Adversary(config.adversary, p, self.byz_ids)
         self.trace = Trace(
             meta=config.meta(),
             correct_ids=tuple(self.correct_ids),
@@ -286,9 +273,9 @@ class RoundEngine:
         self.pending: dict[int, RoundMail] = {i: RoundMail(inbox={}) for i in self.node_ids}
         self.last_outboxes: dict[int, dict[int, Envelope]] = {}
 
-        fault = plan_corruption(config.inject, p, self.correct_ids, p.seed)
-        inject(self.nodes, self.pending, fault, p)
-        self.trace.corruption = {"mode": fault.mode, "plan": _jsonable_plan(fault.plan)}
+        plan = plan_corruption(config.inject, p, self.correct_ids)
+        inject(self.nodes, self.pending, plan, p)
+        self.trace.corruption = {"mode": config.inject, "plan": _jsonable_plan(plan)}
 
     def run(self) -> Trace:
         for r in range(self.config.rounds):

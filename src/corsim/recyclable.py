@@ -36,13 +36,15 @@ class RecyclableObject:
         self._core_factory = core_factory
         self.core: AsyncCore = core_factory(slot)
         self.delivered: list[bool] = [False] * n
-        self.proposed: object = None
+
+    @property
+    def proposed(self) -> object:
+        """This incarnation's proposal, as held by its core."""
+        return self.core.proposed
 
     def propose(self, value: int) -> None:
         """Record a proposal; a second propose in the same incarnation is a no-op."""
-        if self.proposed is None:
-            self.proposed = value
-            self.core.propose(value)
+        self.core.propose(value)
 
     def result(self) -> object:
         """Decided value, CORE_ERROR, or None while the core is still running.
@@ -72,14 +74,9 @@ class RecyclableObject:
         """Reset core and delivery flags to the initial state."""
         self.core = self._core_factory(self.slot)
         self.delivered = [False] * self.n
-        self.proposed = None
 
     def is_fresh(self) -> bool:
-        return (
-            self.proposed is None
-            and not any(self.delivered)
-            and self.core.is_initial()
-        )
+        return not any(self.delivered) and self.core.is_initial()
 
     def has_local_state(self) -> bool:
         """Whether this incarnation was actually in use at this node.
@@ -88,11 +85,7 @@ class RecyclableObject:
         them at will); they are wiped by recycle() but do not make the
         object count as in-use.
         """
-        return (
-            self.proposed is not None
-            or self.delivered[self.node_id]
-            or not self.core.is_initial()
-        )
+        return self.delivered[self.node_id] or not self.core.is_initial()
 
     def merge_flag(self, sender: int, flag: bool) -> None:
         """Adopt the delivery flag last received from a peer (never from self)."""

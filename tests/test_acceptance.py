@@ -7,6 +7,7 @@ randomness is seed-fixed; outcomes are reproducible bit for bit.
 
 import pytest
 
+from corsim import adversary
 from corsim.env import make_params
 from corsim.harness import (
     TrialConfig,
@@ -18,7 +19,7 @@ from corsim.recycler import window
 
 from drivers import enumerate_eig_byzantine_t1
 
-POLICIES = ("silent", "random", "equivocate", "worst_sig", "worst_eig")
+POLICIES = tuple(adversary.POLICIES)
 
 
 def params_for(trace):

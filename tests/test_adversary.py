@@ -3,8 +3,8 @@
 import pytest
 
 from corsim.adversary import (
+    POLICIES,
     Adversary,
-    AdversaryStrategy,
     AdversaryView,
     inject,
     plan_corruption,
@@ -41,23 +41,23 @@ def view_for(nodes, round_index=6, phase=1):
 class TestStrategies:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
-            AdversaryStrategy(byz_set=frozenset({3}), policy="nope", seed=0)
+            Adversary("nope", P, [3])
 
     def test_silent_sends_empty_fields(self):
-        adv = Adversary(AdversaryStrategy(frozenset({3}), "silent", 1), P)
+        adv = Adversary("silent", P, [3])
         out = adv.byz_outboxes(view_for(fresh_nodes()))
         for env in out[3].values():
             assert (env.est, env.co, env.sig) == (None, None, None)
 
     def test_sender_ids_always_truthful(self):
-        for policy in ("silent", "random", "equivocate", "worst_sig", "worst_eig"):
-            adv = Adversary(AdversaryStrategy(frozenset({3}), policy, 2), P)
+        for policy in POLICIES:
+            adv = Adversary(policy, P, [3])
             out = adv.byz_outboxes(view_for(fresh_nodes(), phase=P.kappa - 4))
             for b, box in out.items():
                 assert all(env.sender == b for env in box.values())
 
     def test_equivocate_splits_receivers_at_index_phase(self):
-        adv = Adversary(AdversaryStrategy(frozenset({3}), "equivocate", 3), P)
+        adv = Adversary("equivocate", P, [3])
         out = adv.byz_outboxes(view_for(fresh_nodes(), phase=P.kappa - 4))
         values = {j: env.sig.value for j, env in out[3].items()}
         assert values[0] == values[1]  # low half gets one story
@@ -70,7 +70,7 @@ class TestStrategies:
         nodes[0].sig.index = 4
         nodes[1].sig.index = 4
         nodes[2].sig.index = 6
-        adv = Adversary(AdversaryStrategy(frozenset({3}), "worst_sig", 4), P)
+        adv = Adversary("worst_sig", P, [3])
         out = adv.byz_outboxes(view_for(nodes, phase=P.kappa - 4))
         values = {j: env.sig.value for j, env in out[3].items()}
         assert values[0] == 4 and values[1] == 4
@@ -80,7 +80,7 @@ class TestStrategies:
         nodes = fresh_nodes()
         for i, v in ((0, 1), (1, 2), (2, 3)):
             nodes[i].sig.index = v
-        adv = Adversary(AdversaryStrategy(frozenset({3}), "worst_sig", 4), P)
+        adv = Adversary("worst_sig", P, [3])
         out = adv.byz_outboxes(view_for(nodes, phase=P.kappa - 4))
         for env in out[3].values():
             # no tally can reach n-t: the runner-up is boosted, never the top
@@ -131,9 +131,26 @@ class TestStrategies:
         RoundEngine(TrialConfig(params=p, rounds=100, adversary="worst_sig")).run()
         assert rounds == [r for r in range(100) if r % p.kappa in (p.kappa - 3, p.kappa - 2)]
 
+    def test_equivocate_derives_once_per_sender_per_round(self, monkeypatch):
+        # both stories depend only on (round, sender), not on the receiver
+        import corsim.adversary as adversary
+
+        calls = []
+        original = adversary.derived_int
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:4])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(adversary, "derived_int", counting)
+        p = make_params(7, 2, 3, 8, seed=12)
+        RoundEngine(TrialConfig(params=p, rounds=100, adversary="equivocate")).run()
+        assert len(calls) == 2 * p.t * 100
+        assert len(set(calls)) == len(calls)
+
     def test_deterministic_given_seed_and_policy(self):
-        a1 = Adversary(AdversaryStrategy(frozenset({3}), "random", 9), P)
-        a2 = Adversary(AdversaryStrategy(frozenset({3}), "random", 9), P)
+        a1 = Adversary("random", P, [3])
+        a2 = Adversary("random", P, [3])
         v1 = a1.byz_outboxes(view_for(fresh_nodes()))
         v2 = a2.byz_outboxes(view_for(fresh_nodes()))
         assert v1 == v2
@@ -153,14 +170,14 @@ class TestInjection:
     def test_none_mode_touches_nothing(self):
         nodes = fresh_nodes()
         before = {i: nodes[i].sig.index for i in nodes}
-        fault = plan_corruption("none", P, [0, 1, 2], seed=5)
-        inject(nodes, {i: RoundMail(inbox={}) for i in range(4)}, fault, P)
+        plan = plan_corruption("none", P, [0, 1, 2])
+        inject(nodes, {i: RoundMail(inbox={}) for i in range(4)}, plan, P)
         assert {i: nodes[i].sig.index for i in nodes} == before
 
     def test_targeted_mode_sets_distinct_indices(self):
         nodes = fresh_nodes()
-        fault = plan_corruption("targeted", P, [0, 1, 2], seed=5)
-        inject(nodes, {i: RoundMail(inbox={}) for i in range(4)}, fault, P)
+        plan = plan_corruption("targeted", P, [0, 1, 2])
+        inject(nodes, {i: RoundMail(inbox={}) for i in range(4)}, plan, P)
         indices = [nodes[i].sig.index for i in nodes]
         assert len(set(indices)) == 3
         assert all(nodes[i].mvc.current_result == 1 for i in nodes)
@@ -170,15 +187,15 @@ class TestInjection:
 
     def test_targeted_tree_resolves_to_one(self):
         nodes = fresh_nodes()
-        fault = plan_corruption("targeted", P, [0, 1, 2], seed=5)
-        inject(nodes, {i: RoundMail(inbox={}) for i in range(4)}, fault, P)
+        plan = plan_corruption("targeted", P, [0, 1, 2])
+        inject(nodes, {i: RoundMail(inbox={}) for i in range(4)}, plan, P)
         assert all(nodes[i].mvc.co.result() == 1 for i in nodes)
 
     def test_full_mode_preserves_structure(self):
         nodes = fresh_nodes()
         mail = {i: RoundMail(inbox={}) for i in range(4)}
-        fault = plan_corruption("full", P, [0, 1, 2], seed=6)
-        inject(nodes, mail, fault, P)
+        plan = plan_corruption("full", P, [0, 1, 2])
+        inject(nodes, mail, plan, P)
         for i, node in nodes.items():
             assert isinstance(node.sig.index, int)
             assert len(node.objects.slots) == P.index_num
@@ -191,15 +208,15 @@ class TestInjection:
 
     def test_full_mode_deterministic(self):
         nodes1, nodes2 = fresh_nodes(), fresh_nodes()
-        f1 = plan_corruption("full", P, [0, 1, 2], seed=7)
-        f2 = plan_corruption("full", P, [0, 1, 2], seed=7)
-        inject(nodes1, {i: RoundMail(inbox={}) for i in range(4)}, f1, P)
-        inject(nodes2, {i: RoundMail(inbox={}) for i in range(4)}, f2, P)
+        p1 = plan_corruption("full", P, [0, 1, 2])
+        p2 = plan_corruption("full", P, [0, 1, 2])
+        inject(nodes1, {i: RoundMail(inbox={}) for i in range(4)}, p1, P)
+        inject(nodes2, {i: RoundMail(inbox={}) for i in range(4)}, p2, P)
         assert [nodes1[i].sig.index for i in nodes1] == [
             nodes2[i].sig.index for i in nodes2
         ]
 
     def test_params_never_in_plan(self):
-        fault = plan_corruption("full", P, [0, 1, 2], seed=8)
-        flat = repr(fault.plan)
+        plan = plan_corruption("full", P, [0, 1, 2])
+        flat = repr(plan)
         assert "kappa" not in flat and "log_size" not in flat

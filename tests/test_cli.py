@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from corsim.adversary import POLICIES
 from corsim.cli import main
 
 
@@ -86,15 +87,16 @@ def test_no_recycling_flag_pins_slot_zero(tmp_path):
     assert trace["traffic"] == []
 
 
-def test_adversary_flag_spelling(tmp_path):
+@pytest.mark.parametrize("policy", list(POLICIES))
+def test_adversary_flag_spelling(tmp_path, policy):
     out = tmp_path / "runs.csv"
     code = main([
-        "run", "--adversary", "worst-sig", "--inject", "targeted",
+        "run", "--adversary", policy.replace("_", "-"), "--inject", "targeted",
         "--rounds", "80", "--seed", "2", "--out", str(out),
     ])
     assert code == 0
     rows = list(csv.DictReader(out.open()))
-    assert rows[0]["adversary"] == "worst_sig"
+    assert rows[0]["adversary"] == policy
 
 
 def test_strict_mode_zero_exit_on_clean_run(tmp_path):
