@@ -28,7 +28,6 @@ from .harness import (
     emit,
     instances_completed,
     legality_violations,
-    measure_stabilization,
     run_ensemble,
     run_trial,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "emit",
     "instances_completed",
     "legality_violations",
-    "measure_stabilization",
     "run_ensemble",
     "run_trial",
     "EigConsensus",

@@ -90,9 +90,9 @@ class Adversary:
         if rng.random() < 0.8:
             kind = rng.choice(("index", "propose", "bit"))
             if kind == "index":
-                value: object = rng.randrange(2 * p.index_states)
+                value: object = rng.randrange(2 * p.index_num)
             elif kind == "propose":
-                value = rng.choice((None, rng.randrange(p.index_states)))
+                value = rng.choice((None, rng.randrange(p.index_num)))
             else:
                 value = rng.getrandbits(1)
             sig = SigPayload(kind=kind, value=value)
@@ -118,9 +118,9 @@ class Adversary:
         kind = {k - 4: "index", k - 3: "propose"}.get(view.phase, "bit")
         stories = {}  # sender -> [story of the high half, story of the low half]
         for b in self.byz_ids:
-            low = derived_int(p.seed, "equiv-a", view.round, b, bound=p.index_states)
-            shift = 1 + derived_int(p.seed, "equiv-b", view.round, b, bound=p.index_states - 1)
-            high = (low + shift) % p.index_states
+            low = derived_int(p.seed, "equiv-a", view.round, b, bound=p.index_num)
+            shift = 1 + derived_int(p.seed, "equiv-b", view.round, b, bound=p.index_num - 1)
+            high = (low + shift) % p.index_num
             stories[b] = [
                 (
                     EstPayload(slot=0, core=None, delivered=half),
@@ -240,7 +240,7 @@ def plan_corruption(mode: str, params: Params, correct_ids: list[int]) -> dict:
     rng = seeded_rng(params.seed, "inject")
     nodes: dict = {}
     if mode == "targeted":
-        distinct = rng.sample(range(params.index_states), k=min(len(correct_ids), params.index_states))
+        distinct = rng.sample(range(params.index_num), k=min(len(correct_ids), params.index_num))
         for pos, i in enumerate(sorted(correct_ids)):
             nodes[i] = {
                 "index": distinct[pos % len(distinct)],
@@ -347,7 +347,7 @@ def _garble_mail(
         )
         sig = SigPayload(
             kind=rng.choice(("index", "propose", "bit")),
-            value=rng.choice((None, rng.randrange(params.index_states), rng.getrandbits(1))),
+            value=rng.choice((None, rng.randrange(params.index_num), rng.getrandbits(1))),
         )
         co = CoPayload(level=0, entries=(((), rng.choice((0, 1, None))),))
         round0_mail[receiver].inbox[sender] = Envelope(

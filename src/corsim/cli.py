@@ -8,7 +8,7 @@ import os
 import sys
 
 from .adversary import INJECT_MODES, POLICIES
-from .env import make_params
+from .env import make_params, params_validate
 from .harness import CORES, ConfigError, TrialConfig, emit, run_ensemble
 
 
@@ -104,7 +104,7 @@ def resolve_options(args: argparse.Namespace) -> dict:
 
 
 def check_options(options: dict) -> None:
-    """Reject values of the wrong type, and ensembles without a trial."""
+    """Reject values of the wrong type."""
     problems = []
     for key, value in options.items():
         if value is None and DEFAULTS[key] is None:
@@ -117,8 +117,6 @@ def check_options(options: dict) -> None:
                 problems.append(f"{key} must be a boolean (got {value!r})")
         elif not isinstance(value, int) or isinstance(value, bool):
             problems.append(f"{key} must be an integer (got {value!r})")
-    if not problems and options["trials"] < 1:
-        problems.append(f"trials >= 1 (got trials={options['trials']})")
     if problems:
         raise ConfigError(problems)
 
@@ -151,6 +149,8 @@ def main(argv: list[str] | None = None) -> int:
         for violation in err.violations:
             print(f"  - {violation}", file=sys.stderr)
         return 2
+    for warning in params_validate(params).warnings:
+        print(f"warning: {warning}", file=sys.stderr)
 
     trace_dir = None
     if args.trace:

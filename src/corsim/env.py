@@ -63,9 +63,10 @@ class CoinOracle:
 class Params:
     """Global protocol parameters for one trial.
 
-    index_num is the object-array length; index_states, the bound on index
-    values (the counter wraps mod index_states), equals it so that window
-    slides stay aligned with index increments.
+    index_num is both the object-array length and the bound on index values
+    (the counter wraps mod index_num), so that window slides stay aligned
+    with index increments. Traces and CSV rows also report it as
+    index_states.
     """
 
     n: int
@@ -74,10 +75,6 @@ class Params:
     index_num: int
     log_size: int
     seed: int = 0
-
-    @property
-    def index_states(self) -> int:
-        return self.index_num
 
     @property
     def quorum(self) -> int:
@@ -120,10 +117,6 @@ class ValidationReport:
 
     violations: list[str] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def params_validate(p: Params) -> ValidationReport:

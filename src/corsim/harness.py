@@ -73,13 +73,13 @@ class TrialConfig:
 
     def meta(self) -> dict:
         return {
+            "seed": self.params.seed,
             "n": self.params.n,
             "t": self.params.t,
             "kappa": self.params.kappa,
-            "index_states": self.params.index_states,
+            "index_states": self.params.index_num,
             "index_num": self.params.index_num,
             "log_size": self.params.log_size,
-            "seed": self.params.seed,
             "rounds": self.rounds,
             "adversary": self.adversary,
             "inject": self.inject,
@@ -186,18 +186,15 @@ class Metrics:
     instances_completed: int
 
     def csv_row(self, config: TrialConfig) -> dict:
-        row = dict(config.meta())
-        row["stabilized"] = int(self.stabilized)
-        row["stabilization_round"] = (
-            "" if self.stabilization_round is None else self.stabilization_round
-        )
-        row["cycles_to_index_agreement"] = (
-            "" if self.cycles_to_index_agreement is None else self.cycles_to_index_agreement
-        )
-        for name in VIOLATION_KINDS:
-            row[f"viol_{name}"] = self.cor_violations.get(name, 0)
-        row["instances_completed"] = self.instances_completed
-        return row
+        """One CSV row; its keys, in order, are the CSV header (None is written empty)."""
+        return {
+            **config.meta(),
+            "stabilized": int(self.stabilized),
+            "stabilization_round": self.stabilization_round,
+            "cycles_to_index_agreement": self.cycles_to_index_agreement,
+            **{f"viol_{name}": self.cor_violations[name] for name in VIOLATION_KINDS},
+            "instances_completed": self.instances_completed,
+        }
 
 
 VIOLATION_KINDS = (
@@ -206,27 +203,6 @@ VIOLATION_KINDS = (
     "closure",
     "cor_validity1",
     "cor_validity2",
-)
-
-CSV_COLUMNS = (
-    "seed",
-    "n",
-    "t",
-    "kappa",
-    "index_states",
-    "index_num",
-    "log_size",
-    "rounds",
-    "adversary",
-    "inject",
-    "core",
-    "dmax",
-    "recycling",
-    "stabilized",
-    "stabilization_round",
-    "cycles_to_index_agreement",
-    *(f"viol_{name}" for name in VIOLATION_KINDS),
-    "instances_completed",
 )
 
 
@@ -405,94 +381,43 @@ def run_trial(config: TrialConfig) -> tuple[Trace, Metrics]:
 
 
 def legality_violations(trace: Trace, params: Params) -> dict[str, list[int]]:
-    """Rounds at which each legality predicate fails, over the whole trace."""
+    """Rounds at which each legality predicate fails, over the whole trace.
+
+    One sweep. Every round is checked for agreement. Every cycle-end round r
+    also checks its index write against round r-1 (closure) and against the
+    phase-0 delivery sample taken 2*kappa-1 rounds earlier: an increment
+    needs a 1 in that sample (validity 1), and an all-ones sample needs an
+    increment (validity 2).
+    """
     kappa = params.kappa
-    bound = params.index_states
+    bound = params.index_num
     rows = trace.rounds
     viol: dict[str, list[int]] = {name: [] for name in VIOLATION_KINDS}
 
     for rec in rows:
-        if len(set(rec.idx)) > 1:
-            viol["index_agreement"].append(rec.round)
+        r, idx = rec.round, rec.idx
+        agreed = len(set(idx)) == 1
+        if not agreed:
+            viol["index_agreement"].append(r)
         if len(set(rec.recycled)) > 1:
-            viol["cor_agreement"].append(rec.round)
+            viol["cor_agreement"].append(r)
+        if rec.phase != kappa - 1 or r == 0:
+            continue
 
-    for rec in rows:
-        if rec.phase != kappa - 1 or rec.round == 0:
-            continue
-        prev = rows[rec.round - 1].idx
-        if len(set(prev)) != 1:
-            continue
-        v = prev[0]
-        expected = tuple((v + rec.inc[k]) % bound for k in range(len(rec.idx)))
-        if rec.idx != expected:
-            viol["closure"].append(rec.round)
+        prev = rows[r - 1].idx
+        prev_agreed = len(set(prev)) == 1
+        incremented = agreed and prev_agreed and idx[0] == (prev[0] + 1) % bound
+        sample_round = r - (2 * kappa - 1)
+        sample = rows[sample_round].sample if sample_round >= 0 else None
 
-        # an increment must trace back to a delivery report sampled 2 cycles back
-        if len(set(rec.idx)) == 1 and rec.idx[0] == (v + 1) % bound and all(
-            x == 1 for x in rec.inc
-        ):
-            sample_round = rec.round - (2 * kappa - 1)
-            if sample_round < 0:
-                viol["cor_validity1"].append(rec.round)
-            else:
-                samples = rows[sample_round].sample or ()
-                if not any(s == 1 for s in samples):
-                    viol["cor_validity1"].append(rec.round)
-
-    for rec in rows:
-        if rec.phase != 0 or rec.sample is None:
-            continue
-        if not all(s == 1 for s in rec.sample):
-            continue
-        due = rec.round + 2 * kappa - 1
-        if due >= len(rows):
-            continue
-        before, after = rows[due - 1].idx, rows[due].idx
-        incremented = (
-            len(set(before)) == 1
-            and len(set(after)) == 1
-            and after[0] == (before[0] + 1) % bound
-        )
-        if not incremented:
-            viol["cor_validity2"].append(due)
+        if prev_agreed:
+            if idx != tuple((prev[0] + inc) % bound for inc in rec.inc):
+                viol["closure"].append(r)
+            if incremented and all(x == 1 for x in rec.inc) and 1 not in (sample or ()):
+                viol["cor_validity1"].append(r)
+        if sample is not None and all(s == 1 for s in sample) and not incremented:
+            viol["cor_validity2"].append(r)
     return viol
-
-
-@dataclass
-class StabilizationReport:
-    violations: dict
-    stabilization_round: int | None
-    cycles_to_index_agreement: int | None
-
-    @property
-    def stabilized(self) -> bool:
-        return self.stabilization_round is not None
-
-
-def measure_stabilization(trace: Trace, params: Params) -> StabilizationReport:
-    """First round after which every legality predicate holds through end-of-run.
-
-    Reported only when at least one full clean cycle was observed; otherwise
-    the trace counts as not stabilized.
-    """
-    viol = legality_violations(trace, params)
-    total_rounds = len(trace.rounds)
-    last_bad = max((rounds[-1] for rounds in viol.values() if rounds), default=-1)
-    r_star = last_bad + 1
-    stabilization = r_star if r_star <= total_rounds - params.kappa else None
-
-    idx_bad = viol["index_agreement"]
-    idx_anchor = (idx_bad[-1] + 1) if idx_bad else 0
-    first_cycle_end = (idx_anchor // params.kappa) * params.kappa + params.kappa - 1
-    if first_cycle_end < idx_anchor:
-        first_cycle_end += params.kappa
-    cycles = first_cycle_end // params.kappa if first_cycle_end < total_rounds else None
-    return StabilizationReport(
-        violations=viol,
-        stabilization_round=stabilization,
-        cycles_to_index_agreement=cycles,
-    )
 
 
 def assumption1_violations(trace: Trace, from_round: int = 0) -> list[tuple]:
@@ -522,22 +447,29 @@ def instances_completed(trace: Trace) -> int:
 
 
 def compute_metrics(trace: Trace, params: Params) -> Metrics:
-    report = measure_stabilization(trace, params)
-    total_rounds = len(trace.rounds)
-    if report.stabilized:
-        counts = {name: 0 for name in VIOLATION_KINDS}
-    else:
-        # persistent illegality: count breaches in the final quarter of the run
-        tail = max(0, total_rounds - max(params.kappa * 10, total_rounds // 4))
-        counts = {
-            name: sum(1 for r in rounds if r >= tail)
-            for name, rounds in report.violations.items()
-        }
+    """Stabilization and post-stabilization counts from one legality sweep.
+
+    r* is the round after the last breach of any predicate. The trial is
+    stabilized when at least one full clean cycle follows r*; its counts then
+    cover rounds from r* on, so they are zero. Otherwise they cover the final
+    max(10*kappa, rounds/4) rounds.
+    """
+    kappa = params.kappa
+    total = len(trace.rounds)
+    viol = legality_violations(trace, params)
+    r_star = 1 + max((rounds[-1] for rounds in viol.values() if rounds), default=-1)
+    stabilized = r_star <= total - kappa
+    start = r_star if stabilized else max(0, total - max(10 * kappa, total // 4))
+    # the first cycle whose end lies after the last index disagreement
+    idx_bad = viol["index_agreement"]
+    cycle = (idx_bad[-1] + 1 if idx_bad else 0) // kappa
     return Metrics(
-        stabilized=report.stabilized,
-        stabilization_round=report.stabilization_round,
-        cycles_to_index_agreement=report.cycles_to_index_agreement,
-        cor_violations=counts,
+        stabilized=stabilized,
+        stabilization_round=r_star if stabilized else None,
+        cycles_to_index_agreement=cycle if (cycle + 1) * kappa <= total else None,
+        cor_violations={
+            name: sum(1 for r in rounds if r >= start) for name, rounds in viol.items()
+        },
         instances_completed=instances_completed(trace),
     )
 
@@ -547,6 +479,8 @@ def compute_metrics(trace: Trace, params: Params) -> Metrics:
 
 def run_ensemble(config: TrialConfig, trials: int) -> list[tuple[TrialConfig, Metrics, Trace]]:
     """Run seed, seed+1, ... seed+trials-1; each trial is seed-isolated."""
+    if trials < 1:
+        raise ConfigError([f"trials >= 1 (got trials={trials})"])
     results = []
     for k in range(trials):
         trial = replace(config, params=replace(config.params, seed=config.params.seed + k))
@@ -562,41 +496,32 @@ def emit(
     trace_dir: str | None = None,
 ) -> tuple[str, int]:
     """Write one CSV row per trial plus a text summary; return (summary, exit code)."""
+    rows = [metrics.csv_row(trial) for trial, metrics, _ in results]
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS)
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
     writer.writeheader()
-    for trial, metrics, _ in results:
-        writer.writerow(metrics.csv_row(trial))
-    csv_text = buf.getvalue()
+    writer.writerows(rows)
     if out_path:
         with open(out_path, "w", newline="") as fh:
-            fh.write(csv_text)
+            fh.write(buf.getvalue())
     if trace_dir:
         for trial, _, trace in results:
             path = os.path.join(trace_dir, f"trace_{trial.params.seed}.json")
             with open(path, "wb") as fh:
                 fh.write(trace.to_bytes())
 
-    stab_rounds = [
-        m.stabilization_round for _, m, _ in results if m.stabilization_round is not None
-    ]
-    totals = {name: 0 for name in VIOLATION_KINDS}
-    for _, m, _ in results:
-        for name in VIOLATION_KINDS:
-            totals[name] += m.cor_violations.get(name, 0)
-    unstable = sum(1 for _, m, _ in results if not m.stabilized)
+    metrics = [m for _, m, _ in results]
+    stab_rounds = [m.stabilization_round for m in metrics if m.stabilized]
+    totals = {name: sum(m.cor_violations[name] for m in metrics) for name in VIOLATION_KINDS}
+    unstable = len(metrics) - len(stab_rounds)
     lines = [
-        f"trials: {len(results)}",
-        f"stabilized: {len(results) - unstable}/{len(results)}",
+        f"trials: {len(metrics)}",
+        f"stabilized: {len(stab_rounds)}/{len(metrics)}",
         f"median stabilization round: "
         f"{statistics.median(stab_rounds) if stab_rounds else 'n/a'}",
-        f"instances completed (total): "
-        f"{sum(m.instances_completed for _, m, _ in results)}",
+        f"instances completed (total): {sum(m.instances_completed for m in metrics)}",
         "violation totals (post-stabilization): "
         + ", ".join(f"{k}={v}" for k, v in totals.items()),
     ]
-    summary = "\n".join(lines)
-    exit_code = 0
-    if strict and (unstable or any(v for v in totals.values())):
-        exit_code = 1
-    return summary, exit_code
+    exit_code = 1 if strict and (unstable or any(totals.values())) else 0
+    return "\n".join(lines), exit_code

@@ -57,7 +57,7 @@ class CorrectNode:
     def active_slot(self) -> int:
         if self.fixed_slot is not None:
             return self.fixed_slot
-        return self.sig.get_index() % self.params.index_num
+        return self.sig.index % self.params.index_num
 
     def step(
         self,
@@ -99,7 +99,7 @@ class CorrectNode:
         sig_out = self.sig.pulse(phase, sig_by_sender, self.mvc.result, coin_bit)
 
         if self.fixed_slot is None:
-            recycled = self.objects.recycler_pulse(self.sig.get_index())
+            recycled = self.objects.recycler_pulse(self.sig.index)
             for slot in recycled:
                 self._already_read.pop(slot, None)
             report.recycled = tuple(recycled)
@@ -121,7 +121,7 @@ class CorrectNode:
 
         # background reads of the other in-window objects
         if self.fixed_slot is None:
-            keep = window(self.sig.get_index(), params.index_num, params.log_size)
+            keep = window(self.sig.index, params.index_num, params.log_size)
             for slot in sorted(keep):
                 obj = self.objects.slots[slot]
                 if obj is active or obj.is_fresh():

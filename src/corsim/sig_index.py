@@ -52,6 +52,7 @@ class SigIndex:
     def __init__(self, params: Params, node_id: int):
         self.params = params
         self.node_id = node_id
+        # read raw; an out-of-range corrupted value is normalized at the next write
         self.index = 0
         self.propose_val: object = None
         self.save: object = None
@@ -59,10 +60,6 @@ class SigIndex:
         self.inc = 0
         # which branch the last write took: "ones", "zeros" or "coin"
         self.last_quorum: str | None = None
-
-    def get_index(self) -> int:
-        """Raw read; out-of-range corrupted values are normalized at the next write."""
-        return self.index
 
     def pulse(
         self,
@@ -95,13 +92,13 @@ class SigIndex:
             self.inc = 1 if mvc_result() == 1 else 0
             save = self.save if isinstance(self.save, int) else 0
             if counts.get(1, 0) >= p.quorum:
-                self.index = (save + self.inc) % p.index_states
+                self.index = (save + self.inc) % p.index_num
                 self.last_quorum = "ones"
             elif counts.get(0, 0) >= p.quorum:
                 self.index = 0
                 self.last_quorum = "zeros"
             else:
-                self.index = (coin_bit * (save + self.inc)) % p.index_states
+                self.index = (coin_bit * (save + self.inc)) % p.index_num
                 self.last_quorum = "coin"
             return None
 

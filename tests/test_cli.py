@@ -22,6 +22,15 @@ def test_run_writes_csv_and_summary(tmp_path, capsys):
     assert "median stabilization round" in capsys.readouterr().out
 
 
+def test_default_run_prints_phase_overlap_warning(tmp_path, capsys):
+    # the default kappa is 5, below t+5 = 6 at t=1
+    assert main(["run", "--rounds", "20", "--out", str(tmp_path / "r.csv")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("warning: kappa < t+5: ")
+    assert captured.err.count("warning: ") == 1
+    assert "trials: 1" in captured.out
+
+
 def test_invalid_params_exit_2(tmp_path, capsys):
     code = main(["run", "--n", "3", "--t", "1", "--out", str(tmp_path / "x.csv")])
     assert code == 2

@@ -71,7 +71,7 @@ def test_derive_kappa_floor():
 class TestParamsValidate:
     def test_reference_params_ok(self):
         p = Params(n=4, t=1, kappa=5, index_num=8, log_size=3, seed=0)
-        assert params_validate(p).ok
+        assert params_validate(p).violations == []
 
     def test_n_below_3t_plus_1(self):
         p = Params(n=3, t=1, kappa=5, index_num=8, log_size=3)
@@ -94,7 +94,7 @@ class TestParamsValidate:
     def test_phase_overlap_is_warning_not_violation(self):
         p = make_params(4, 1, 3, 8)
         report = params_validate(p)
-        assert report.ok
+        assert report.violations == []
         assert any("t+5" in w for w in report.warnings)
 
     def test_violations_accumulate(self):

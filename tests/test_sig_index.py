@@ -13,19 +13,24 @@ P = make_params(n=4, t=1, log_size=3, index_num=8, seed=0)
 
 class TestGetIndex:
     def test_plain_read(self):
-        sig = SigIndex(P, 0)
-        sig.index = 5
-        assert sig.get_index() == 5
+        assert SigIndex(P, 0).index == 0
+        sigs = run_sig_cycle(P, indices=[5, 5, 5], byz_script={},
+                             mvc_results=[0, 0, 0], coin_bit=0)
+        assert [s.index for s in sigs.values()] == [5, 5, 5]
 
     def test_in_range_corruption_read_raw(self):
-        sig = SigIndex(P, 0)
-        sig.index = 7
-        assert sig.get_index() == 7
+        # a planted in-range index is what the next write builds on
+        sigs = run_sig_cycle(P, indices=[7, 7, 7], byz_script={},
+                             mvc_results=[1, 1, 1], coin_bit=0)
+        assert [s.index for s in sigs.values()] == [0, 0, 0]
 
     def test_out_of_range_corruption_read_raw_until_write(self):
         sig = SigIndex(P, 0)
         sig.index = 12
-        assert sig.get_index() == 12
+        assert sig.index == 12
+        sigs = run_sig_cycle(P, indices=[12, 12, 12], byz_script={},
+                             mvc_results=[0, 0, 0], coin_bit=0)
+        assert [s.index for s in sigs.values()] == [12 % 8] * 3
 
 
 class TestHandSimulatedCycles:
