@@ -12,7 +12,6 @@ checks the recycling properties on the recorded traces.
 from .env import (
     CoinOracle,
     Params,
-    ValidationReport,
     clock_read,
     derive_kappa,
     make_params,
@@ -48,7 +47,6 @@ from .transport import (
 __all__ = [
     "CoinOracle",
     "Params",
-    "ValidationReport",
     "clock_read",
     "derive_kappa",
     "make_params",

@@ -6,9 +6,10 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from .adversary import INJECT_MODES, POLICIES
-from .env import make_params, params_validate
+from .env import make_params
 from .harness import CORES, ConfigError, TrialConfig, emit, run_ensemble
 
 
@@ -57,22 +58,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the trial's own options take their defaults from TrialConfig
+TRIAL_DEFAULTS = {f.name: f.default for f in fields(TrialConfig) if f.name != "params"}
 DEFAULTS = {
     "n": 4,
     "t": 1,
     "log_size": 3,
     "index_num": 8,
     "kappa": None,
-    "rounds": 250,
     "trials": 1,
     "seed": 1,
-    "adversary": "silent",
-    "inject": "none",
-    "core": "stub",
-    "dmax": 3,
-    "recycling": True,
-    "log_traffic": False,
     "out": None,
+    **TRIAL_DEFAULTS,
 }
 
 
@@ -133,24 +130,15 @@ def main(argv: list[str] | None = None) -> int:
             kappa=options["kappa"],
             seed=options["seed"],
         )
-        config = TrialConfig(
-            params=params,
-            rounds=options["rounds"],
-            adversary=options["adversary"].replace("-", "_"),
-            inject=options["inject"],
-            core=options["core"],
-            dmax=options["dmax"],
-            recycling=options["recycling"],
-            log_traffic=options["log_traffic"],
-        )
+        trial = {key: options[key] for key in TRIAL_DEFAULTS}
+        trial["adversary"] = trial["adversary"].replace("-", "_")
+        config = TrialConfig(params=params, **trial)
         results = run_ensemble(config, options["trials"])
     except ConfigError as err:
         print("invalid configuration:", file=sys.stderr)
         for violation in err.violations:
             print(f"  - {violation}", file=sys.stderr)
         return 2
-    for warning in params_validate(params).warnings:
-        print(f"warning: {warning}", file=sys.stderr)
 
     trace_dir = None
     if args.trace:

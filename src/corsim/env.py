@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def _digest64(*parts: object) -> int:
@@ -83,13 +83,13 @@ class Params:
 
 
 def derive_kappa(t: int, log_size: int) -> int:
-    """Default schedule cycle length: max(t+1, log_size), floored at 5.
+    """Default schedule cycle length: max(t+2, log_size), floored at 5.
 
     The index protocol occupies the last four phases of the cycle and the
-    consensus recomputation occupies phases 0..t+1, so cycles shorter than 5
-    (or shorter than t+2) are rejected by validation.
+    consensus recomputation occupies phases 0..t+1, so validation rejects
+    cycles shorter than 5 or shorter than t+2; the default meets both.
     """
-    return max(t + 1, log_size, 5)
+    return max(t + 2, log_size, 5)
 
 
 def make_params(
@@ -111,18 +111,9 @@ def make_params(
     )
 
 
-@dataclass
-class ValidationReport:
-    """Every violated parameter invariant, plus non-fatal warnings."""
-
-    violations: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-
-
-def params_validate(p: Params) -> ValidationReport:
-    """Check all Params invariants; violations are returned, not raised."""
-    report = ValidationReport()
-    bad = report.violations
+def params_validate(p: Params) -> list[str]:
+    """Every violated Params invariant; violations are returned, not raised."""
+    bad: list[str] = []
 
     if p.n < 1:
         bad.append(f"n >= 1 (got n={p.n})")
@@ -141,10 +132,4 @@ def params_validate(p: Params) -> ValidationReport:
         bad.append(
             f"0 <= log_size <= index_num-2 (got log_size={p.log_size}, index_num={p.index_num})"
         )
-
-    if p.kappa < p.t + 5:
-        report.warnings.append(
-            f"kappa < t+5: consensus processing and index phases share rounds "
-            f"(kappa={p.kappa}, t={p.t}); envelope fields are disjoint so both run"
-        )
-    return report
+    return bad

@@ -56,8 +56,7 @@ class TrialConfig:
     log_traffic: bool = False  # full per-line message log in the trace
 
     def check(self) -> None:
-        report = params_validate(self.params)
-        problems = list(report.violations)
+        problems = params_validate(self.params)
         if self.adversary not in POLICIES:
             problems.append(f"adversary must be one of {tuple(POLICIES)}")
         if self.inject not in INJECT_MODES:

@@ -1,14 +1,15 @@
 """Per-node composition of the protocol stack for one simulated round.
 
-A correct node's step: split arriving envelopes into their est, co and sig
-fields, merge slot-tagged delivery flags into the object array, run the
-consensus recomputation pulse, run the index pulse, sweep the recycler
-window, propose to and step the active object, and read results. Fresh
-proposals bind to the slot the index points at during phase 0.
+A correct node's step: walk the arriving envelopes once, splitting off their
+co and sig fields and merging each est's delivery flag into the slot the est
+names (the only place flags are merged), run the consensus recomputation
+pulse, run the index pulse, sweep the recycler window, propose to and step
+the active object, and read results. Fresh proposals bind to the slot the
+index points at during phase 0.
 
-Non-active in-window objects are still read every round (their results must
-reach every correct node before the window slides past them), but only the
-active object sends traffic.
+One loop reads the active object and every non-fresh in-window object (their
+results must reach every correct node before the window slides past them),
+but only the active object sends traffic.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .env import Params
 from .mvc import MvcController
 from .recycler import ObjectArray, window
 from .sig_index import SigIndex
-from .transport import CoPayload, Envelope, EstPayload, SigPayload
+from .transport import CoPayload, Envelope, SigPayload
 
 
 @dataclass
@@ -50,7 +51,7 @@ class CorrectNode:
             params.n, params.t, node_id, params.index_num, params.log_size, core_factory
         )
         self._proposer = proposer
-        self._already_read: dict[int, bool] = {}
+        self._already_read: set[int] = set()
         # when set, recycling is disabled and this slot stays active forever
         self.fixed_slot: int | None = None
 
@@ -69,23 +70,21 @@ class CorrectNode:
         params = self.params
         report = StepReport()
 
-        est_by_sender: dict[int, EstPayload] = {}
+        # split off co and sig; merge each slot-tagged delivery flag and keep
+        # the core message for the slot the est names
         co_by_sender: dict[int, CoPayload | None] = {}
         sig_by_sender: dict[int, SigPayload | None] = {}
+        core_for_slot: dict[int, dict[int, object]] = {}
         for sender, env in inbox.items():
-            if env.est is not None:
-                est_by_sender[sender] = env.est
             co_by_sender[sender] = env.co
             sig_by_sender[sender] = env.sig
-
-        # merge slot-tagged delivery flags and route core messages
-        est_for_slot: dict[int, dict[int, EstPayload]] = {}
-        for sender, payload in est_by_sender.items():
-            if not isinstance(payload.slot, int):
+            est = env.est
+            if est is None or not isinstance(est.slot, int):
                 continue
-            slot = payload.slot % params.index_num
-            self.objects.slots[slot].merge_flag(sender, payload.delivered)
-            est_for_slot.setdefault(slot, {})[sender] = payload
+            slot = est.slot % params.index_num
+            self.objects.slots[slot].merge_flag(sender, est.delivered)
+            if est.core is not None:
+                core_for_slot.setdefault(slot, {})[sender] = est.core
 
         # consensus recomputation; inputs are sampled before any index write
         def input_fn() -> int:
@@ -101,7 +100,7 @@ class CorrectNode:
         if self.fixed_slot is None:
             recycled = self.objects.recycler_pulse(self.sig.index)
             for slot in recycled:
-                self._already_read.pop(slot, None)
+                self._already_read.discard(slot)
             report.recycled = tuple(recycled)
 
         active = self.objects.slots[self.active_slot()]
@@ -112,24 +111,21 @@ class CorrectNode:
             active.propose(value)
             report.proposed_value = value
 
-        est_out = active.pulse_step(est_for_slot.get(active.slot, {}))
-        retrievals = []
-        value = active.result()
-        if value is not None and not self._already_read.get(active.slot):
-            self._already_read[active.slot] = True
-            retrievals.append((active.slot, value))
+        est_out = active.pulse_step(core_for_slot.get(active.slot, {}))
 
-        # background reads of the other in-window objects
         if self.fixed_slot is None:
-            keep = window(self.sig.index, params.index_num, params.log_size)
-            for slot in sorted(keep):
-                obj = self.objects.slots[slot]
-                if obj is active or obj.is_fresh():
-                    continue
-                value = obj.observe_result()
-                if value is not None and not self._already_read.get(slot):
-                    self._already_read[slot] = True
-                    retrievals.append((slot, value))
+            reads = sorted(window(self.sig.index, params.index_num, params.log_size))
+        else:
+            reads = [active.slot]
+        retrievals = []
+        for slot in reads:
+            obj = self.objects.slots[slot]
+            if obj is not active and obj.is_fresh():
+                continue
+            value = obj.observe_result()
+            if value is not None and slot not in self._already_read:
+                self._already_read.add(slot)
+                retrievals.append((slot, value))
         report.retrievals = tuple(retrievals)
 
         # a correct node broadcasts: one envelope object serves every receiver

@@ -1,10 +1,11 @@
 """Recyclable consensus objects: a delivery-indication layer over a pluggable core.
 
-Each object tracks an n-slot vector of delivery flags. The local flag flips
-true when result() returns a decision (or the internal-fault symbol) and is
-forced back to false whenever result() says undecided; remote flags mirror
-the last flag received from each peer. was_delivered() reports 1 once n-t
-flags are set, which is the evidence the recycling stack agrees on.
+Each object tracks an n-slot vector of delivery flags. observe_result() is
+the only read: the local flag flips true when it returns a decision (or the
+internal-fault symbol) and is forced back to false whenever it says
+undecided. Remote flags mirror the last flag received from each peer, merged
+by the node through merge_flag(). was_delivered() reports 1 once n-t flags
+are set, which is the evidence the recycling stack agrees on.
 """
 
 from __future__ import annotations
@@ -46,26 +47,19 @@ class RecyclableObject:
         """Record a proposal; a second propose in the same incarnation is a no-op."""
         self.core.propose(value)
 
-    def result(self) -> object:
+    def observe_result(self) -> object:
         """Decided value, CORE_ERROR, or None while the core is still running.
 
-        Any non-None return marks the local delivery flag. The consistency
-        test (None forces the flag back off) lives in observe_result so that
-        a corrupted flag cannot outlive one call.
+        The local delivery flag follows the answer: set on any non-None
+        return, cleared on None, so a corrupted flag cannot outlive one call.
         """
         outcome = self.core.decided()
         if outcome is None:
+            self.delivered[self.node_id] = False
             return None
         kind, value = outcome
         self.delivered[self.node_id] = True
         return CORE_ERROR if kind == CORE_FAULT else value
-
-    def observe_result(self) -> object:
-        """result() plus the consistency test: undecided implies flag off."""
-        value = self.result()
-        if value is None:
-            self.delivered[self.node_id] = False
-        return value
 
     def was_delivered(self) -> int:
         return 1 if sum(self.delivered) >= self.n - self.t else 0
@@ -92,18 +86,13 @@ class RecyclableObject:
         if sender != self.node_id and 0 <= sender < self.n:
             self.delivered[sender] = bool(flag)
 
-    def pulse_step(self, est_inbox: dict[int, EstPayload]) -> EstPayload:
+    def pulse_step(self, core_inbox: dict[int, object]) -> EstPayload:
         """One synchronous step of the active object.
 
-        Applies the consistency test, merges arriving flags, advances the
-        core on the arriving core messages, and returns this node's est
-        field for the round.
+        Applies the consistency test, advances the core on the slot's arriving
+        core messages (keyed by sender), and returns this node's est field for
+        the round. Arriving delivery flags are merged by the node, not here.
         """
         self.observe_result()
-        core_inbox: dict[int, object] = {}
-        for sender, payload in est_inbox.items():
-            self.merge_flag(sender, payload.delivered)
-            if payload.core is not None:
-                core_inbox[sender] = payload.core
         core_out = self.core.step(core_inbox)
         return EstPayload(slot=self.slot, core=core_out, delivered=self.delivered[self.node_id])

@@ -7,6 +7,7 @@ import pytest
 
 from corsim.adversary import POLICIES
 from corsim.cli import main
+from corsim.env import make_params, params_validate
 
 
 def test_run_writes_csv_and_summary(tmp_path, capsys):
@@ -22,13 +23,21 @@ def test_run_writes_csv_and_summary(tmp_path, capsys):
     assert "median stabilization round" in capsys.readouterr().out
 
 
-def test_default_run_prints_phase_overlap_warning(tmp_path, capsys):
-    # the default kappa is 5, below t+5 = 6 at t=1
+def test_default_run_writes_nothing_to_stderr(tmp_path, capsys):
     assert main(["run", "--rounds", "20", "--out", str(tmp_path / "r.csv")]) == 0
     captured = capsys.readouterr()
-    assert captured.err.startswith("warning: kappa < t+5: ")
-    assert captured.err.count("warning: ") == 1
+    assert captured.err == ""
     assert "trials: 1" in captured.out
+
+
+@pytest.mark.parametrize("t", range(5))
+def test_default_kappa_is_valid_at_every_t(tmp_path, capsys, t):
+    n = 3 * t + 1
+    assert params_validate(make_params(n, t, log_size=3, index_num=8)) == []
+    argv = ["run", "--n", str(n), "--t", str(t), "--rounds", "2",
+            "--out", str(tmp_path / "r.csv")]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_invalid_params_exit_2(tmp_path, capsys):

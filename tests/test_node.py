@@ -1,0 +1,48 @@
+"""Correct node step: the one place where delivery flags are merged."""
+
+from corsim.cores import StubOracle, stub_core_factory
+from corsim.env import make_params
+from corsim.node import CorrectNode
+from corsim.transport import Envelope, EstPayload
+
+P = make_params(n=4, t=1, log_size=3, index_num=8)
+
+
+def make_node(node_id=0):
+    oracle = StubOracle(P.seed, [0, 1, 2], dmax=3)
+    return CorrectNode(P, node_id, stub_core_factory(oracle, node_id), lambda s, n: 0)
+
+
+def flag(sender, slot, delivered):
+    """An envelope carrying only a delivery flag for one slot."""
+    return Envelope(sender=sender, est=EstPayload(slot=slot, core=None, delivered=delivered))
+
+
+def step(node, inbox, phase=1):
+    return node.step(round_index=phase, phase=phase, inbox=inbox, coin_bit=0)
+
+
+def test_step_merges_each_flag_into_the_slot_its_est_names():
+    node = make_node(0)
+    assert node.active_slot() == 0
+    # slot 6 is in the window of index 0 but not active; 14 names slot 6 too
+    step(node, {1: flag(1, 0, True), 2: flag(2, 6, True), 3: flag(3, 14, True)})
+    slots = node.objects.slots
+    assert slots[0].delivered == [False, True, False, False]
+    assert slots[6].delivered == [False, False, True, True]
+    assert node.objects.non_fresh_slots() == [0, 6]
+
+
+def test_merge_adopts_arriving_flag():
+    node = make_node(0)
+    node.objects.slots[0].delivered[2] = True
+    step(node, {2: flag(2, 0, False), 3: flag(3, 0, True)})
+    assert node.objects.slots[0].delivered == [False, False, False, True]
+
+
+def test_self_flag_never_merged_from_wire():
+    node = make_node(1)
+    # no recycling and no background reads, so nothing but the merge touches slot 5
+    node.fixed_slot = 0
+    step(node, {1: flag(1, 5, True), 2: flag(2, 5, True)})
+    assert node.objects.slots[5].delivered == [False, False, True, False]

@@ -4,7 +4,6 @@ from itertools import product
 
 from corsim.cores import DelayStubCore, StubOracle
 from corsim.recyclable import CORE_ERROR, RecyclableObject
-from corsim.transport import EstPayload
 
 
 def make_object(n=4, t=1, node_id=0, slot=0, oracle=None):
@@ -38,18 +37,18 @@ class TestResult:
     def test_decided_core_sets_local_flag(self):
         obj, _ = make_object()
         obj.core.decided_cache = 1
-        assert obj.result() == 1
+        assert obj.observe_result() == 1
         assert obj.delivered[0] is True
 
     def test_undecided_returns_none_flag_unchanged(self):
         obj, _ = make_object()
-        assert obj.result() is None
+        assert obj.observe_result() is None
         assert obj.delivered[0] is False
 
     def test_corrupted_core_yields_error_symbol(self):
         obj, _ = make_object()
         obj.core.decided_cache = 7  # out of domain: core self-check fails
-        assert obj.result() is CORE_ERROR
+        assert obj.observe_result() is CORE_ERROR
         assert obj.delivered[0] is True
 
 
@@ -84,7 +83,7 @@ class TestRecycle:
         obj, _ = make_object()
         obj.propose(1)
         obj.core.decided_cache = 1
-        obj.result()
+        obj.observe_result()
         obj.recycle()
         assert obj.was_delivered() == 0
         assert obj.is_fresh()
@@ -111,18 +110,6 @@ class TestPulseStep:
         obj.delivered[0] = True  # transient corruption: flag without decision
         obj.pulse_step({})
         assert obj.delivered[0] is False
-
-    def test_merge_adopts_arriving_flag(self):
-        obj, _ = make_object()
-        est = EstPayload(slot=0, core=None, delivered=True)
-        obj.pulse_step({2: est})
-        assert obj.delivered[2] is True
-
-    def test_self_flag_never_merged_from_wire(self):
-        obj, _ = make_object(node_id=1)
-        est = EstPayload(slot=0, core=None, delivered=True)
-        obj.pulse_step({1: est})
-        assert obj.delivered[1] is False
 
     def test_no_arrivals_leaves_remote_flags(self):
         obj, _ = make_object()
@@ -173,7 +160,11 @@ def test_delivery_indication_propagates_to_all_correct():
             for i in objs
         }
         for i, obj in objs.items():
-            outboxes[i] = obj.pulse_step(inboxes[i])
+            # the node merges every arriving flag before stepping the active object
+            for j, est in inboxes[i].items():
+                obj.merge_flag(j, est.delivered)
+            outboxes[i] = obj.pulse_step({j: est.core for j, est in inboxes[i].items()
+                                          if est.core is not None})
         oracle.observe(r, {i: [objs[i]] for i in objs})
         if first_report is None and any(o.was_delivered() for o in objs.values()):
             first_report = r
