@@ -81,7 +81,12 @@ class StubOracle:
         self.now = round_index
 
     def observe(self, round_index: int, objects_by_node: dict[int, list]) -> None:
-        """End-of-round sweep: trigger a decision for every newly proposed slot."""
+        """End-of-round sweep: trigger a decision for every newly proposed slot.
+
+        Under mmr-lite the engine passes no objects and nothing is swept.
+        """
+        if not objects_by_node:
+            return
         slot_count = len(objects_by_node[self.correct_ids[0]])
         for slot in range(slot_count):
             if slot in self.records:

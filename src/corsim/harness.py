@@ -238,6 +238,12 @@ class RoundEngine:
             if not config.recycling:
                 node.fixed_slot = 0
             self.nodes[i] = node
+        # what the stub oracle watches; no slot list is ever replaced, and
+        # mmr-lite objects have no oracle to serve
+        self.oracle_slots = (
+            {i: node.objects.slots for i, node in self.nodes.items()}
+            if config.core == "stub" else {}
+        )
 
         self.adversary = Adversary(config.adversary, p, self.byz_ids)
         self.trace = Trace(
@@ -275,8 +281,13 @@ class RoundEngine:
 
         outboxes: dict[int, dict[int, Envelope]] = {}
         reports = {}
+        # the round's EIG validation memo, shared by every receiver and
+        # dropped with the round
+        co_memo: dict = {}
         for i in self.correct_ids:
-            outbox, report = self.nodes[i].step(r, phase, self.pending[i].inbox, coin_bit)
+            outbox, report = self.nodes[i].step(
+                r, phase, self.pending[i].inbox, coin_bit, co_memo
+            )
             outboxes[i] = outbox
             reports[i] = report
         for b, box in byz_out.items():
@@ -298,9 +309,7 @@ class RoundEngine:
             self.trace.traffic.extend(
                 f"{r} {i} {j} {data.hex()}" for i, j, data in deliveries
             )
-        self.stub_oracle.observe(
-            r, {i: self.nodes[i].objects.slots for i in self.correct_ids}
-        )
+        self.stub_oracle.observe(r, self.oracle_slots)
         # the round's one freshness sweep, for the trace and the generation sweep
         non_fresh = [self.nodes[i].objects.non_fresh_slots() for i in self.correct_ids]
         self._record(r, phase, coin_bit, reports, digest, non_fresh)

@@ -13,6 +13,14 @@ distinct nodes reported), and the decision is a recursive strict-majority
 resolve of that tree with default 0. With n > 3t this decides after exactly
 t+1 exchanges and tolerates any Byzantine behaviour.
 
+Every correct node broadcasts one payload object, so each arrival is
+validated once per (payload, sender, level) per round, not once per
+receiver: what a receiver stores from an arrival depends on nothing else.
+The round engine owns that memo and starts a fresh one every round. The
+resolve runs bottom-up: `permutations` lists the labels of each level in
+lexicographic order, so the children of every label are one consecutive
+run of the level below, and each run folds into its parent's value.
+
 Note the processing window is {1..t+1}: t+1 exchanges are the known lower
 bound for synchronous agreement with t faults, and the propose step of
 phase 0 only initiates the first exchange.
@@ -20,7 +28,8 @@ phase 0 only initiates the first exchange.
 
 from __future__ import annotations
 
-from collections import Counter
+from functools import cache
+from itertools import permutations
 from typing import Callable
 
 from .transport import CoPayload
@@ -49,65 +58,112 @@ class EigConsensus:
         payload = CoPayload(level=0, entries=((tuple(), value),))
         return {j: payload for j in range(self.n)}
 
-    def _store(self, sender: int, payload: CoPayload, expect_level: int) -> None:
+    def _validate(self, sender: int, payload: CoPayload, level: int) -> tuple:
+        """The (label + (sender,), value) pairs a receiver stores from one arrival.
+
+        Entries that are malformed, name an id twice, name the sender or an
+        id outside 0..n-1, or carry an unhashable value are dropped. The
+        pairs keep the received label objects, which are relayed as sent.
+        """
         if not isinstance(payload, CoPayload):
-            return
-        if payload.level != expect_level or not isinstance(payload.entries, tuple):
-            return
+            return ()
+        if payload.level != level or not isinstance(payload.entries, tuple):
+            return ()
+        # equal to a label of this length: distinct ids in 0..n-1 (but 1.0 == 1)
+        labels = _label_set(self.n, level)
+        pairs = []
         for item in payload.entries:
             if not (isinstance(item, tuple) and len(item) == 2):
                 continue
             label, value = item
-            if not isinstance(label, tuple) or len(label) != expect_level:
+            if not isinstance(label, tuple) or len(label) != level:
                 continue
-            if sender in label or len(set(label)) != len(label):
+            if sender in label or label not in labels:
                 continue
-            if any(not isinstance(x, int) or not (0 <= x < self.n) for x in label):
+            if not all(isinstance(x, int) for x in label):
                 continue
             try:
                 hash(value)
             except TypeError:
                 continue
-            self.tree[label + (sender,)] = value
+            pairs.append((label + (sender,), value))
+        return tuple(pairs)
 
-    def process(self, msgs: dict[int, CoPayload | None]) -> dict[int, CoPayload]:
+    def process(
+        self, msgs: dict[int, CoPayload | None], memo: dict | None = None
+    ) -> dict[int, CoPayload]:
         """Absorb the previous exchange and broadcast the next tree level.
 
         Malformed arrivals are dropped, which leaves their tree entries
-        absent; the resolve treats absent as the default value.
+        absent; the resolve treats absent as the default value. `memo` maps
+        (id(payload), sender, level) to the payload and its validated pairs,
+        so receivers sharing it validate each arrival once; holding the
+        payload keeps its id from being reused while the memo lives. Share
+        one memo only among the receivers of one round of one engine.
         """
         if not self.started:
             return {}
+        if memo is None:
+            memo = {}
         k = self.exchanges_done + 1
+        tree = self.tree
         for sender, payload in msgs.items():
-            if payload is not None:
-                self._store(sender, payload, k - 1)
+            if payload is None:
+                continue
+            key = (id(payload), sender, k - 1)
+            hit = memo.get(key)
+            if hit is None:
+                hit = memo[key] = (payload, self._validate(sender, payload, k - 1))
+            tree.update(hit[1])
         self.exchanges_done = k
         if k > self.t:
             return {}
         entries = tuple(
             (label, value)
-            for label, value in sorted(self.tree.items())
+            for label, value in sorted(tree.items())
             if len(label) == k
         )
         payload = CoPayload(level=k, entries=entries)
         return {j: payload for j in range(self.n)}
 
-    def _resolve(self, label: tuple) -> object:
-        if len(label) == self.t + 1:
-            value = self.tree.get(label)
-            return 0 if value is None else value
-        children = [
-            self._resolve(label + (j,)) for j in range(self.n) if j not in label
-        ]
-        value, count = Counter(children).most_common(1)[0]
-        return value if 2 * count > len(children) else 0
-
     def result(self) -> object:
-        """Root resolve after t+1 exchanges; None before completion."""
+        """Root resolve after t+1 exchanges; None before completion.
+
+        Each label's value is the strict majority of its children's values,
+        or 0 without one; an absent or None leaf reads as 0.
+        """
         if not self.started or self.exchanges_done < self.t + 1:
             return None
-        return self._resolve(())
+        n = self.n
+        values = [
+            0 if value is None else value
+            for value in map(self.tree.get, _labels(n, self.t + 1))
+        ]
+        for k in range(self.t, -1, -1):
+            width = n - k  # children of a label of length k
+            values = [
+                _majority(values[i : i + width]) for i in range(0, len(values), width)
+            ]
+        return values[0]
+
+
+@cache
+def _labels(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Every label of length k, in lexicographic order."""
+    return tuple(permutations(range(n), k))
+
+
+@cache
+def _label_set(n: int, k: int) -> frozenset[tuple[int, ...]]:
+    return frozenset(_labels(n, k))
+
+
+def _majority(values: list) -> object:
+    """The strict-majority value, as its first occurrence, else 0."""
+    for value in dict.fromkeys(values):
+        if 2 * values.count(value) > len(values):
+            return value
+    return 0
 
 
 class MvcController:
@@ -125,13 +181,14 @@ class MvcController:
         phase: int,
         co_msgs: dict[int, CoPayload | None],
         input_fn: Callable[[], object],
+        memo: dict | None = None,
     ) -> dict[int, CoPayload]:
         if phase == 0:
             self.current_result = self.co.result()
             self.co.restart()
             return self.co.propose(input_fn())
         if 1 <= phase <= self.t + 1:
-            return self.co.process(co_msgs)
+            return self.co.process(co_msgs, memo)
         return {}
 
     def result(self) -> object:

@@ -66,6 +66,7 @@ class CorrectNode:
         phase: int,
         inbox: dict[int, Envelope],
         coin_bit: int,
+        memo: dict | None = None,
     ) -> tuple[dict[int, Envelope], StepReport]:
         params = self.params
         report = StepReport()
@@ -92,7 +93,7 @@ class CorrectNode:
             report.sample = value
             return value
 
-        co_out = self.mvc.pulse(phase, co_by_sender, input_fn)
+        co_out = self.mvc.pulse(phase, co_by_sender, input_fn, memo)
 
         # index pulse, then the recycler sweep on the possibly-updated index
         sig_out = self.sig.pulse(phase, sig_by_sender, self.mvc.result, coin_bit)

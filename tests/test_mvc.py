@@ -1,5 +1,16 @@
 """EIG consensus core and the floating-output recomputation wrapper."""
 
+import random
+from collections import Counter
+from itertools import permutations
+from types import SimpleNamespace
+
+import pytest
+
+from corsim import TrialConfig, make_params
+from corsim.adversary import _fill_tree, _garble_tree
+from corsim.env import clock_read
+from corsim.harness import RoundEngine
 from corsim.mvc import EigConsensus, MvcController
 from corsim.transport import CoPayload
 
@@ -132,3 +143,219 @@ class TestMvcController:
         values = {c.result() for c in controllers.values()}
         assert len(values) == 1
         assert values.pop() in (0, 1)
+
+
+# Reference implementations: the per-receiver store and the recursive Counter
+# resolve that the memoized validator and the bottom-up resolve replaced.
+
+
+def reference_store(tree: dict, n: int, sender: int, payload, expect_level: int) -> None:
+    if not isinstance(payload, CoPayload):
+        return
+    if payload.level != expect_level or not isinstance(payload.entries, tuple):
+        return
+    for item in payload.entries:
+        if not (isinstance(item, tuple) and len(item) == 2):
+            continue
+        label, value = item
+        if not isinstance(label, tuple) or len(label) != expect_level:
+            continue
+        if sender in label or len(set(label)) != len(label):
+            continue
+        if any(not isinstance(x, int) or not (0 <= x < n) for x in label):
+            continue
+        try:
+            hash(value)
+        except TypeError:
+            continue
+        tree[label + (sender,)] = value
+
+
+def reference_resolve(co: EigConsensus, label: tuple = ()) -> object:
+    if len(label) == co.t + 1:
+        value = co.tree.get(label)
+        return 0 if value is None else value
+    children = [reference_resolve(co, label + (j,)) for j in range(co.n) if j not in label]
+    value, count = Counter(children).most_common(1)[0]
+    return value if 2 * count > len(children) else 0
+
+
+def stored(co: EigConsensus, sender: int, payload, level: int, memo=None) -> dict:
+    """The tree a started instance expecting `level` builds from one arrival."""
+    co.started = True
+    co.exchanges_done = level
+    co.tree = {}
+    co.process({sender: payload}, memo)
+    return co.tree
+
+
+def same_tree(got: dict, want: dict) -> bool:
+    """Equal keys and values, down to the key and value objects' types and ids."""
+    return repr(list(got.items())) == repr(list(want.items())) and all(
+        a is b for a, b in zip(got.values(), want.values())
+    )
+
+
+N = 4
+UNHASHABLE = [1]
+MALFORMED = [
+    # (sender, payload, expected level)
+    (1, ("not", "a", "payload"), 0),
+    (1, {"level": 0, "entries": (((), 1),)}, 0),
+    (1, CoPayload(level=2, entries=(((0, 2), 1),)), 1),  # wrong level
+    (1, CoPayload(level=1, entries=[((0,), 1)]), 1),  # entries not a tuple
+    (1, CoPayload(level=1, entries=(
+        "garbage", ((0,),), ((0,), 1, 2), [(0,), 1], None,  # not pairs
+        ([0], 1), ("0", 1), (0, 1), (None, 1),  # labels not tuples
+        ((2,), "kept"),
+    )), 1),
+    (0, CoPayload(level=1, entries=(
+        ((1.0,), "float"), ((True,), "bool"), ((-1,), "neg"), ((N,), "n"),
+        ((False,), "false"), ((2.5,), "frac"), (("1",), "str"), ((None,), "none"),
+    )), 1),
+    (3, CoPayload(level=2, entries=(
+        ((0, 0), "dup"), ((1, True), "dup-bool"), ((2, 2.0), "dup-float"),
+        ((3, 0), "sender"), ((0, 3), "sender"), ((True, 2), "bool-kept"),
+        ((1, 2), "overwrites"), ((0, 1.0), "float"),
+    )), 2),
+    (1, CoPayload(level=1, entries=(((True,), "sender-as-bool"), ((1.0,), "sender-as-float"),
+                                    ((0,), "kept"))), 1),
+    (2, CoPayload(level=1, entries=(
+        ((0,), UNHASHABLE), ((1,), {}), ((3,), (1, [2])), ((0,), frozenset({1})),
+    )), 1),
+    (2, CoPayload(level=0, entries=(((), "root"), ((), "again"), ((0,), "long"))), 0),
+]
+
+
+class TestValidation:
+    @pytest.mark.parametrize("case", range(len(MALFORMED)))
+    def test_stores_exactly_what_the_reference_stores(self, case):
+        sender, payload, level = MALFORMED[case]
+        want: dict = {}
+        reference_store(want, N, sender, payload, level)
+        got = stored(EigConsensus(N, 1, 0), sender, payload, level)
+        assert same_tree(got, want)
+
+    def test_corpus_keeps_some_entries(self):
+        """The corpus is not all rejections, so the key objects are compared."""
+        trees = []
+        for sender, payload, level in MALFORMED:
+            tree: dict = {}
+            reference_store(tree, N, sender, payload, level)
+            trees.append(tree)
+        assert [repr(tree) for tree in trees[4:]] == [
+            "{(2, 1): 'kept'}",
+            "{(True, 0): 'bool'}",
+            "{(True, 2, 3): 'overwrites'}",
+            "{(0, 1): 'kept'}",
+            "{(0, 2): frozenset({1})}",
+            "{(2,): 'again'}",
+        ]
+
+    def test_random_entries_store_what_the_reference_stores(self):
+        rng = random.Random(8)
+        ids = (0, 1, 2, 3, N, -1, 1.0, True, False, 2.0, "a", None)
+        values = (0, 1, True, 1.0, "x", None, (), UNHASHABLE)
+        for _ in range(300):
+            level = rng.randrange(0, 4)
+            sender = rng.randrange(N)
+            entries = tuple(
+                (tuple(rng.choice(ids) for _ in range(rng.choice((level, level, level - 1)))),
+                 rng.choice(values))
+                for _ in range(rng.randrange(0, 12))
+            )
+            payload = CoPayload(level=level, entries=entries)
+            want: dict = {}
+            reference_store(want, N, sender, payload, level)
+            assert same_tree(stored(EigConsensus(N, 1, 0), sender, payload, level), want)
+
+    def test_shared_memo_equals_private_memos(self):
+        """One memo across receivers expecting different levels, from two
+        senders relaying the same payload object: sender and level are part
+        of what an arrival validates to."""
+        level1 = CoPayload(level=1, entries=(((1,), "a"), ((2,), "b"), ((0,), "c")))
+        level0 = CoPayload(level=0, entries=(((), "root"),))
+        inboxes = (
+            (1, {1: level1, 2: level1, 0: level0}),
+            (0, {1: level1, 2: level1, 0: level0}),
+            (1, {2: level1, 1: level1}),
+        )
+
+        def trees(memo_for):
+            out = []
+            for done, msgs in inboxes:
+                co = EigConsensus(N, 1, 0)
+                co.started = True
+                co.exchanges_done = done
+                co.process(msgs, memo_for())
+                out.append(co.tree)
+            return out
+
+        shared: dict = {}
+        private = trees(dict)
+        assert all(map(same_tree, trees(lambda: shared), private))
+        assert private[0] == {(2, 1): "b", (0, 1): "c", (1, 2): "a", (0, 2): "c"}
+        assert private[1] == {(0,): "root"}
+
+    def test_validation_once_per_arrival_per_round(self, monkeypatch):
+        """n=10, t=3 under worst_eig: 7 correct broadcasts plus 3 Byzantine
+        senders with two stories each, where every receiver validating every
+        arrival made 7 x 10 = 70."""
+        calls = []
+        validate = EigConsensus._validate
+
+        def counting(self, sender, payload, level):
+            calls.append(level)
+            return validate(self, sender, payload, level)
+
+        monkeypatch.setattr(EigConsensus, "_validate", counting)
+        params = make_params(10, 3, 3, 8, seed=1)
+        engine = RoundEngine(TrialConfig(
+            params=params, rounds=12, adversary="worst_eig", inject="targeted", core="stub",
+        ))
+        per_round = {}
+        for r in range(12):
+            calls.clear()
+            engine._round(r)
+            per_round[r] = len(calls)
+        processing = [r for r in per_round if 1 <= clock_read(r, params.kappa) <= params.t + 1]
+        assert processing
+        assert {per_round[r] for r in processing} == {13}
+        assert all(per_round[r] == 0 for r in per_round if r not in processing)
+
+
+RESOLVE_CASES = [(1, 0), (4, 0), (4, 1), (7, 2)]
+
+
+class TestResolve:
+    @pytest.mark.parametrize("n,t", RESOLVE_CASES)
+    def test_random_trees_match_reference(self, n, t):
+        rng = random.Random(n * 10 + t)
+        missing = object()
+        palette = (0, 1, True, 1.0, "x", None, missing)
+        leaves = list(permutations(range(n), t + 1))
+        for _ in range(60):
+            # few distinct values per tree, so majorities form at every level
+            choices = rng.sample(palette, rng.randrange(1, 4))
+            co = EigConsensus(n, t, 0)
+            co.started = True
+            co.exchanges_done = t + 1
+            for label in leaves:
+                value = rng.choice(choices)
+                if value is not missing:
+                    co.tree[label] = value
+            assert repr(co.result()) == repr(reference_resolve(co))
+
+    @pytest.mark.parametrize("n,t", RESOLVE_CASES)
+    def test_injected_trees_match_reference(self, n, t):
+        params = make_params(n, t, 3, 8, seed=0)
+        for value in (0, 1, True):
+            node = SimpleNamespace(mvc=MvcController(n, t, 0))
+            _fill_tree(node, value, params)
+            assert repr(node.mvc.co.result()) == repr(reference_resolve(node.mvc.co)) == repr(value)
+        for seed in range(40):
+            node = SimpleNamespace(mvc=MvcController(n, t, 0))
+            _garble_tree(node, random.Random(seed), params)
+            co = node.mvc.co
+            co.started, co.exchanges_done = True, t + 1
+            assert repr(co.result()) == repr(reference_resolve(co))
