@@ -295,15 +295,11 @@ def inject(
 
 
 def _fill_tree(node: "CorrectNode", value: int, params: Params) -> None:
-    """A complete, consistent tree: every distinct-id label up to depth t+1."""
+    """A completed run's stored level: every distinct-id leaf label set to value."""
     co = node.mvc.co
     co.started = True
     co.exchanges_done = params.t + 1
-    co.tree = {
-        label: value
-        for k in range(params.t + 2)
-        for label in permutations(range(params.n), k)
-    }
+    co.tree = dict.fromkeys(permutations(range(params.n), params.t + 1), value)
 
 
 def _garble_tree(node: "CorrectNode", rng: random.Random, params: Params) -> None:

@@ -8,10 +8,12 @@ output at any time and therefore see, during cycle m, the decision over the
 inputs sampled at phase 0 of cycle m-1.
 
 The core here is exponential information gathering (EIG): t+1 all-to-all
-exchanges build a tree of relayed values (level k holds what chains of k
-distinct nodes reported), and the decision is a recursive strict-majority
-resolve of that tree with default 0. With n > 3t this decides after exactly
-t+1 exchanges and tolerates any Byzantine behaviour.
+exchanges relay values along chains of distinct nodes (level k holds what
+chains of k nodes reported), and the decision folds the leaf level, level
+t+1, into the root by strict majority with default 0. With n > 3t this
+decides after exactly t+1 exchanges and tolerates any Byzantine behaviour.
+Each exchange reads only the level received last, so a node keeps that one
+level and nothing else.
 
 Every correct node broadcasts one payload object, so each arrival is
 validated once per (payload, sender, level) per round, not once per
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import permutations
-from typing import Callable
 
 from .transport import CoPayload
 
@@ -42,7 +43,7 @@ class EigConsensus:
         self.n = n
         self.t = t
         self.node_id = node_id
-        self.tree: dict[tuple, object] = {}
+        self.tree: dict[tuple, object] = {}  # the level stored last
         self.exchanges_done = 0
         self.started = False
 
@@ -51,12 +52,11 @@ class EigConsensus:
         self.exchanges_done = 0
         self.started = False
 
-    def propose(self, value: object) -> dict[int, CoPayload]:
+    def propose(self, value: object) -> CoPayload:
         """Record the root value and broadcast it (first exchange)."""
         self.started = True
-        self.tree[()] = value
-        payload = CoPayload(level=0, entries=((tuple(), value),))
-        return {j: payload for j in range(self.n)}
+        self.tree = {(): value}
+        return CoPayload(level=0, entries=(((), value),))
 
     def _validate(self, sender: int, payload: CoPayload, level: int) -> tuple:
         """The (label + (sender,), value) pairs a receiver stores from one arrival.
@@ -78,9 +78,10 @@ class EigConsensus:
             label, value = item
             if not isinstance(label, tuple) or len(label) != level:
                 continue
-            if sender in label or label not in labels:
-                continue
+            # ints first: a label holding an unhashable id cannot be looked up
             if not all(isinstance(x, int) for x in label):
+                continue
+            if sender in label or label not in labels:
                 continue
             try:
                 hash(value)
@@ -89,24 +90,21 @@ class EigConsensus:
             pairs.append((label + (sender,), value))
         return tuple(pairs)
 
-    def process(
-        self, msgs: dict[int, CoPayload | None], memo: dict | None = None
-    ) -> dict[int, CoPayload]:
-        """Absorb the previous exchange and broadcast the next tree level.
+    def process(self, msgs: dict[int, CoPayload | None], memo: dict) -> CoPayload | None:
+        """Absorb the previous exchange; return the next level's broadcast.
 
-        Malformed arrivals are dropped, which leaves their tree entries
-        absent; the resolve treats absent as the default value. `memo` maps
-        (id(payload), sender, level) to the payload and its validated pairs,
-        so receivers sharing it validate each arrival once; holding the
-        payload keeps its id from being reused while the memo lives. Share
-        one memo only among the receivers of one round of one engine.
+        The level just received replaces the stored one. Malformed arrivals
+        are dropped, which leaves their entries absent; the resolve treats
+        absent as the default value. `memo` maps (id(payload), sender,
+        level) to the payload and its validated pairs, so receivers sharing
+        it validate each arrival once; holding the payload keeps its id from
+        being reused while the memo lives. Share one memo only among the
+        receivers of one round of one engine.
         """
         if not self.started:
-            return {}
-        if memo is None:
-            memo = {}
+            return None
         k = self.exchanges_done + 1
-        tree = self.tree
+        level: dict[tuple, object] = {}
         for sender, payload in msgs.items():
             if payload is None:
                 continue
@@ -114,17 +112,12 @@ class EigConsensus:
             hit = memo.get(key)
             if hit is None:
                 hit = memo[key] = (payload, self._validate(sender, payload, k - 1))
-            tree.update(hit[1])
+            level.update(hit[1])
+        self.tree = level
         self.exchanges_done = k
         if k > self.t:
-            return {}
-        entries = tuple(
-            (label, value)
-            for label, value in sorted(tree.items())
-            if len(label) == k
-        )
-        payload = CoPayload(level=k, entries=entries)
-        return {j: payload for j in range(self.n)}
+            return None
+        return CoPayload(level=k, entries=tuple(sorted(level.items())))
 
     def result(self) -> object:
         """Root resolve after t+1 exchanges; None before completion.
@@ -174,23 +167,23 @@ class MvcController:
         self.t = t
         self.node_id = node_id
         self.co = EigConsensus(n, t, node_id)
+        # floating output; None means no completed cycle yet (read as 0)
         self.current_result: object = None
 
     def pulse(
         self,
         phase: int,
         co_msgs: dict[int, CoPayload | None],
-        input_fn: Callable[[], object],
-        memo: dict | None = None,
+        sample: object,
+        memo: dict,
     ) -> dict[int, CoPayload]:
+        """One phase; `sample` is the phase-0 input, and one payload goes to every node."""
         if phase == 0:
             self.current_result = self.co.result()
             self.co.restart()
-            return self.co.propose(input_fn())
-        if 1 <= phase <= self.t + 1:
-            return self.co.process(co_msgs, memo)
-        return {}
-
-    def result(self) -> object:
-        """Floating output; None means no completed cycle yet (treat as 0)."""
-        return self.current_result
+            payload = self.co.propose(sample)
+        elif 1 <= phase <= self.t + 1:
+            payload = self.co.process(co_msgs, memo)
+        else:
+            return {}
+        return {} if payload is None else dict.fromkeys(range(self.n), payload)

@@ -21,7 +21,7 @@ from .env import Params
 from .mvc import MvcController
 from .recycler import ObjectArray, window
 from .sig_index import SigIndex
-from .transport import CoPayload, Envelope, SigPayload
+from .transport import CoPayload, Envelope, EstPayload, SigPayload
 
 
 @dataclass
@@ -51,7 +51,6 @@ class CorrectNode:
             params.n, params.t, node_id, params.index_num, params.log_size, core_factory
         )
         self._proposer = proposer
-        self._already_read: set[int] = set()
         # when set, recycling is disabled and this slot stays active forever
         self.fixed_slot: int | None = None
 
@@ -66,7 +65,7 @@ class CorrectNode:
         phase: int,
         inbox: dict[int, Envelope],
         coin_bit: int,
-        memo: dict | None = None,
+        memo: dict,
     ) -> tuple[dict[int, Envelope], StepReport]:
         params = self.params
         report = StepReport()
@@ -80,7 +79,7 @@ class CorrectNode:
             co_by_sender[sender] = env.co
             sig_by_sender[sender] = env.sig
             est = env.est
-            if est is None or not isinstance(est.slot, int):
+            if not isinstance(est, EstPayload) or not isinstance(est.slot, int):
                 continue
             slot = est.slot % params.index_num
             self.objects.slots[slot].merge_flag(sender, est.delivered)
@@ -88,21 +87,15 @@ class CorrectNode:
                 core_for_slot.setdefault(slot, {})[sender] = est.core
 
         # consensus recomputation; inputs are sampled before any index write
-        def input_fn() -> int:
-            value = self.objects.slots[self.active_slot()].was_delivered()
-            report.sample = value
-            return value
-
-        co_out = self.mvc.pulse(phase, co_by_sender, input_fn, memo)
+        if phase == 0:
+            report.sample = self.was_delivered_active()
+        co_out = self.mvc.pulse(phase, co_by_sender, report.sample, memo)
 
         # index pulse, then the recycler sweep on the possibly-updated index
-        sig_out = self.sig.pulse(phase, sig_by_sender, self.mvc.result, coin_bit)
+        sig_out = self.sig.pulse(phase, sig_by_sender, self.mvc.current_result, coin_bit)
 
         if self.fixed_slot is None:
-            recycled = self.objects.recycler_pulse(self.sig.index)
-            for slot in recycled:
-                self._already_read.discard(slot)
-            report.recycled = tuple(recycled)
+            report.recycled = tuple(self.objects.recycler_pulse(self.sig.index))
 
         active = self.objects.slots[self.active_slot()]
         report.active_slot = active.slot
@@ -124,8 +117,8 @@ class CorrectNode:
             if obj is not active and obj.is_fresh():
                 continue
             value = obj.observe_result()
-            if value is not None and slot not in self._already_read:
-                self._already_read.add(slot)
+            if value is not None and not obj.reported:
+                obj.reported = True
                 retrievals.append((slot, value))
         report.retrievals = tuple(retrievals)
 

@@ -37,6 +37,8 @@ class RecyclableObject:
         self._core_factory = core_factory
         self.core: AsyncCore = core_factory(slot)
         self.delivered: list[bool] = [False] * n
+        # whether the node has reported this incarnation's result as read
+        self.reported = False
 
     @property
     def proposed(self) -> object:
@@ -65,9 +67,10 @@ class RecyclableObject:
         return 1 if sum(self.delivered) >= self.n - self.t else 0
 
     def recycle(self) -> None:
-        """Reset core and delivery flags to the initial state."""
+        """Reset core, delivery flags and the reported mark to the initial state."""
         self.core = self._core_factory(self.slot)
         self.delivered = [False] * self.n
+        self.reported = False
 
     def is_fresh(self) -> bool:
         return not any(self.delivered) and self.core.is_initial()

@@ -19,8 +19,6 @@ never depend on the order in which values are counted.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from .env import Params
 from .transport import SigPayload
 
@@ -65,7 +63,7 @@ class SigIndex:
         self,
         phase: int,
         msgs: dict[int, SigPayload | None],
-        mvc_result: Callable[[], object],
+        mvc_result: object,
         coin_bit: int,
     ) -> SigPayload | None:
         p = self.params
@@ -89,7 +87,7 @@ class SigIndex:
 
         if phase == k - 1:
             counts = tally(msgs, "bit")
-            self.inc = 1 if mvc_result() == 1 else 0
+            self.inc = 1 if mvc_result == 1 else 0
             save = self.save if isinstance(self.save, int) else 0
             if counts.get(1, 0) >= p.quorum:
                 self.index = (save + self.inc) % p.index_num

@@ -26,21 +26,21 @@ def run_eig_t1(proposals, byz_round1, byz_round2_by_receiver):
 
     inbox1 = {}
     for i in nodes:
-        msgs = {j: out0[j][i] for j in nodes}
+        msgs = dict(out0)
         msgs[3] = CoPayload(level=0, entries=(((), byz_round1[i]),))
         inbox1[i] = msgs
-    out1 = {i: nodes[i].process(inbox1[i]) for i in nodes}
+    out1 = {i: nodes[i].process(inbox1[i], {}) for i in nodes}
     decided_early = any(nodes[i].result() is not None for i in nodes)
 
     inbox2 = {}
     for i in nodes:
-        msgs = {j: out1[j][i] for j in nodes}
+        msgs = dict(out1)
         claims = byz_round2_by_receiver[i]
         entries = tuple(((j,), claims[j]) for j in sorted(claims))
         msgs[3] = CoPayload(level=1, entries=entries)
         inbox2[i] = msgs
     for i in nodes:
-        nodes[i].process(inbox2[i])
+        nodes[i].process(inbox2[i], {})
     return {i: nodes[i].result() for i in nodes}, decided_early
 
 
@@ -50,8 +50,7 @@ def run_eig_t0(proposals):
     nodes = {i: EigConsensus(n, t, i) for i in range(4)}
     out0 = {i: nodes[i].propose(proposals[i]) for i in nodes}
     for i in nodes:
-        msgs = {j: out0[j][i] for j in nodes}
-        nodes[i].process(msgs)
+        nodes[i].process(out0, {})
     return {i: nodes[i].result() for i in nodes}
 
 
@@ -101,14 +100,11 @@ def run_sig_cycle(params, indices, byz_script, mvc_results, coin_bit,
         if saves:
             sigs[i].save = saves[i]
 
-    def mvc_for(i):
-        return lambda: mvc_results[i]
-
     k = p.kappa
     pending = {i: {} for i in correct}
     for phase, tag in ((k - 4, "k-4"), (k - 3, "k-3"), (k - 2, "k-2"), (k - 1, None)):
         outs = {
-            i: sigs[i].pulse(phase, pending[i], mvc_for(i), coin_bit) for i in correct
+            i: sigs[i].pulse(phase, pending[i], mvc_results[i], coin_bit) for i in correct
         }
         pending = {
             i: {j: outs[j] for j in correct if outs[j] is not None} for i in correct

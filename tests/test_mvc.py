@@ -52,15 +52,15 @@ class TestEigMechanics:
         node = EigConsensus(4, 1, 0)
         node.propose(1)
         assert node.result() is None
-        node.process({})
+        node.process({}, {})
         assert node.result() is None
-        node.process({})
+        node.process({}, {})
         assert node.result() is not None
 
     def test_restart_clears_state(self):
         node = EigConsensus(4, 1, 0)
         node.propose(1)
-        node.process({})
+        node.process({}, {})
         node.restart()
         assert node.result() is None
         assert node.tree == {}
@@ -73,7 +73,8 @@ class TestEigMechanics:
                 1: CoPayload(level=5, entries=(((), 1),)),  # wrong level
                 2: CoPayload(level=0, entries=("garbage",)),  # bad entry shape
                 3: CoPayload(level=0, entries=(((0, 0), 1),)),  # bad label
-            }
+            },
+            {},
         )
         assert all(len(label) != 1 for label in node.tree)
 
@@ -98,7 +99,7 @@ def drive_controllers_cycle(controllers, inputs, kappa):
     for phase in range(kappa):
         outs = {}
         for i, ctl in controllers.items():
-            outs[i] = ctl.pulse(phase, pending[i], lambda i=i: inputs[i])
+            outs[i] = ctl.pulse(phase, pending[i], inputs[i], {})
         pending = {
             i: {j: outs[j][i] for j in controllers if i in outs[j]}
             for i in controllers
@@ -109,44 +110,54 @@ class TestMvcController:
     def test_capture_restart_propose_at_phase_zero(self):
         ctl = MvcController(4, 1, 0)
         ctl.current_result = "stale"
-        out = ctl.pulse(0, {}, lambda: 1)
+        out = ctl.pulse(0, {}, 1, {})
         assert ctl.current_result is None  # fresh co had no decision yet
         assert set(out) == {0, 1, 2, 3}
 
+    def test_one_payload_object_addressed_to_every_node(self):
+        ctl = MvcController(4, 1, 0)
+        for phase in (0, 1):  # t=1: phase 2 stores the leaves and sends nothing
+            out = ctl.pulse(phase, {}, 1, {})
+            assert list(out) == [0, 1, 2, 3]
+            assert len({id(payload) for payload in out.values()}) == 1
+            assert isinstance(out[0], CoPayload) and out[0].level == phase
+
     def test_processing_window_closes_after_t_plus_1(self):
         ctl = MvcController(4, 1, 0)
-        ctl.pulse(0, {}, lambda: 1)
-        assert ctl.pulse(1, {}, lambda: 1) != {}
-        assert ctl.pulse(3, {}, lambda: 1) == {}  # t=1: window is {1, 2}
-        assert ctl.pulse(4, {}, lambda: 1) == {}  # phase t+2 and later: silent
+        ctl.pulse(0, {}, 1, {})
+        assert ctl.pulse(1, {}, None, {}) != {}
+        assert ctl.pulse(3, {}, None, {}) == {}  # t=1: window is {1, 2}
+        assert ctl.pulse(4, {}, None, {}) == {}  # phase t+2 and later: silent
 
     def test_unanimous_inputs_become_next_cycle_result(self):
         controllers = {i: MvcController(4, 0, i) for i in range(4)}
         drive_controllers_cycle(controllers, [1, 1, 1, 1], kappa=5)
-        assert all(c.result() is None for c in controllers.values())
+        assert all(c.current_result is None for c in controllers.values())
         drive_controllers_cycle(controllers, [0, 0, 0, 0], kappa=5)
-        assert all(c.result() == 1 for c in controllers.values())  # one-cycle latency
+        assert all(c.current_result == 1 for c in controllers.values())  # one-cycle latency
         drive_controllers_cycle(controllers, [0, 0, 0, 0], kappa=5)
-        assert all(c.result() == 0 for c in controllers.values())
+        assert all(c.current_result == 0 for c in controllers.values())
 
     def test_corrupted_floating_output_replaced_at_phase_zero(self):
         controllers = {i: MvcController(4, 0, i) for i in range(4)}
         drive_controllers_cycle(controllers, [1, 1, 1, 1], kappa=5)
         controllers[2].current_result = 77
         drive_controllers_cycle(controllers, [1, 1, 1, 1], kappa=5)
-        assert controllers[2].result() == 1
+        assert controllers[2].current_result == 1
 
     def test_mixed_inputs_agree(self):
         controllers = {i: MvcController(4, 0, i) for i in range(4)}
         drive_controllers_cycle(controllers, [1, 0, 1, 0], kappa=5)
         drive_controllers_cycle(controllers, [0, 0, 0, 0], kappa=5)
-        values = {c.result() for c in controllers.values()}
+        values = {c.current_result for c in controllers.values()}
         assert len(values) == 1
         assert values.pop() in (0, 1)
 
 
-# Reference implementations: the per-receiver store and the recursive Counter
-# resolve that the memoized validator and the bottom-up resolve replaced.
+# Reference implementations: the per-receiver store, the recursive Counter
+# resolve, and the flat tree of every level with its whole-tree sort, which
+# the memoized validator, the bottom-up resolve and the one stored level
+# replaced.
 
 
 def reference_store(tree: dict, n: int, sender: int, payload, expect_level: int) -> None:
@@ -180,12 +191,55 @@ def reference_resolve(co: EigConsensus, label: tuple = ()) -> object:
     return value if 2 * count > len(children) else 0
 
 
-def stored(co: EigConsensus, sender: int, payload, level: int, memo=None) -> dict:
+def reference_fill_tree(co: EigConsensus, value: object) -> None:
+    co.started = True
+    co.exchanges_done = co.t + 1
+    co.tree = {
+        label: value
+        for k in range(co.t + 2)
+        for label in permutations(range(co.n), k)
+    }
+
+
+def reference_propose(co: EigConsensus, value: object) -> CoPayload:
+    co.started = True
+    co.tree[()] = value
+    return CoPayload(level=0, entries=(((), value),))
+
+
+def reference_process(co: EigConsensus, msgs: dict, memo: dict) -> CoPayload | None:
+    if not co.started:
+        return None
+    k = co.exchanges_done + 1
+    for sender, payload in msgs.items():
+        if payload is None:
+            continue
+        key = (id(payload), sender, k - 1)
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = (payload, co._validate(sender, payload, k - 1))
+        co.tree.update(hit[1])
+    co.exchanges_done = k
+    if k > co.t:
+        return None
+    entries = tuple(
+        (label, value) for label, value in sorted(co.tree.items()) if len(label) == k
+    )
+    return CoPayload(level=k, entries=entries)
+
+
+def reference_result(co: EigConsensus) -> object:
+    if not co.started or co.exchanges_done < co.t + 1:
+        return None
+    return reference_resolve(co)
+
+
+def stored(co: EigConsensus, sender: int, payload, level: int) -> dict:
     """The tree a started instance expecting `level` builds from one arrival."""
     co.started = True
     co.exchanges_done = level
     co.tree = {}
-    co.process({sender: payload}, memo)
+    co.process({sender: payload}, {})
     return co.tree
 
 
@@ -225,6 +279,11 @@ MALFORMED = [
     )), 1),
     (2, CoPayload(level=0, entries=(((), "root"), ((), "again"), ((0,), "long"))), 0),
 ]
+# labels holding an unhashable id; the reference store raises on them
+UNHASHABLE_IDS = [
+    (1, CoPayload(level=1, entries=((([0],), 1),)), 1),
+    (3, CoPayload(level=2, entries=(((0, {}), 1), (([2], 1), 0), ((0, [1]), 0))), 2),
+]
 
 
 class TestValidation:
@@ -235,6 +294,11 @@ class TestValidation:
         reference_store(want, N, sender, payload, level)
         got = stored(EigConsensus(N, 1, 0), sender, payload, level)
         assert same_tree(got, want)
+
+    @pytest.mark.parametrize("case", range(len(UNHASHABLE_IDS)))
+    def test_unhashable_label_ids_dropped(self, case):
+        sender, payload, level = UNHASHABLE_IDS[case]
+        assert stored(EigConsensus(N, 1, 0), sender, payload, level) == {}
 
     def test_corpus_keeps_some_entries(self):
         """The corpus is not all rejections, so the key objects are compared."""
@@ -359,3 +423,90 @@ class TestResolve:
             co = node.mvc.co
             co.started, co.exchanges_done = True, t + 1
             assert repr(co.result()) == repr(reference_resolve(co))
+
+
+IDS = (0, 1, 2, 3, N, -1, 1.0, True, False, 2.0, "a", None)
+VALUES = (0, 1, True, 1.0, "x", None, (), UNHASHABLE)
+
+
+def random_arrivals(rng: random.Random, level: int, relayed: tuple) -> dict:
+    """Arrivals for a receiver expecting `level`: relays of its own last
+    broadcast mixed with random entries, some silent or mis-levelled senders."""
+    msgs: dict = {}
+    for sender in rng.sample(range(N), rng.randrange(N + 1)):
+        roll = rng.random()
+        if roll < 0.1:
+            msgs[sender] = None
+            continue
+        entries = [entry for entry in relayed if rng.random() < 0.7]
+        entries += [
+            (tuple(rng.choice(IDS) for _ in range(rng.choice((level, level, level - 1)))),
+             rng.choice(VALUES))
+            for _ in range(rng.randrange(0, 6))
+        ]
+        rng.shuffle(entries)
+        msgs[sender] = CoPayload(level=level if roll < 0.9 else level + 1, entries=tuple(entries))
+    return msgs
+
+
+def same_payload(got, want) -> bool:
+    """Equal entries, down to each label and value object's identity."""
+    if got is None or want is None:
+        return got is want
+    return repr(got) == repr(want) and all(
+        a[0] is b[0] and a[1] is b[1] for a, b in zip(got.entries, want.entries)
+    )
+
+
+def run_against_flat_reference(rng: random.Random, co: EigConsensus, ref: EigConsensus,
+                               sent: CoPayload) -> None:
+    """Drive a proposed instance and its flat-tree reference through every
+    exchange on the same arrivals, comparing each broadcast and the result."""
+    for k in range(1, co.t + 2):
+        msgs = random_arrivals(rng, k - 1, sent.entries)
+        memo: dict = {}  # shared, so both sides store the same validated pair objects
+        got = co.process(msgs, memo)
+        want = reference_process(ref, msgs, memo)
+        assert same_payload(got, want)
+        assert all(len(label) == k for label in co.tree)
+        assert co.tree == {label: v for label, v in ref.tree.items() if len(label) == k}
+        sent = got if got is not None else sent
+    assert repr(co.result()) == repr(reference_result(ref))
+
+
+class TestOneLevel:
+    def test_random_arrivals_match_flat_tree_reference(self):
+        rng = random.Random(8)
+        for _ in range(300):
+            t = rng.randrange(3)
+            co, ref = EigConsensus(N, t, 0), EigConsensus(N, t, 0)
+            value = rng.choice(VALUES[:-1])
+            sent = co.propose(value)
+            assert same_payload(sent, reference_propose(ref, value))
+            assert co.tree == {(): value}
+            run_against_flat_reference(rng, co, ref, sent)
+
+    @pytest.mark.parametrize("n,t", [(4, 0), (4, 1), (7, 2)])
+    def test_injected_starts_match_flat_tree_reference(self, n, t):
+        """Phase 0 as the engine runs it after an injected fault: capture
+        the result, restart, propose, then run every exchange."""
+        params = make_params(n, t, 3, 8, seed=0)
+        rng = random.Random(n * 10 + t)
+        starts = [("fill", value) for value in (0, 1, True)]
+        starts += [("garble", seed) for seed in range(40)]
+        for kind, arg in starts:
+            ctl = MvcController(n, t, 0)
+            ref = EigConsensus(n, t, 0)
+            if kind == "fill":
+                _fill_tree(SimpleNamespace(mvc=ctl), arg, params)
+                reference_fill_tree(ref, arg)
+                assert all(len(label) == t + 1 for label in ctl.co.tree)
+            else:
+                _garble_tree(SimpleNamespace(mvc=ctl), random.Random(arg), params)
+                _garble_tree(SimpleNamespace(mvc=SimpleNamespace(co=ref)), random.Random(arg), params)
+            sample = rng.choice((0, 1))
+            out = ctl.pulse(0, {}, sample, {})
+            assert repr(ctl.current_result) == repr(reference_result(ref))
+            ref.restart()
+            assert same_payload(out[0], reference_propose(ref, sample))
+            run_against_flat_reference(rng, ctl.co, ref, out[0])

@@ -1,7 +1,9 @@
 """Correct node step: the one place where delivery flags are merged."""
 
+from corsim import TrialConfig
 from corsim.cores import StubOracle, stub_core_factory
 from corsim.env import make_params
+from corsim.harness import RoundEngine
 from corsim.node import CorrectNode
 from corsim.transport import Envelope, EstPayload
 
@@ -19,7 +21,7 @@ def flag(sender, slot, delivered):
 
 
 def step(node, inbox, phase=1):
-    return node.step(round_index=phase, phase=phase, inbox=inbox, coin_bit=0)
+    return node.step(round_index=phase, phase=phase, inbox=inbox, coin_bit=0, memo={})
 
 
 def test_step_merges_each_flag_into_the_slot_its_est_names():
@@ -46,3 +48,23 @@ def test_self_flag_never_merged_from_wire():
     node.fixed_slot = 0
     step(node, {1: flag(1, 5, True), 2: flag(2, 5, True)})
     assert node.objects.slots[5].delivered == [False, False, True, False]
+
+
+def test_est_that_is_not_an_est_payload_is_skipped():
+    engine = RoundEngine(TrialConfig(params=P, rounds=5))
+    assert engine.byz_ids == [3]
+    engine.pending[0].inbox[3] = Envelope(sender=3, est="garbage")
+    engine._round(0)
+    assert not any(obj.delivered[3] for obj in engine.nodes[0].objects.slots)
+
+
+def test_each_incarnation_is_reported_read_once():
+    node = make_node(0)
+    node.fixed_slot = 0
+    active = node.objects.slots[0]
+    active.core.decided_cache = 1
+    assert step(node, {})[1].retrievals == ((0, 1),)
+    assert step(node, {})[1].retrievals == ()
+    active.recycle()
+    active.core.decided_cache = 0
+    assert step(node, {})[1].retrievals == ((0, 0),)

@@ -84,9 +84,11 @@ class TestRecycle:
         obj.propose(1)
         obj.core.decided_cache = 1
         obj.observe_result()
+        obj.reported = True
         obj.recycle()
         assert obj.was_delivered() == 0
         assert obj.is_fresh()
+        assert not obj.reported
 
     def test_recycle_clears_corruption(self):
         obj, _ = make_object()

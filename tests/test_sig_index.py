@@ -104,12 +104,12 @@ class TestHandSimulatedCycles:
 class TestPhaseDetails:
     def test_no_traffic_outside_protocol_phases(self):
         sig = SigIndex(P, 0)
-        assert sig.pulse(0, {}, lambda: 0, 0) is None
+        assert sig.pulse(0, {}, 0, 0) is None
 
     def test_propose_requires_quorum(self):
         sig = SigIndex(P, 0)
         msgs = {j: SigPayload(kind="index", value=4) for j in range(2)}
-        out = sig.pulse(P.kappa - 3, msgs, lambda: 0, 0)
+        out = sig.pulse(P.kappa - 3, msgs, 0, 0)
         assert out.value is None
 
     def test_bit_counts_distinct_senders_not_values(self):
@@ -120,7 +120,7 @@ class TestPhaseDetails:
             2: SigPayload(kind="propose", value=3),
             3: SigPayload(kind="propose", value=None),
         }
-        sig.pulse(P.kappa - 2, msgs, lambda: 0, 0)
+        sig.pulse(P.kappa - 2, msgs, 0, 0)
         assert sig.bit == 1  # three non-empty votes from distinct senders
         assert sig.save == 0  # but no majority value: default
 
@@ -128,7 +128,7 @@ class TestPhaseDetails:
         sig = SigIndex(P, 0)
         sig.index = 9
         msgs = {j: SigPayload(kind="bit", value=1) for j in range(4)}
-        out = sig.pulse(P.kappa - 3, msgs, lambda: 0, 0)
+        out = sig.pulse(P.kappa - 3, msgs, 0, 0)
         assert out.value is None  # bit messages do not count as index votes
 
     def test_mvc_bot_treated_as_no_increment(self):
