@@ -45,21 +45,33 @@ def grid() -> list[dict]:
                           recycling=True))
     for k, case in enumerate(cases):
         case["seed"] = 300 + k
-    return cases
+    # a wide window over 16 slots: long recycling sweeps, sparse in-use slots
+    wide = [
+        dict(n=4, t=1, adversary=adversary, inject=inject, core=core, recycling=True,
+             log_size=6, index_num=16, rounds=400)
+        for adversary, inject in (("silent", "none"), ("random", "full"),
+                                  ("equivocate", "targeted"))
+        for core in ("stub", "mmr-lite")
+    ]
+    for k, case in enumerate(wide):
+        case["seed"] = 400 + k
+    return cases + wide
 
 
 def case_id(case: dict) -> str:
     recycling = "" if case["recycling"] else "-norecycle"
     split = "-split" if "indices" in case else ""
     traffic = "-traffic" if case.get("log_traffic") else ""
+    wide = "-wide" if "index_num" in case else ""
     return (f"n{case['n']}-{case['adversary']}-{case['inject']}-{case['core']}"
-            f"{recycling}{split}{traffic}-s{case['seed']}")
+            f"{recycling}{split}{traffic}{wide}-s{case['seed']}")
 
 
 def run(case: dict) -> Trace:
     config = TrialConfig(
-        params=make_params(case["n"], case["t"], 3, 8, seed=case["seed"]),
-        rounds=ROUNDS,
+        params=make_params(case["n"], case["t"], case.get("log_size", 3),
+                           case.get("index_num", 8), seed=case["seed"]),
+        rounds=case.get("rounds", ROUNDS),
         adversary=case["adversary"],
         inject=case["inject"],
         core=case["core"],
