@@ -270,7 +270,13 @@ def inject(
     plan: dict,
     params: Params,
 ) -> None:
-    """Apply the corruption plan to node state and round-0 channel contents."""
+    """Apply the corruption plan to node state and round-0 channel contents.
+
+    It runs before the first round, while every object array still tracks
+    all of its slots, so the sweeps see whatever it plants. Any corruption
+    applied after that must reset each node's `objects.tracked` to every
+    slot, or the sweeps may never visit a slot it makes non-fresh.
+    """
     for i, fields in plan.get("nodes", {}).items():
         node = nodes[i]
         for name in ("index", "propose_val", "save", "bit", "inc"):

@@ -7,9 +7,11 @@ pulse, run the index pulse, sweep the recycler window, propose to and step
 the active object, and read results. Fresh proposals bind to the slot the
 index points at during phase 0.
 
-One loop reads the active object and every non-fresh in-window object (their
-results must reach every correct node before the window slides past them),
-but only the active object sends traffic.
+One loop reads the active object and every in-window object the array
+tracks as possibly non-fresh (their results must reach every correct node
+before the window slides past them), but only the active object sends
+traffic. An untracked slot is fresh, and reading a fresh object returns None
+and changes nothing, so skipping it is exact.
 """
 
 from __future__ import annotations
@@ -76,6 +78,8 @@ class CorrectNode:
         sig_by_sender: dict[int, SigPayload | None] = {}
         core_for_slot: dict[int, dict[int, object]] = {}
         for sender, env in inbox.items():
+            if not isinstance(env, Envelope):
+                continue  # not an envelope: read as an absent sender
             co_by_sender[sender] = env.co
             sig_by_sender[sender] = env.sig
             est = env.est
@@ -107,15 +111,13 @@ class CorrectNode:
 
         est_out = active.pulse_step(core_for_slot.get(active.slot, {}))
 
+        reads = {active.slot}
         if self.fixed_slot is None:
-            reads = sorted(window(self.sig.index, params.index_num, params.log_size))
-        else:
-            reads = [active.slot]
+            keep = window(self.sig.index, params.index_num, params.log_size)
+            reads.update(self.objects.tracked & keep)
         retrievals = []
-        for slot in reads:
+        for slot in sorted(reads):
             obj = self.objects.slots[slot]
-            if obj is not active and obj.is_fresh():
-                continue
             value = obj.observe_result()
             if value is not None and not obj.reported:
                 obj.reported = True

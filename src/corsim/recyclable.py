@@ -29,12 +29,16 @@ CORE_ERROR = _ErrorSymbol()
 
 
 class RecyclableObject:
-    def __init__(self, n: int, t: int, node_id: int, slot: int, core_factory: Callable[[int], AsyncCore]):
+    def __init__(self, n: int, t: int, node_id: int, slot: int,
+                 core_factory: Callable[[int], AsyncCore], tracked: set[int]):
         self.n = n
         self.t = t
         self.node_id = node_id
         self.slot = slot
         self._core_factory = core_factory
+        # the owning array's set of slots that may be non-fresh; the slot
+        # joins it wherever a fresh object can leave its initial state
+        self._tracked = tracked
         self.core: AsyncCore = core_factory(slot)
         self.delivered: list[bool] = [False] * n
         # whether the node has reported this incarnation's result as read
@@ -48,6 +52,7 @@ class RecyclableObject:
     def propose(self, value: int) -> None:
         """Record a proposal; a second propose in the same incarnation is a no-op."""
         self.core.propose(value)
+        self._tracked.add(self.slot)
 
     def observe_result(self) -> object:
         """Decided value, CORE_ERROR, or None while the core is still running.
@@ -88,6 +93,8 @@ class RecyclableObject:
         """Adopt the delivery flag last received from a peer (never from self)."""
         if sender != self.node_id and 0 <= sender < self.n:
             self.delivered[sender] = bool(flag)
+            if flag:
+                self._tracked.add(self.slot)
 
     def pulse_step(self, core_inbox: dict[int, object]) -> EstPayload:
         """One synchronous step of the active object.

@@ -1,13 +1,18 @@
 """Per-pulse window maintenance over the recyclable object array.
 
-Every round, each slot outside the log_size+1 window anchored at the shared
-index is reset. Running the sweep unconditionally makes it self-cleaning:
-out-of-window garbage left by a transient fault is purged even when the
-index never moves.
+Every round, each non-fresh slot outside the log_size+1 window anchored at
+the shared index is reset. The array tracks a superset of its non-fresh
+slots: it starts as every slot, so whatever a transient fault planted before
+the first sweep is swept; a slot joins it whenever its object may leave the
+fresh state (a proposal or a set delivery flag), and leaves it only when a
+sweep finds it fresh or recycles it. The sweeps visit only tracked slots,
+which keeps them self-cleaning: out-of-window garbage is purged even when
+the index never moves.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable
 
 from .recyclable import RecyclableObject
@@ -15,8 +20,12 @@ from .recyclable import RecyclableObject
 
 def window(ind: int, index_num: int, log_size: int) -> frozenset[int]:
     """Slots kept alive for index value ind: the anchor and log_size predecessors."""
-    z = index_num + ind
-    return frozenset(y % index_num for y in range(z - log_size, z + 1))
+    return _window(ind % index_num, index_num, log_size)
+
+
+@lru_cache(maxsize=1024)
+def _window(anchor: int, index_num: int, log_size: int) -> frozenset[int]:
+    return frozenset(y % index_num for y in range(anchor - log_size, anchor + 1))
 
 
 class ObjectArray:
@@ -24,26 +33,32 @@ class ObjectArray:
                  core_factory: Callable[[int], object]):
         self.index_num = index_num
         self.log_size = log_size
+        # a superset of the non-fresh slots; the objects add to it
+        self.tracked: set[int] = set(range(index_num))
         self.slots = [
-            RecyclableObject(n, t, node_id, slot, core_factory)
+            RecyclableObject(n, t, node_id, slot, core_factory, self.tracked)
             for slot in range(index_num)
         ]
 
     def recycler_pulse(self, ind: int) -> list[int]:
-        """Recycle every slot outside window(ind).
+        """Recycle every non-fresh slot outside window(ind).
 
         Reported are the slots whose incarnation was in use at this node;
         flag-only gossip is wiped silently (recycling it is a no-op
         observationally, and Byzantine flags must not fabricate events).
         """
-        keep = window(ind, self.index_num, self.log_size)
+        outside = self.tracked - window(ind, self.index_num, self.log_size)
         recycled = []
-        for slot, obj in enumerate(self.slots):
-            if slot not in keep and not obj.is_fresh():
+        for slot in sorted(outside):
+            obj = self.slots[slot]
+            if not obj.is_fresh():
                 if obj.has_local_state():
                     recycled.append(slot)
                 obj.recycle()
+        self.tracked -= outside
         return recycled
 
     def non_fresh_slots(self) -> list[int]:
-        return [slot for slot, obj in enumerate(self.slots) if not obj.is_fresh()]
+        """The non-fresh slots in ascending order; the fresh ones stop being tracked."""
+        self.tracked -= {slot for slot in self.tracked if self.slots[slot].is_fresh()}
+        return sorted(self.tracked)

@@ -14,7 +14,7 @@ from corsim.recyclable import RecyclableObject
 
 def wire_objects(oracle, n=4, t=1, slot=0):
     return {
-        i: RecyclableObject(n, t, i, slot, lambda s, i=i: DelayStubCore(oracle, i, s))
+        i: RecyclableObject(n, t, i, slot, lambda s, i=i: DelayStubCore(oracle, i, s), set())
         for i in oracle.correct_ids
     }
 

@@ -67,7 +67,7 @@ def case_id(case: dict) -> str:
             f"{recycling}{split}{traffic}{wide}-s{case['seed']}")
 
 
-def run(case: dict) -> Trace:
+def build(case: dict) -> RoundEngine:
     config = TrialConfig(
         params=make_params(case["n"], case["t"], case.get("log_size", 3),
                            case.get("index_num", 8), seed=case["seed"]),
@@ -81,7 +81,11 @@ def run(case: dict) -> Trace:
     engine = RoundEngine(config)
     for i, index in enumerate(case.get("indices", ())):
         engine.nodes[i].sig.index = index
-    return engine.run()
+    return engine
+
+
+def run(case: dict) -> Trace:
+    return build(case).run()
 
 
 def digest(case: dict) -> str:
@@ -96,6 +100,23 @@ def golden() -> dict:
 @pytest.mark.parametrize("case", grid(), ids=case_id)
 def test_trace_digest_unchanged(case, golden):
     assert digest(case) == golden[case_id(case)]
+
+
+@pytest.mark.parametrize("case", grid(), ids=case_id)
+def test_tracked_slots_cover_every_non_fresh_slot(case):
+    """The sweeps visit only tracked slots, so every non-fresh slot must be one.
+
+    Tracking starts as every slot, so whatever the injector planted is swept.
+    """
+    engine = build(case)
+    arrays = [engine.nodes[i].objects for i in engine.correct_ids]
+    for array in arrays:
+        assert array.tracked == set(range(len(array.slots)))
+    for r in range(engine.config.rounds):
+        engine._round(r)
+        for array in arrays:
+            non_fresh = {slot for slot, obj in enumerate(array.slots) if not obj.is_fresh()}
+            assert non_fresh <= array.tracked, f"round {r}"
 
 
 def test_table_covers_grid_exactly(golden):

@@ -58,6 +58,17 @@ def test_est_that_is_not_an_est_payload_is_skipped():
     assert not any(obj.delivered[3] for obj in engine.nodes[0].objects.slots)
 
 
+def test_mail_that_is_not_an_envelope_reads_as_an_absent_sender():
+    engine = RoundEngine(TrialConfig(params=P, rounds=5))
+    engine.pending[0].inbox[3] = "garbage"
+    engine._round(0)
+    # round-0 mail is empty unless the injector plants some
+    reference = RoundEngine(TrialConfig(params=P, rounds=5))
+    assert 3 not in reference.pending[0].inbox
+    reference._round(0)
+    assert engine.trace.rounds == reference.trace.rounds
+
+
 def test_each_incarnation_is_reported_read_once():
     node = make_node(0)
     node.fixed_slot = 0

@@ -2,13 +2,14 @@
 
 from itertools import product
 
-from corsim.cores import DelayStubCore, StubOracle
+from corsim.cores import DelayStubCore, StubOracle, mmr_core_factory
 from corsim.recyclable import CORE_ERROR, RecyclableObject
 
 
 def make_object(n=4, t=1, node_id=0, slot=0, oracle=None):
     oracle = oracle or StubOracle(seed=0, correct_ids=list(range(n - t)), dmax=0)
-    obj = RecyclableObject(n, t, node_id, slot, lambda s: DelayStubCore(oracle, node_id, s))
+    obj = RecyclableObject(n, t, node_id, slot, lambda s: DelayStubCore(oracle, node_id, s),
+                           set())
     return obj, oracle
 
 
@@ -127,6 +128,56 @@ class TestPulseStep:
         assert out.delivered is True
 
 
+def read_leaves_fresh(obj):
+    assert obj.is_fresh()
+    assert obj.observe_result() is None
+    assert obj.is_fresh()
+
+
+def make_mmr_object(n=4, t=1, node_id=0, slot=0):
+    return RecyclableObject(n, t, node_id, slot, mmr_core_factory(n, t, node_id, seed=0), set())
+
+
+class TestReadingAFreshObject:
+    """observe_result() on a fresh object returns None and leaves it fresh.
+
+    The node relies on this to read only the slots its array tracks.
+    """
+
+    def test_new_stub_object(self):
+        read_leaves_fresh(make_object()[0])
+
+    def test_recycled_stub_object_whose_slot_keeps_a_record(self):
+        oracle = StubOracle(seed=0, correct_ids=[0, 1, 2], dmax=0)
+        objs = {i: make_object(node_id=i, oracle=oracle)[0] for i in oracle.correct_ids}
+        for obj in objs.values():
+            obj.propose(1)
+        oracle.observe(0, {i: [obj] for i, obj in objs.items()})
+        oracle.begin_round(1)
+        assert objs[0].observe_result() == 1
+        objs[0].recycle()
+        # the record still binds the slot to the previous core
+        assert oracle.records[0].members[0] is not objs[0].core
+        read_leaves_fresh(objs[0])
+
+    def test_new_mmr_object(self):
+        read_leaves_fresh(make_mmr_object())
+
+    def test_recycled_mmr_object(self):
+        obj = make_mmr_object()
+        obj.propose(1)
+        obj.pulse_step({j: ("MMR", 1, (1,), 1) for j in (1, 2, 3)})
+        obj.core.decided_cache = 1
+        assert obj.observe_result() == 1
+        obj.recycle()
+        read_leaves_fresh(obj)
+
+    def test_stepping_an_unproposed_object_leaves_it_fresh(self):
+        for obj in (make_object()[0], make_mmr_object()):
+            obj.pulse_step({j: ("MMR", 1, (1,), 1) for j in (1, 2, 3)})
+            read_leaves_fresh(obj)
+
+
 class TestLocalState:
     def test_remote_flags_alone_are_not_local_state(self):
         obj, _ = make_object()
@@ -146,7 +197,8 @@ def test_delivery_indication_propagates_to_all_correct():
     wasDelivered()=1 (single object, no recycling, lock-step by hand)."""
     n, t = 4, 1
     oracle = StubOracle(seed=1, correct_ids=[0, 1, 2], dmax=2)
-    objs = {i: RecyclableObject(n, t, i, 0, lambda s, i=i: DelayStubCore(oracle, i, s)) for i in range(3)}
+    objs = {i: RecyclableObject(n, t, i, 0, lambda s, i=i: DelayStubCore(oracle, i, s), set())
+            for i in range(3)}
     for i, obj in objs.items():
         obj.propose(1)
     outboxes = {i: None for i in objs}

@@ -1,7 +1,7 @@
 """Window algebra and the per-pulse recycling sweep."""
 
 from corsim.cores import DelayStubCore, StubOracle
-from corsim.recycler import ObjectArray, window
+from corsim.recycler import ObjectArray, _window, window
 
 
 def brute_window(ind, index_num, log_size):
@@ -18,6 +18,12 @@ class TestWindow:
 
     def test_wraparound(self):
         assert window(1, 8, 3) == {6, 7, 0, 1}
+
+    def test_corrupted_index_hits_a_bounded_cache(self):
+        _window.cache_clear()
+        for ind in (-(2**31), -1, 2**31 - 1, 2**31 + 5, 12, 4):
+            assert window(ind, 8, 3) == brute_window(ind, 8, 3)
+        assert _window.cache_info().currsize <= 8
 
     def test_matches_brute_force_everywhere(self):
         for index_num in range(2, 17):
@@ -68,6 +74,25 @@ class TestRecyclerPulse:
         arr.slots[0].propose(1)  # transient garbage far from the window
         assert arr.recycler_pulse(5) == [0]
         assert arr.slots[0].is_fresh()
+
+    def test_every_slot_is_tracked_until_a_sweep_finds_it_fresh(self):
+        arr = make_array()
+        assert arr.tracked == set(range(8))
+        arr.slots[3].propose(1)
+        assert arr.non_fresh_slots() == [3]
+        assert arr.tracked == {3}
+
+    def test_a_slot_swept_fresh_is_tracked_again_when_it_leaves_its_initial_state(self):
+        arr = make_array()
+        assert arr.recycler_pulse(5) == []
+        assert arr.tracked == {2, 3, 4, 5}
+        arr.slots[0].propose(1)
+        arr.slots[1].merge_flag(2, True)
+        arr.slots[7].merge_flag(2, False)
+        assert arr.tracked == {0, 1, 2, 3, 4, 5}
+        assert arr.recycler_pulse(5) == [0]
+        assert arr.slots[1].is_fresh()
+        assert arr.tracked == {2, 3, 4, 5}
 
     def test_flag_gossip_wiped_but_not_reported(self):
         arr = make_array()
