@@ -273,9 +273,11 @@ def inject(
     """Apply the corruption plan to node state and round-0 channel contents.
 
     It runs before the first round, while every object array still tracks
-    all of its slots, so the sweeps see whatever it plants. Any corruption
+    all of its slots and has settled none, so the sweeps see whatever it
+    plants and the node reads every object it leaves decided. Any corruption
     applied after that must reset each node's `objects.tracked` to every
-    slot, or the sweeps may never visit a slot it makes non-fresh.
+    slot, or the sweeps may never visit a slot it makes non-fresh, and must
+    clear `objects.settled`, or the node may never read a slot it changes.
     """
     for i, fields in plan.get("nodes", {}).items():
         node = nodes[i]

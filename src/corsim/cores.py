@@ -32,7 +32,10 @@ class AsyncCore(Protocol):
 
     decided() returns None while undecided, (DECIDED, v) once a value is
     fixed, or (CORE_FAULT, None) when internal self-checks fail after a
-    transient fault. Completion must eventually hold from any state.
+    transient fault. Once it returns a non-None answer, every later call
+    returns the same answer, whatever the core is stepped with, until the
+    object is recycled: the node reads each incarnation's result once and
+    relies on this. Completion must eventually hold from any state.
     proposed holds the incarnation's proposal (None until propose).
     """
 

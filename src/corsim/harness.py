@@ -37,6 +37,24 @@ REVEAL_ORDER = ("byz_outboxes", "coin_reveal", "node_compute")
 
 CORES = ("stub", "mmr-lite")
 
+# Size limits, checked before a trial allocates anything. Each correct node's
+# EIG stores (n)_(t+1) leaf labels per cycle: (17)_5 = 742,560 is admitted,
+# and no t >= 5 is, since (16)_6 = 5,765,760 is the smallest such count.
+EIG_LEAF_LIMIT = 1_000_000
+# Each correct node holds index_num recyclable objects, about 1 KB each under
+# mmr-lite; the bench's widest array is 64 slots at 3 correct nodes.
+OBJECT_LIMIT = 262_144
+
+
+def _eig_leaves_above(n: int, t: int, limit: int) -> bool:
+    """Whether (n)_(t+1) = n(n-1)...(n-t) exceeds limit; stops once it does."""
+    leaves = 1
+    for factor in range(n, n - t - 1, -1):
+        leaves *= factor
+        if leaves > limit:
+            return True
+    return False
+
 
 class ConfigError(Exception):
     def __init__(self, violations: list[str]):
@@ -67,6 +85,18 @@ class TrialConfig:
             problems.append("rounds >= 1")
         if self.dmax < 0:
             problems.append("dmax >= 0")
+        p = self.params
+        if not problems and _eig_leaves_above(p.n, p.t, EIG_LEAF_LIMIT):
+            problems.append(
+                f"(n)_(t+1) = ({p.n})_{p.t + 1} EIG leaf labels per node exceed the "
+                f"limit of {EIG_LEAF_LIMIT:,}"
+            )
+        objects = p.index_num * (p.n - p.t)
+        if not problems and objects > OBJECT_LIMIT:
+            problems.append(
+                f"index_num x (n-t) = {p.index_num:,} x {p.n - p.t} = {objects:,} "
+                f"recyclable objects exceed the limit of {OBJECT_LIMIT:,}"
+            )
         if problems:
             raise ConfigError(problems)
 

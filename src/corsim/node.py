@@ -11,7 +11,10 @@ One loop reads the active object and every in-window object the array
 tracks as possibly non-fresh (their results must reach every correct node
 before the window slides past them), but only the active object sends
 traffic. An untracked slot is fresh, and reading a fresh object returns None
-and changes nothing, so skipping it is exact.
+and changes nothing, so skipping it is exact. A settled slot, one whose
+current incarnation this node has already read a value from, is skipped too:
+a core's decision never changes once made, so a second read would return the
+same value and leave the same flag set.
 """
 
 from __future__ import annotations
@@ -111,16 +114,16 @@ class CorrectNode:
 
         est_out = active.pulse_step(core_for_slot.get(active.slot, {}))
 
+        objects = self.objects
         reads = {active.slot}
         if self.fixed_slot is None:
             keep = window(self.sig.index, params.index_num, params.log_size)
-            reads.update(self.objects.tracked & keep)
+            reads.update(objects.tracked & keep)
         retrievals = []
-        for slot in sorted(reads):
-            obj = self.objects.slots[slot]
-            value = obj.observe_result()
-            if value is not None and not obj.reported:
-                obj.reported = True
+        for slot in sorted(reads - objects.settled):
+            value = objects.slots[slot].observe_result()
+            if value is not None:
+                objects.settled.add(slot)
                 retrievals.append((slot, value))
         report.retrievals = tuple(retrievals)
 

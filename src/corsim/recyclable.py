@@ -30,7 +30,8 @@ CORE_ERROR = _ErrorSymbol()
 
 class RecyclableObject:
     def __init__(self, n: int, t: int, node_id: int, slot: int,
-                 core_factory: Callable[[int], AsyncCore], tracked: set[int]):
+                 core_factory: Callable[[int], AsyncCore], tracked: set[int],
+                 settled: set[int]):
         self.n = n
         self.t = t
         self.node_id = node_id
@@ -39,10 +40,11 @@ class RecyclableObject:
         # the owning array's set of slots that may be non-fresh; the slot
         # joins it wherever a fresh object can leave its initial state
         self._tracked = tracked
+        # the owning array's set of slots whose incarnation this node has
+        # read a result from; recycle() takes the slot out
+        self._settled = settled
         self.core: AsyncCore = core_factory(slot)
         self.delivered: list[bool] = [False] * n
-        # whether the node has reported this incarnation's result as read
-        self.reported = False
 
     @property
     def proposed(self) -> object:
@@ -72,10 +74,10 @@ class RecyclableObject:
         return 1 if sum(self.delivered) >= self.n - self.t else 0
 
     def recycle(self) -> None:
-        """Reset core, delivery flags and the reported mark to the initial state."""
+        """Reset core and delivery flags to the initial state; the slot is unsettled."""
         self.core = self._core_factory(self.slot)
         self.delivered = [False] * self.n
-        self.reported = False
+        self._settled.discard(self.slot)
 
     def is_fresh(self) -> bool:
         return not any(self.delivered) and self.core.is_initial()

@@ -8,6 +8,14 @@ fresh state (a proposal or a set delivery flag), and leaves it only when a
 sweep finds it fresh or recycles it. The sweeps visit only tracked slots,
 which keeps them self-cleaning: out-of-window garbage is purged even when
 the index never moves.
+
+The array also keeps the settled slots: those whose current incarnation this
+node has already read a result from. The set starts empty, a slot joins it
+only when the node's own read reports a value, and it leaves when its object
+is recycled, so no planted state can put a slot in it. A core's decision
+never changes once made, so a settled slot needs no further read, and its own
+delivery flag stays set until it is recycled, so it is non-fresh without a
+test.
 """
 
 from __future__ import annotations
@@ -35,8 +43,11 @@ class ObjectArray:
         self.log_size = log_size
         # a superset of the non-fresh slots; the objects add to it
         self.tracked: set[int] = set(range(index_num))
+        # the tracked slots whose incarnation this node has read; the node
+        # adds to it and each object's recycle() takes its slot out
+        self.settled: set[int] = set()
         self.slots = [
-            RecyclableObject(n, t, node_id, slot, core_factory, self.tracked)
+            RecyclableObject(n, t, node_id, slot, core_factory, self.tracked, self.settled)
             for slot in range(index_num)
         ]
 
@@ -59,6 +70,10 @@ class ObjectArray:
         return recycled
 
     def non_fresh_slots(self) -> list[int]:
-        """The non-fresh slots in ascending order; the fresh ones stop being tracked."""
-        self.tracked -= {slot for slot in self.tracked if self.slots[slot].is_fresh()}
+        """The non-fresh slots in ascending order; the fresh ones stop being tracked.
+
+        Settled slots are non-fresh by construction, so only the rest are tested.
+        """
+        unsettled = self.tracked - self.settled
+        self.tracked -= {slot for slot in unsettled if self.slots[slot].is_fresh()}
         return sorted(self.tracked)

@@ -2,12 +2,15 @@
 
 import csv
 import json
+import time
+import tracemalloc
 
 import pytest
 
 from corsim.adversary import POLICIES
 from corsim.cli import main
 from corsim.env import make_params, params_validate
+from corsim.harness import ConfigError, TrialConfig
 
 
 def test_run_writes_csv_and_summary(tmp_path, capsys):
@@ -44,6 +47,43 @@ def test_invalid_params_exit_2(tmp_path, capsys):
     code = main(["run", "--n", "3", "--t", "1", "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert "3t+1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, size, limit", [
+    (["--n", "31", "--t", "10", "--rounds", "8"], "(31)_11", "1,000,000"),
+    (["--index-num", "50000000", "--rounds", "1"], "150,000,000", "262,144"),
+])
+def test_infeasible_size_exits_2_before_allocating(tmp_path, capsys, argv, size, limit):
+    tracemalloc.start()
+    start = time.perf_counter()
+    code = main(["run", *argv, "--out", str(tmp_path / "x.csv")])
+    elapsed = time.perf_counter() - start
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert size in err and limit in err
+    assert elapsed < 1.0
+    assert peak < 1_000_000
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("n, t, index_num, ok", [
+    (13, 4, 8, True),  # (13)_5 = 154,440 leaves
+    (17, 4, 8, True),  # (17)_5 = 742,560
+    (18, 4, 8, False),  # (18)_5 = 1,028,160
+    (16, 5, 8, False),  # (16)_6 = 5,765,760, the smallest count at t = 5
+    (10**9, 3 * 10**8, 8, False),  # stops multiplying once past the limit
+    (4, 1, 87_381, True),  # 262,143 objects
+    (4, 1, 87_382, False),  # 262,146
+])
+def test_size_limits(n, t, index_num, ok):
+    config = TrialConfig(params=make_params(n, t, log_size=3, index_num=index_num))
+    if ok:
+        config.check()
+    else:
+        with pytest.raises(ConfigError):
+            config.check()
 
 
 def test_config_file_with_cli_override(tmp_path):

@@ -1,5 +1,8 @@
 """Core contract checks for the delay stub and the coin-based consensus."""
 
+import pytest
+
+from corsim.adversary import _garble_objects
 from corsim.cores import (
     CORE_FAULT,
     DECIDED,
@@ -7,14 +10,15 @@ from corsim.cores import (
     StubOracle,
     mmr_core_factory,
 )
-from corsim.env import make_params
-from corsim.harness import RoundEngine, TrialConfig
-from corsim.recyclable import RecyclableObject
+from corsim.env import make_params, seeded_rng
+from corsim.harness import CORES, RoundEngine, TrialConfig
+from corsim.recyclable import CORE_ERROR, RecyclableObject
 
 
 def wire_objects(oracle, n=4, t=1, slot=0):
     return {
-        i: RecyclableObject(n, t, i, slot, lambda s, i=i: DelayStubCore(oracle, i, s), set())
+        i: RecyclableObject(n, t, i, slot, lambda s, i=i: DelayStubCore(oracle, i, s),
+                            set(), set())
         for i in oracle.correct_ids
     }
 
@@ -151,3 +155,76 @@ class TestMmrLite:
         core.est = 7
         core.step({})
         assert core.decided() == (CORE_FAULT, None)
+
+
+def byzantine_core_message(rng):
+    """A core message a Byzantine sender may send: well-formed, equivocating or malformed."""
+    return rng.choice((
+        ("MMR", rng.randrange(1, 6), rng.choice(((0,), (1,), (0, 1), ())),
+         rng.choice((0, 1, None))),
+        ("MMR", rng.choice((0, -1, 10**7, 1.5, "1", True, None)), (0, 1), 1),
+        ("MMR", 1, [0, 1], 0),
+        ("MMR", rng.randrange(1, 4), (7, None, "x"), 5),
+        ("MMR", 2),
+        ("XYZ", 1, (1,), 1),
+        "MMR",
+        None,
+        17,
+        [("MMR", 1, (1,), 1)],
+    ))
+
+
+@pytest.mark.parametrize("core", CORES)
+@pytest.mark.parametrize("seed", range(4))
+def test_a_read_result_stays_until_recycled(core, seed):
+    """decided() is constant once non-None, so each object's read is too.
+
+    Objects start from seeded garbled states. Every round each one gets the
+    correct copies' last core messages (some dropped) plus messages from the
+    Byzantine sender, drawn separately for every receiver, and arbitrary
+    flag merges. After an object's first non-None read, every later read
+    returns the same value and leaves the node's own delivery flag set.
+    """
+    params = make_params(4, 1, log_size=3, index_num=8, seed=seed)
+    engine = RoundEngine(TrialConfig(params=params, core=core))
+    oracle = engine.stub_oracle
+    rng = seeded_rng(seed, "test-read-stays")
+    for i, node in engine.nodes.items():
+        _garble_objects(node, seeded_rng(seed, "test-garble", i), params)
+    first = {}  # (node, slot) -> (round, result) of the first non-None read
+    later_reads = 0
+
+    def read(i, slot, obj, r):
+        nonlocal later_reads
+        value = obj.observe_result()
+        if (i, slot) in first:
+            expected = first[i, slot][1]
+            assert (type(value), value) == (type(expected), expected)
+            assert obj.delivered[i]
+            later_reads += 1
+        elif value is not None:
+            first[i, slot] = (r, value)
+
+    last = {i: [None] * params.index_num for i in engine.correct_ids}
+    for r in range(150):
+        oracle.begin_round(r)
+        sent = {i: [None] * params.index_num for i in engine.correct_ids}
+        for i, node in engine.nodes.items():
+            for slot, obj in enumerate(node.objects.slots):
+                if obj.proposed is None and rng.random() < 0.1:
+                    obj.propose(rng.getrandbits(1))
+                inbox = {j: last[j][slot] for j in engine.correct_ids
+                         if last[j][slot] is not None and rng.random() < 0.9}
+                for b in engine.byz_ids:
+                    if rng.random() < 0.8:
+                        inbox[b] = byzantine_core_message(rng)
+                obj.merge_flag(rng.randrange(params.n), bool(rng.getrandbits(1)))
+                read(i, slot, obj, r)
+                sent[i][slot] = obj.pulse_step(inbox).core
+                read(i, slot, obj, r)
+        last = sent
+        oracle.observe(r, engine.oracle_slots)
+    results = [value for _, value in first.values()]
+    assert later_reads > 1000
+    assert any(r > 0 for r, _ in first.values())  # some objects decide while stepped
+    assert CORE_ERROR in results and {0, 1} <= set(results)

@@ -107,16 +107,52 @@ def test_tracked_slots_cover_every_non_fresh_slot(case):
     """The sweeps visit only tracked slots, so every non-fresh slot must be one.
 
     Tracking starts as every slot, so whatever the injector planted is swept.
+    Settled slots are skipped by the node's reads and by the freshness test,
+    so each must be tracked, non-fresh, and read in its current incarnation.
     """
     engine = build(case)
-    arrays = [engine.nodes[i].objects for i in engine.correct_ids]
-    for array in arrays:
+    for i in engine.correct_ids:
+        array = engine.nodes[i].objects
         assert array.tracked == set(range(len(array.slots)))
+        assert array.settled == set()
+    settled_seen = 0
     for r in range(engine.config.rounds):
         engine._round(r)
-        for array in arrays:
+        for i in engine.correct_ids:
+            array = engine.nodes[i].objects
             non_fresh = {slot for slot, obj in enumerate(array.slots) if not obj.is_fresh()}
             assert non_fresh <= array.tracked, f"round {r}"
+            assert array.settled <= non_fresh, f"round {r} node {i}"
+            for slot in array.settled:
+                key = (slot, engine.slot_gen[slot])
+                assert i in engine.trace.retrievals.get(key, {}), f"round {r} node {i} {key}"
+            settled_seen += len(array.settled)
+    assert settled_seen
+
+
+@pytest.mark.parametrize("core", ["stub", "mmr-lite"])
+def test_a_decided_core_planted_before_round_0_is_read_once(core):
+    """The settled set starts empty, so planted state cannot skip the first read."""
+    engine = build(dict(n=4, t=1, adversary="silent", inject="none", core=core,
+                        recycling=True, seed=7))
+    node = engine.nodes[0]
+    planted = 7  # in the window of index 0, which holds slots 5, 6, 7 and 0
+    assert node.sig.index == 0
+    node.objects.slots[planted].core.decided_cache = 1
+    step = node.step
+    reads = []
+
+    def spy(*args):
+        outbox, report = step(*args)
+        reads.append([value for slot, value in report.retrievals if slot == planted])
+        return outbox, report
+
+    node.step = spy
+    for r in range(4):
+        engine._round(r)
+    assert planted in node.objects.settled
+    assert reads == [[1], [], [], []]
+    assert engine.trace.retrievals[(planted, 0)][0] == (0, "1")
 
 
 def test_table_covers_grid_exactly(golden):

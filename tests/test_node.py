@@ -74,8 +74,12 @@ def test_each_incarnation_is_reported_read_once():
     node.fixed_slot = 0
     active = node.objects.slots[0]
     active.core.decided_cache = 1
+    assert node.objects.settled == set()
     assert step(node, {})[1].retrievals == ((0, 1),)
+    assert node.objects.settled == {0}
     assert step(node, {})[1].retrievals == ()
     active.recycle()
+    assert node.objects.settled == set()
     active.core.decided_cache = 0
     assert step(node, {})[1].retrievals == ((0, 0),)
+    assert node.objects.settled == {0}

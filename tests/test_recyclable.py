@@ -9,7 +9,7 @@ from corsim.recyclable import CORE_ERROR, RecyclableObject
 def make_object(n=4, t=1, node_id=0, slot=0, oracle=None):
     oracle = oracle or StubOracle(seed=0, correct_ids=list(range(n - t)), dmax=0)
     obj = RecyclableObject(n, t, node_id, slot, lambda s: DelayStubCore(oracle, node_id, s),
-                           set())
+                           set(), set())
     return obj, oracle
 
 
@@ -81,15 +81,16 @@ class TestWasDelivered:
 
 class TestRecycle:
     def test_recycle_after_decision_resets(self):
-        obj, _ = make_object()
+        settled = {0, 5}
+        obj = RecyclableObject(4, 1, 0, 0, lambda s: DelayStubCore(None, 0, s), set(), settled)
         obj.propose(1)
         obj.core.decided_cache = 1
         obj.observe_result()
-        obj.reported = True
         obj.recycle()
         assert obj.was_delivered() == 0
         assert obj.is_fresh()
-        assert not obj.reported
+        # the object takes only its own slot out of the array's settled set
+        assert settled == {5}
 
     def test_recycle_clears_corruption(self):
         obj, _ = make_object()
@@ -135,7 +136,8 @@ def read_leaves_fresh(obj):
 
 
 def make_mmr_object(n=4, t=1, node_id=0, slot=0):
-    return RecyclableObject(n, t, node_id, slot, mmr_core_factory(n, t, node_id, seed=0), set())
+    return RecyclableObject(n, t, node_id, slot, mmr_core_factory(n, t, node_id, seed=0),
+                            set(), set())
 
 
 class TestReadingAFreshObject:
@@ -197,7 +199,8 @@ def test_delivery_indication_propagates_to_all_correct():
     wasDelivered()=1 (single object, no recycling, lock-step by hand)."""
     n, t = 4, 1
     oracle = StubOracle(seed=1, correct_ids=[0, 1, 2], dmax=2)
-    objs = {i: RecyclableObject(n, t, i, 0, lambda s, i=i: DelayStubCore(oracle, i, s), set())
+    objs = {i: RecyclableObject(n, t, i, 0, lambda s, i=i: DelayStubCore(oracle, i, s),
+                                set(), set())
             for i in range(3)}
     for i, obj in objs.items():
         obj.propose(1)
