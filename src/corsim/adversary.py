@@ -232,7 +232,11 @@ INJECT_MODES = ("none", "full", "targeted")
 
 
 def plan_corruption(mode: str, params: Params, correct_ids: list[int]) -> dict:
-    """The one-shot corruption plan: per correct node, the fields to overwrite."""
+    """The one-shot corruption plan: per correct node, the fields to overwrite.
+
+    The targeted `clear_delivered` key applies nothing, since no object exists
+    before round 0; it stays because the plan is recorded in the trace.
+    """
     if mode not in INJECT_MODES:
         raise ValueError(f"unknown injection mode {mode!r}")
     if mode == "none":
@@ -272,12 +276,11 @@ def inject(
 ) -> None:
     """Apply the corruption plan to node state and round-0 channel contents.
 
-    It runs before the first round, while every object array still tracks
-    all of its slots and has settled none, so the sweeps see whatever it
-    plants and the node reads every object it leaves decided. Any corruption
-    applied after that must reset each node's `objects.tracked` to every
-    slot, or the sweeps may never visit a slot it makes non-fresh, and must
-    clear `objects.settled`, or the node may never read a slot it changes.
+    It runs before the first round, while no object array has settled a
+    slot, so the node reads every object it leaves decided. It plants object
+    state through `objects.get`, so the sweeps see every object it touches.
+    Any corruption applied later must also clear `objects.settled`, or the
+    node may never read a slot it changes.
     """
     for i, fields in plan.get("nodes", {}).items():
         node = nodes[i]
@@ -288,9 +291,6 @@ def inject(
             node.mvc.current_result = fields["current_result"]
         if fields.get("eig_all_ones"):
             _fill_tree(node, value=1, params=params)
-        if fields.get("clear_delivered"):
-            for obj in node.objects.slots:
-                obj.delivered = [False] * params.n
         if "eig_garbage" in fields:
             rng = seeded_rng(params.seed, "inject-eig", i, fields["eig_garbage"])
             _garble_tree(node, rng, params)
@@ -323,9 +323,11 @@ def _garble_tree(node: "CorrectNode", rng: random.Random, params: Params) -> Non
 
 
 def _garble_objects(node: "CorrectNode", rng: random.Random, params: Params) -> None:
-    for obj in node.objects.slots:
+    """Garble about half of the slots, each with one draw in slot order to pick it."""
+    for slot in range(params.index_num):
         if rng.random() < 0.5:
             continue
+        obj = node.objects.get(slot)
         obj.delivered = [bool(rng.getrandbits(1)) for _ in range(params.n)]
         core = obj.core
         core.proposed = rng.choice((None, 0, 1, rng.randrange(8)))

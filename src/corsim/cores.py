@@ -83,21 +83,22 @@ class StubOracle:
     def begin_round(self, round_index: int) -> None:
         self.now = round_index
 
-    def observe(self, round_index: int, objects_by_node: dict[int, list]) -> None:
+    def observe(self, round_index: int, objects_by_node: dict[int, dict]) -> None:
         """End-of-round sweep: trigger a decision for every newly proposed slot.
 
-        Under mmr-lite the engine passes no objects and nothing is swept.
+        objects_by_node maps each correct node to its live objects by slot; a
+        slot can trigger only if it is live at the first correct node. Under
+        mmr-lite the engine passes no objects and nothing is swept.
         """
         if not objects_by_node:
             return
-        slot_count = len(objects_by_node[self.correct_ids[0]])
-        for slot in range(slot_count):
+        for slot in objects_by_node[self.correct_ids[0]]:
             if slot in self.records:
                 continue
-            cores = {i: objects_by_node[i][slot].core for i in self.correct_ids}
-            if all(core.proposed is not None for core in cores.values()):
+            objs = [objects_by_node[i].get(slot) for i in self.correct_ids]
+            if all(obj is not None and obj.proposed is not None for obj in objs):
                 self.records[slot] = _SlotRecord(
-                    value=_majority_bit([core.proposed for core in cores.values()]),
+                    value=_majority_bit([obj.proposed for obj in objs]),
                     reveal={
                         i: round_index
                         + derived_int(
@@ -106,7 +107,7 @@ class StubOracle:
                         )
                         for i in self.correct_ids
                     },
-                    members=cores,
+                    members={i: obj.core for i, obj in zip(self.correct_ids, objs)},
                 )
 
     def forget(self, slot: int) -> None:

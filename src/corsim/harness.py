@@ -19,6 +19,7 @@ import io
 import json
 import os
 import statistics
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 
 from .adversary import INJECT_MODES, POLICIES, Adversary, AdversaryView, inject, plan_corruption
@@ -41,8 +42,8 @@ CORES = ("stub", "mmr-lite")
 # EIG stores (n)_(t+1) leaf labels per cycle: (17)_5 = 742,560 is admitted,
 # and no t >= 5 is, since (16)_6 = 5,765,760 is the smallest such count.
 EIG_LEAF_LIMIT = 1_000_000
-# Each correct node holds index_num recyclable objects, about 1 KB each under
-# mmr-lite; the bench's widest array is 64 slots at 3 correct nodes.
+# Objects are built on first touch, but `full` inject builds and garbles about
+# half of each node's index_num slots (about 1 KB each under mmr-lite).
 OBJECT_LIMIT = 262_144
 
 
@@ -249,7 +250,7 @@ class RoundEngine:
 
         self.coin = CoinOracle(p.seed)
         self.stub_oracle = StubOracle(p.seed, self.correct_ids, config.dmax)
-        self.slot_gen = {s: 0 for s in range(p.index_num)}
+        self.slot_gen: defaultdict[int, int] = defaultdict(int)
         # slots not fresh at some correct node after the last round
         self.slots_in_use: set[int] = set()
 
@@ -268,10 +269,10 @@ class RoundEngine:
             if not config.recycling:
                 node.fixed_slot = 0
             self.nodes[i] = node
-        # what the stub oracle watches; no slot list is ever replaced, and
-        # mmr-lite objects have no oracle to serve
+        # what the stub oracle watches; no live-object dict is ever replaced,
+        # and mmr-lite objects have no oracle to serve
         self.oracle_slots = (
-            {i: node.objects.slots for i, node in self.nodes.items()}
+            {i: node.objects.live for i, node in self.nodes.items()}
             if config.core == "stub" else {}
         )
 

@@ -5,13 +5,13 @@ co and sig fields and merging each est's delivery flag into the slot the est
 names (the only place flags are merged), run the consensus recomputation
 pulse, run the index pulse, sweep the recycler window, propose to and step
 the active object, and read results. Fresh proposals bind to the slot the
-index points at during phase 0.
+index points at during phase 0. A flag that is not set builds no object:
+merging it into a fresh one changes nothing.
 
-One loop reads the active object and every in-window object the array
-tracks as possibly non-fresh (their results must reach every correct node
-before the window slides past them), but only the active object sends
-traffic. An untracked slot is fresh, and reading a fresh object returns None
-and changes nothing, so skipping it is exact. A settled slot, one whose
+One loop reads the active object and every live in-window object (their
+results must reach every correct node before the window slides past them),
+but only the active object sends traffic. A slot without a live object is
+fresh, and reading a fresh object changes nothing. A settled slot, one whose
 current incarnation this node has already read a value from, is skipped too:
 a core's decision never changes once made, so a second read would return the
 same value and leave the same flag set.
@@ -73,6 +73,7 @@ class CorrectNode:
         memo: dict,
     ) -> tuple[dict[int, Envelope], StepReport]:
         params = self.params
+        objects = self.objects
         report = StepReport()
 
         # split off co and sig; merge each slot-tagged delivery flag and keep
@@ -89,7 +90,9 @@ class CorrectNode:
             if not isinstance(est, EstPayload) or not isinstance(est.slot, int):
                 continue
             slot = est.slot % params.index_num
-            self.objects.slots[slot].merge_flag(sender, est.delivered)
+            obj = objects.get(slot) if est.delivered else objects.live.get(slot)
+            if obj is not None:
+                obj.merge_flag(sender, est.delivered)
             if est.core is not None:
                 core_for_slot.setdefault(slot, {})[sender] = est.core
 
@@ -102,9 +105,9 @@ class CorrectNode:
         sig_out = self.sig.pulse(phase, sig_by_sender, self.mvc.current_result, coin_bit)
 
         if self.fixed_slot is None:
-            report.recycled = tuple(self.objects.recycler_pulse(self.sig.index))
+            report.recycled = tuple(objects.recycler_pulse(self.sig.index))
 
-        active = self.objects.slots[self.active_slot()]
+        active = objects.get(self.active_slot())
         report.active_slot = active.slot
 
         if phase == 0 and active.proposed is None:
@@ -114,14 +117,13 @@ class CorrectNode:
 
         est_out = active.pulse_step(core_for_slot.get(active.slot, {}))
 
-        objects = self.objects
         reads = {active.slot}
         if self.fixed_slot is None:
             keep = window(self.sig.index, params.index_num, params.log_size)
-            reads.update(objects.tracked & keep)
+            reads.update(keep.intersection(objects.live))
         retrievals = []
         for slot in sorted(reads - objects.settled):
-            value = objects.slots[slot].observe_result()
+            value = objects.live[slot].observe_result()
             if value is not None:
                 objects.settled.add(slot)
                 retrievals.append((slot, value))
@@ -140,4 +142,6 @@ class CorrectNode:
     # state views used by the trace and the checks
 
     def was_delivered_active(self) -> int:
-        return self.objects.slots[self.active_slot()].was_delivered()
+        """The active object's report; a slot without a live object is fresh."""
+        obj = self.objects.live.get(self.active_slot())
+        return 0 if obj is None else obj.was_delivered()

@@ -6,11 +6,12 @@ internal-fault symbol) and is forced back to false whenever it says
 undecided. Remote flags mirror the last flag received from each peer, merged
 by the node through merge_flag(). was_delivered() reports 1 once n-t flags
 are set, which is the evidence the recycling stack agrees on.
+
+An object lives for one incarnation: its array builds it with a new core on
+the slot's first touch and drops it when the slot is recycled.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 from .cores import CORE_FAULT, AsyncCore
 from .transport import EstPayload
@@ -29,21 +30,12 @@ CORE_ERROR = _ErrorSymbol()
 
 
 class RecyclableObject:
-    def __init__(self, n: int, t: int, node_id: int, slot: int,
-                 core_factory: Callable[[int], AsyncCore], tracked: set[int],
-                 settled: set[int]):
+    def __init__(self, n: int, t: int, node_id: int, slot: int, core: AsyncCore):
         self.n = n
         self.t = t
         self.node_id = node_id
         self.slot = slot
-        self._core_factory = core_factory
-        # the owning array's set of slots that may be non-fresh; the slot
-        # joins it wherever a fresh object can leave its initial state
-        self._tracked = tracked
-        # the owning array's set of slots whose incarnation this node has
-        # read a result from; recycle() takes the slot out
-        self._settled = settled
-        self.core: AsyncCore = core_factory(slot)
+        self.core = core
         self.delivered: list[bool] = [False] * n
 
     @property
@@ -54,7 +46,6 @@ class RecyclableObject:
     def propose(self, value: int) -> None:
         """Record a proposal; a second propose in the same incarnation is a no-op."""
         self.core.propose(value)
-        self._tracked.add(self.slot)
 
     def observe_result(self) -> object:
         """Decided value, CORE_ERROR, or None while the core is still running.
@@ -73,12 +64,6 @@ class RecyclableObject:
     def was_delivered(self) -> int:
         return 1 if sum(self.delivered) >= self.n - self.t else 0
 
-    def recycle(self) -> None:
-        """Reset core and delivery flags to the initial state; the slot is unsettled."""
-        self.core = self._core_factory(self.slot)
-        self.delivered = [False] * self.n
-        self._settled.discard(self.slot)
-
     def is_fresh(self) -> bool:
         return not any(self.delivered) and self.core.is_initial()
 
@@ -86,8 +71,8 @@ class RecyclableObject:
         """Whether this incarnation was actually in use at this node.
 
         Remote delivery flags alone are gossip (a Byzantine sender can set
-        them at will); they are wiped by recycle() but do not make the
-        object count as in-use.
+        them at will); they are wiped when the object is recycled but do not
+        make the object count as in-use.
         """
         return self.delivered[self.node_id] or not self.core.is_initial()
 
@@ -95,8 +80,6 @@ class RecyclableObject:
         """Adopt the delivery flag last received from a peer (never from self)."""
         if sender != self.node_id and 0 <= sender < self.n:
             self.delivered[sender] = bool(flag)
-            if flag:
-                self._tracked.add(self.slot)
 
     def pulse_step(self, core_inbox: dict[int, object]) -> EstPayload:
         """One synchronous step of the active object.

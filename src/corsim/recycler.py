@@ -1,13 +1,13 @@
 """Per-pulse window maintenance over the recyclable object array.
 
 Every round, each non-fresh slot outside the log_size+1 window anchored at
-the shared index is reset. The array tracks a superset of its non-fresh
-slots: it starts as every slot, so whatever a transient fault planted before
-the first sweep is swept; a slot joins it whenever its object may leave the
-fresh state (a proposal or a set delivery flag), and leaves it only when a
-sweep finds it fresh or recycles it. The sweeps visit only tracked slots,
-which keeps them self-cleaning: out-of-window garbage is purged even when
-the index never moves.
+the shared index is reset. The array holds only live objects: a slot's
+object is built on first touch (a proposal, a set delivery flag, the active
+slot, a transient fault), and a slot without one is fresh. Recycling drops
+the object, and the freshness sweep drops every live object it finds fresh,
+so after each round the live slots are exactly the non-fresh ones. The
+sweeps visit only live slots: out-of-window garbage is purged even when the
+index never moves, and memory follows the window, not index_num.
 
 The array also keeps the settled slots: those whose current incarnation this
 node has already read a result from. The set starts empty, a slot joins it
@@ -39,41 +39,49 @@ def _window(anchor: int, index_num: int, log_size: int) -> frozenset[int]:
 class ObjectArray:
     def __init__(self, n: int, t: int, node_id: int, index_num: int, log_size: int,
                  core_factory: Callable[[int], object]):
+        self.n = n
+        self.t = t
+        self.node_id = node_id
         self.index_num = index_num
         self.log_size = log_size
-        # a superset of the non-fresh slots; the objects add to it
-        self.tracked: set[int] = set(range(index_num))
-        # the tracked slots whose incarnation this node has read; the node
-        # adds to it and each object's recycle() takes its slot out
+        self._core_factory = core_factory
+        # slot -> its live object; an absent slot is fresh
+        self.live: dict[int, RecyclableObject] = {}
+        # the live slots whose incarnation this node has read; the node adds
+        # to it and recycling takes the slot out
         self.settled: set[int] = set()
-        self.slots = [
-            RecyclableObject(n, t, node_id, slot, core_factory, self.tracked, self.settled)
-            for slot in range(index_num)
-        ]
+
+    def get(self, slot: int) -> RecyclableObject:
+        """The slot's object, built fresh on first touch."""
+        obj = self.live.get(slot)
+        if obj is None:
+            core = self._core_factory(slot)
+            obj = self.live[slot] = RecyclableObject(self.n, self.t, self.node_id, slot, core)
+        return obj
 
     def recycler_pulse(self, ind: int) -> list[int]:
-        """Recycle every non-fresh slot outside window(ind).
+        """Recycle every live slot outside window(ind).
 
         Reported are the slots whose incarnation was in use at this node;
         flag-only gossip is wiped silently (recycling it is a no-op
         observationally, and Byzantine flags must not fabricate events).
         """
-        outside = self.tracked - window(ind, self.index_num, self.log_size)
+        keep = window(ind, self.index_num, self.log_size)
+        if keep.issuperset(self.live):  # the common case: no live slot left the window
+            return []
         recycled = []
-        for slot in sorted(outside):
-            obj = self.slots[slot]
-            if not obj.is_fresh():
-                if obj.has_local_state():
-                    recycled.append(slot)
-                obj.recycle()
-        self.tracked -= outside
+        for slot in sorted(self.live.keys() - keep):
+            if self.live.pop(slot).has_local_state():
+                recycled.append(slot)
+            self.settled.discard(slot)
         return recycled
 
     def non_fresh_slots(self) -> list[int]:
-        """The non-fresh slots in ascending order; the fresh ones stop being tracked.
+        """The non-fresh slots in ascending order; the fresh ones are dropped.
 
         Settled slots are non-fresh by construction, so only the rest are tested.
         """
-        unsettled = self.tracked - self.settled
-        self.tracked -= {slot for slot in unsettled if self.slots[slot].is_fresh()}
-        return sorted(self.tracked)
+        live = self.live
+        for slot in [s for s in live.keys() - self.settled if live[s].is_fresh()]:
+            del live[slot]
+        return sorted(live)

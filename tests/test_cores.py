@@ -17,10 +17,14 @@ from corsim.recyclable import CORE_ERROR, RecyclableObject
 
 def wire_objects(oracle, n=4, t=1, slot=0):
     return {
-        i: RecyclableObject(n, t, i, slot, lambda s, i=i: DelayStubCore(oracle, i, s),
-                            set(), set())
+        i: RecyclableObject(n, t, i, slot, DelayStubCore(oracle, i, slot))
         for i in oracle.correct_ids
     }
+
+
+def live(objs, slot=0):
+    """What the engine hands the oracle: each node's live objects by slot."""
+    return {i: {slot: obj} for i, obj in objs.items()}
 
 
 class TestDelayStub:
@@ -30,7 +34,7 @@ class TestDelayStub:
         values = {0: 1, 1: 1, 2: 0}
         for i, obj in objs.items():
             obj.propose(values[i])
-        oracle.observe(0, {i: [objs[i]] for i in objs})
+        oracle.observe(0, live(objs))
         oracle.begin_round(5)
         decisions = {i: objs[i].core.decided() for i in objs}
         assert all(d == (DECIDED, 1) for d in decisions.values())
@@ -39,9 +43,21 @@ class TestDelayStub:
         oracle = StubOracle(seed=3, correct_ids=[0, 1, 2], dmax=0)
         objs = wire_objects(oracle)
         objs[0].propose(1)
-        oracle.observe(0, {i: [objs[i]] for i in objs})
+        oracle.observe(0, live(objs))
         oracle.begin_round(9)
         assert objs[0].core.decided() is None
+
+    def test_a_slot_without_a_live_object_at_some_node_waits(self):
+        oracle = StubOracle(seed=3, correct_ids=[0, 1, 2], dmax=0)
+        objs = wire_objects(oracle)
+        for obj in objs.values():
+            obj.propose(1)
+        by_node = live(objs)
+        by_node[2] = {}
+        oracle.observe(0, by_node)
+        assert oracle.records == {}
+        oracle.observe(1, live(objs))
+        assert set(oracle.records) == {0}
 
     def test_reveal_delays_bounded_by_dmax(self):
         dmax = 6
@@ -49,7 +65,7 @@ class TestDelayStub:
         objs = wire_objects(oracle)
         for obj in objs.values():
             obj.propose(1)
-        oracle.observe(2, {i: [objs[i]] for i in objs})
+        oracle.observe(2, live(objs))
         rec = oracle.records[0]
         assert all(2 <= r <= 2 + dmax for r in rec.reveal.values())
 
@@ -58,10 +74,11 @@ class TestDelayStub:
         objs = wire_objects(oracle)
         for obj in objs.values():
             obj.propose(1)
-        oracle.observe(0, {i: [objs[i]] for i in objs})
+        oracle.observe(0, live(objs))
         oracle.begin_round(4)
-        objs[1].recycle()
-        assert objs[1].core.decided() is None
+        # recycling drops the object; the slot's next object gets a new core
+        rebuilt = RecyclableObject(4, 1, 1, 0, DelayStubCore(oracle, 1, 0))
+        assert rebuilt.core.decided() is None
         assert objs[0].core.decided() == (DECIDED, 1)
 
     def test_record_clears_when_incarnation_ends(self):
@@ -75,8 +92,8 @@ class TestDelayStub:
             gens = dict(engine.slot_gen)
             engine._round(r)
             for slot in recorded:
-                copies = [node.objects.slots[slot] for node in engine.nodes.values()]
-                if all(obj.is_fresh() for obj in copies):
+                copies = [node.objects.live.get(slot) for node in engine.nodes.values()]
+                if all(obj is None or obj.is_fresh() for obj in copies):
                     assert slot not in engine.stub_oracle.records
                     assert engine.slot_gen[slot] == gens[slot] + 1
                     ended += 1
@@ -210,7 +227,8 @@ def test_a_read_result_stays_until_recycled(core, seed):
         oracle.begin_round(r)
         sent = {i: [None] * params.index_num for i in engine.correct_ids}
         for i, node in engine.nodes.items():
-            for slot, obj in enumerate(node.objects.slots):
+            for slot in range(params.index_num):
+                obj = node.objects.get(slot)
                 if obj.proposed is None and rng.random() < 0.1:
                     obj.propose(rng.getrandbits(1))
                 inbox = {j: last[j][slot] for j in engine.correct_ids

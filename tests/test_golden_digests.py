@@ -103,29 +103,29 @@ def test_trace_digest_unchanged(case, golden):
 
 
 @pytest.mark.parametrize("case", grid(), ids=case_id)
-def test_tracked_slots_cover_every_non_fresh_slot(case):
-    """The sweeps visit only tracked slots, so every non-fresh slot must be one.
+def test_live_objects_are_exactly_the_non_fresh_ones(case):
+    """After every round each correct node holds an object only where it must.
 
-    Tracking starts as every slot, so whatever the injector planted is swept.
-    Settled slots are skipped by the node's reads and by the freshness test,
-    so each must be tracked, non-fresh, and read in its current incarnation.
+    The sweeps visit only live slots, and the freshness sweep drops every live
+    object it finds fresh, so the live slots are the non-fresh set the trace
+    counts. Settled slots are skipped by the node's reads and by the freshness
+    test, so each must be live and read in its current incarnation.
     """
     engine = build(case)
     for i in engine.correct_ids:
-        array = engine.nodes[i].objects
-        assert array.tracked == set(range(len(array.slots)))
-        assert array.settled == set()
+        assert engine.nodes[i].objects.settled == set()
     settled_seen = 0
     for r in range(engine.config.rounds):
         engine._round(r)
-        for i in engine.correct_ids:
+        non_fresh = engine.trace.rounds[-1].non_fresh
+        for pos, i in enumerate(engine.correct_ids):
             array = engine.nodes[i].objects
-            non_fresh = {slot for slot, obj in enumerate(array.slots) if not obj.is_fresh()}
-            assert non_fresh <= array.tracked, f"round {r}"
-            assert array.settled <= non_fresh, f"round {r} node {i}"
+            assert not any(obj.is_fresh() for obj in array.live.values()), f"round {r}"
+            assert array.settled <= array.live.keys(), f"round {r} node {i}"
             for slot in array.settled:
                 key = (slot, engine.slot_gen[slot])
                 assert i in engine.trace.retrievals.get(key, {}), f"round {r} node {i} {key}"
+            assert non_fresh[pos] == len(array.live), f"round {r} node {i}"
             settled_seen += len(array.settled)
     assert settled_seen
 
@@ -138,7 +138,7 @@ def test_a_decided_core_planted_before_round_0_is_read_once(core):
     node = engine.nodes[0]
     planted = 7  # in the window of index 0, which holds slots 5, 6, 7 and 0
     assert node.sig.index == 0
-    node.objects.slots[planted].core.decided_cache = 1
+    node.objects.get(planted).core.decided_cache = 1
     step = node.step
     reads = []
 

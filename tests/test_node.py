@@ -29,7 +29,7 @@ def test_step_merges_each_flag_into_the_slot_its_est_names():
     assert node.active_slot() == 0
     # slot 6 is in the window of index 0 but not active; 14 names slot 6 too
     step(node, {1: flag(1, 0, True), 2: flag(2, 6, True), 3: flag(3, 14, True)})
-    slots = node.objects.slots
+    slots = node.objects.live
     assert slots[0].delivered == [False, True, False, False]
     assert slots[6].delivered == [False, False, True, True]
     assert node.objects.non_fresh_slots() == [0, 6]
@@ -37,9 +37,27 @@ def test_step_merges_each_flag_into_the_slot_its_est_names():
 
 def test_merge_adopts_arriving_flag():
     node = make_node(0)
-    node.objects.slots[0].delivered[2] = True
+    node.objects.get(0).delivered[2] = True
     step(node, {2: flag(2, 0, False), 3: flag(3, 0, True)})
-    assert node.objects.slots[0].delivered == [False, False, False, True]
+    assert node.objects.live[0].delivered == [False, False, False, True]
+
+
+def test_a_flag_that_is_not_set_builds_no_object():
+    node = make_node(0)
+    node.fixed_slot = 0
+    node.objects.get(6).delivered[2] = True
+    step(node, {1: flag(1, 5, False), 2: flag(2, 6, False)})
+    # slot 5 was fresh, and merging False into a fresh object changes nothing
+    assert set(node.objects.live) == {0, 6}
+    assert node.objects.live[6].delivered == [False, False, False, False]
+
+
+def test_reading_the_active_report_builds_no_object():
+    node = make_node(0)
+    assert node.was_delivered_active() == 0
+    assert node.objects.live == {}
+    node.objects.get(0).delivered = [False, True, True, True]
+    assert node.was_delivered_active() == 1
 
 
 def test_self_flag_never_merged_from_wire():
@@ -47,7 +65,7 @@ def test_self_flag_never_merged_from_wire():
     # no recycling and no background reads, so nothing but the merge touches slot 5
     node.fixed_slot = 0
     step(node, {1: flag(1, 5, True), 2: flag(2, 5, True)})
-    assert node.objects.slots[5].delivered == [False, False, True, False]
+    assert node.objects.live[5].delivered == [False, False, True, False]
 
 
 def test_est_that_is_not_an_est_payload_is_skipped():
@@ -55,7 +73,8 @@ def test_est_that_is_not_an_est_payload_is_skipped():
     assert engine.byz_ids == [3]
     engine.pending[0].inbox[3] = Envelope(sender=3, est="garbage")
     engine._round(0)
-    assert not any(obj.delivered[3] for obj in engine.nodes[0].objects.slots)
+    # a slot without a live object has every flag clear
+    assert not any(obj.delivered[3] for obj in engine.nodes[0].objects.live.values())
 
 
 def test_mail_that_is_not_an_envelope_reads_as_an_absent_sender():
@@ -72,14 +91,13 @@ def test_mail_that_is_not_an_envelope_reads_as_an_absent_sender():
 def test_each_incarnation_is_reported_read_once():
     node = make_node(0)
     node.fixed_slot = 0
-    active = node.objects.slots[0]
-    active.core.decided_cache = 1
+    node.objects.get(0).core.decided_cache = 1
     assert node.objects.settled == set()
     assert step(node, {})[1].retrievals == ((0, 1),)
     assert node.objects.settled == {0}
     assert step(node, {})[1].retrievals == ()
-    active.recycle()
+    assert node.objects.recycler_pulse(4) == [0]  # window(4) = {1, 2, 3, 4}
     assert node.objects.settled == set()
-    active.core.decided_cache = 0
+    node.objects.get(0).core.decided_cache = 0
     assert step(node, {})[1].retrievals == ((0, 0),)
     assert node.objects.settled == {0}

@@ -4,13 +4,19 @@ from itertools import product
 
 from corsim.cores import DelayStubCore, StubOracle, mmr_core_factory
 from corsim.recyclable import CORE_ERROR, RecyclableObject
+from corsim.recycler import ObjectArray
 
 
 def make_object(n=4, t=1, node_id=0, slot=0, oracle=None):
     oracle = oracle or StubOracle(seed=0, correct_ids=list(range(n - t)), dmax=0)
-    obj = RecyclableObject(n, t, node_id, slot, lambda s: DelayStubCore(oracle, node_id, s),
-                           set(), set())
+    obj = RecyclableObject(n, t, node_id, slot, DelayStubCore(oracle, node_id, slot))
     return obj, oracle
+
+
+def make_array(core_factory=None):
+    """Node 0's array at n=4, t=1 over 8 slots; window(5) = {2, 3, 4, 5} leaves slot 0 out."""
+    oracle = StubOracle(seed=0, correct_ids=[0, 1, 2], dmax=0)
+    return ObjectArray(4, 1, 0, 8, 3, core_factory or (lambda s: DelayStubCore(oracle, 0, s)))
 
 
 class TestPropose:
@@ -27,11 +33,11 @@ class TestPropose:
         assert obj.core.proposed == 0
 
     def test_propose_after_recycle_accepted(self):
-        obj, _ = make_object()
-        obj.propose(0)
-        obj.recycle()
-        obj.propose(1)
-        assert obj.proposed == 1
+        arr = make_array()
+        arr.get(0).propose(0)
+        assert arr.recycler_pulse(5) == [0]
+        arr.get(0).propose(1)
+        assert arr.get(0).proposed == 1
 
 
 class TestResult:
@@ -80,32 +86,40 @@ class TestWasDelivered:
 
 
 class TestRecycle:
+    """Recycling pops a slot's object; the slot's next get builds a fresh one."""
+
     def test_recycle_after_decision_resets(self):
-        settled = {0, 5}
-        obj = RecyclableObject(4, 1, 0, 0, lambda s: DelayStubCore(None, 0, s), set(), settled)
-        obj.propose(1)
-        obj.core.decided_cache = 1
-        obj.observe_result()
-        obj.recycle()
-        assert obj.was_delivered() == 0
-        assert obj.is_fresh()
-        # the object takes only its own slot out of the array's settled set
-        assert settled == {5}
+        arr = make_array()
+        for slot in (0, 5):
+            obj = arr.get(slot)
+            obj.propose(1)
+            obj.core.decided_cache = 1
+            assert obj.observe_result() == 1
+            arr.settled.add(slot)  # as the node does on its read
+        old = arr.get(0)
+        assert arr.recycler_pulse(5) == [0]
+        new = arr.get(0)
+        assert new is not old
+        assert new.was_delivered() == 0
+        assert new.is_fresh()
+        # recycling takes only its own slot out of the settled set
+        assert arr.settled == {5}
 
     def test_recycle_clears_corruption(self):
-        obj, _ = make_object()
+        arr = make_array()
+        obj = arr.get(0)
         obj.core.decided_cache = 9
         obj.delivered = [True] * 4
-        obj.recycle()
-        assert obj.is_fresh()
+        assert arr.recycler_pulse(5) == [0]
+        assert arr.get(0).is_fresh()
 
     def test_recycle_idempotent(self):
-        obj, _ = make_object()
-        obj.propose(0)
-        obj.recycle()
-        state1 = (obj.proposed, list(obj.delivered))
-        obj.recycle()
-        assert (obj.proposed, list(obj.delivered)) == state1
+        arr = make_array()
+        arr.get(0).propose(0)
+        assert arr.recycler_pulse(5) == [0]
+        state1 = (arr.get(0).proposed, list(arr.get(0).delivered))
+        assert arr.recycler_pulse(5) == []
+        assert (arr.get(0).proposed, list(arr.get(0).delivered)) == state1
 
 
 class TestPulseStep:
@@ -136,43 +150,46 @@ def read_leaves_fresh(obj):
 
 
 def make_mmr_object(n=4, t=1, node_id=0, slot=0):
-    return RecyclableObject(n, t, node_id, slot, mmr_core_factory(n, t, node_id, seed=0),
-                            set(), set())
+    return RecyclableObject(n, t, node_id, slot, mmr_core_factory(n, t, node_id, seed=0)(slot))
 
 
 class TestReadingAFreshObject:
     """observe_result() on a fresh object returns None and leaves it fresh.
 
-    The node relies on this to read only the slots its array tracks.
+    The node relies on this to read only the slots that hold a live object.
     """
 
     def test_new_stub_object(self):
         read_leaves_fresh(make_object()[0])
 
-    def test_recycled_stub_object_whose_slot_keeps_a_record(self):
+    def test_rebuilt_stub_object_whose_slot_keeps_a_record(self):
         oracle = StubOracle(seed=0, correct_ids=[0, 1, 2], dmax=0)
-        objs = {i: make_object(node_id=i, oracle=oracle)[0] for i in oracle.correct_ids}
-        for obj in objs.values():
-            obj.propose(1)
-        oracle.observe(0, {i: [obj] for i, obj in objs.items()})
+        arrays = {
+            i: ObjectArray(4, 1, i, 8, 3, lambda s, i=i: DelayStubCore(oracle, i, s))
+            for i in oracle.correct_ids
+        }
+        for arr in arrays.values():
+            arr.get(0).propose(1)
+        oracle.observe(0, {i: arr.live for i, arr in arrays.items()})
         oracle.begin_round(1)
-        assert objs[0].observe_result() == 1
-        objs[0].recycle()
+        assert arrays[0].get(0).observe_result() == 1
+        assert arrays[0].recycler_pulse(5) == [0]
         # the record still binds the slot to the previous core
-        assert oracle.records[0].members[0] is not objs[0].core
-        read_leaves_fresh(objs[0])
+        assert oracle.records[0].members[0] is not arrays[0].get(0).core
+        read_leaves_fresh(arrays[0].get(0))
 
     def test_new_mmr_object(self):
         read_leaves_fresh(make_mmr_object())
 
-    def test_recycled_mmr_object(self):
-        obj = make_mmr_object()
+    def test_rebuilt_mmr_object(self):
+        arr = make_array(mmr_core_factory(4, 1, 0, seed=0))
+        obj = arr.get(0)
         obj.propose(1)
         obj.pulse_step({j: ("MMR", 1, (1,), 1) for j in (1, 2, 3)})
         obj.core.decided_cache = 1
         assert obj.observe_result() == 1
-        obj.recycle()
-        read_leaves_fresh(obj)
+        assert arr.recycler_pulse(5) == [0]
+        read_leaves_fresh(arr.get(0))
 
     def test_stepping_an_unproposed_object_leaves_it_fresh(self):
         for obj in (make_object()[0], make_mmr_object()):
@@ -199,9 +216,7 @@ def test_delivery_indication_propagates_to_all_correct():
     wasDelivered()=1 (single object, no recycling, lock-step by hand)."""
     n, t = 4, 1
     oracle = StubOracle(seed=1, correct_ids=[0, 1, 2], dmax=2)
-    objs = {i: RecyclableObject(n, t, i, 0, lambda s, i=i: DelayStubCore(oracle, i, s),
-                                set(), set())
-            for i in range(3)}
+    objs = {i: RecyclableObject(n, t, i, 0, DelayStubCore(oracle, i, 0)) for i in range(3)}
     for i, obj in objs.items():
         obj.propose(1)
     outboxes = {i: None for i in objs}
@@ -222,7 +237,7 @@ def test_delivery_indication_propagates_to_all_correct():
                 obj.merge_flag(j, est.delivered)
             outboxes[i] = obj.pulse_step({j: est.core for j, est in inboxes[i].items()
                                           if est.core is not None})
-        oracle.observe(r, {i: [objs[i]] for i in objs})
+        oracle.observe(r, {i: {0: objs[i]} for i in objs})
         if first_report is None and any(o.was_delivered() for o in objs.values()):
             first_report = r
     assert first_report is not None

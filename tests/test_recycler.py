@@ -1,6 +1,13 @@
-"""Window algebra and the per-pulse recycling sweep."""
+"""Window algebra, the per-pulse recycling sweep, and memory that follows the window."""
 
+import tracemalloc
+
+import pytest
+
+from corsim.cli import main
 from corsim.cores import DelayStubCore, StubOracle
+from corsim.env import make_params
+from corsim.harness import CORES, RoundEngine, TrialConfig
 from corsim.recycler import ObjectArray, _window, window
 
 
@@ -57,55 +64,85 @@ class TestRecyclerPulse:
     def test_slide_recycles_exactly_the_leaving_slot(self):
         arr = make_array()
         for slot in (2, 3, 4, 5):
-            arr.slots[slot].propose(1)
+            arr.get(slot).propose(1)
         assert arr.recycler_pulse(5) == []
-        arr.slots[6].propose(1)  # the new anchor after the slide
+        arr.get(6).propose(1)  # the new anchor after the slide
         assert arr.recycler_pulse(6) == [2]
 
     def test_unchanged_index_recycles_nothing(self):
         arr = make_array()
         for slot in (2, 3, 4, 5):
-            arr.slots[slot].propose(1)
+            arr.get(slot).propose(1)
         assert arr.recycler_pulse(5) == []
         assert arr.recycler_pulse(5) == []
 
     def test_out_of_window_garbage_purged(self):
         arr = make_array()
-        arr.slots[0].propose(1)  # transient garbage far from the window
+        arr.get(0).propose(1)  # transient garbage far from the window
         assert arr.recycler_pulse(5) == [0]
-        assert arr.slots[0].is_fresh()
+        assert 0 not in arr.live
+        assert arr.get(0).is_fresh()
 
-    def test_every_slot_is_tracked_until_a_sweep_finds_it_fresh(self):
+    def test_live_slots_are_the_touched_ones_until_a_sweep_finds_them_fresh(self):
         arr = make_array()
-        assert arr.tracked == set(range(8))
-        arr.slots[3].propose(1)
+        assert arr.live == {}
+        arr.get(3).propose(1)
+        arr.get(5)  # touched, but still fresh
+        assert set(arr.live) == {3, 5}
         assert arr.non_fresh_slots() == [3]
-        assert arr.tracked == {3}
+        assert set(arr.live) == {3}
 
-    def test_a_slot_swept_fresh_is_tracked_again_when_it_leaves_its_initial_state(self):
+    def test_a_slot_dropped_fresh_is_live_again_when_it_leaves_its_initial_state(self):
         arr = make_array()
         assert arr.recycler_pulse(5) == []
-        assert arr.tracked == {2, 3, 4, 5}
-        arr.slots[0].propose(1)
-        arr.slots[1].merge_flag(2, True)
-        arr.slots[7].merge_flag(2, False)
-        assert arr.tracked == {0, 1, 2, 3, 4, 5}
+        assert arr.live == {}
+        arr.get(0).propose(1)
+        arr.get(1).merge_flag(2, True)
+        arr.get(7).merge_flag(2, False)
+        assert set(arr.live) == {0, 1, 7}
         assert arr.recycler_pulse(5) == [0]
-        assert arr.slots[1].is_fresh()
-        assert arr.tracked == {2, 3, 4, 5}
+        assert arr.live == {}
+        arr.get(4)
+        assert arr.non_fresh_slots() == []
+        arr.get(4).merge_flag(1, True)
+        assert arr.non_fresh_slots() == [4]
 
     def test_flag_gossip_wiped_but_not_reported(self):
         arr = make_array()
-        arr.slots[0].delivered[3] = True
+        arr.get(0).delivered[3] = True
         assert arr.recycler_pulse(5) == []
-        assert arr.slots[0].is_fresh()
+        assert 0 not in arr.live
 
 
 def test_out_of_range_index_recycles_by_modular_window():
     # window(12, 8, 3) = {1, 2, 3, 4}: slot 0 is out, slot 1 is kept
     arr = make_array()
-    arr.slots[0].propose(1)
+    arr.get(0).propose(1)
     assert arr.recycler_pulse(12) == [0]
     arr2 = make_array()
-    arr2.slots[1].propose(1)
+    arr2.get(1).propose(1)
     assert arr2.recycler_pulse(12) == []
+
+
+WIDE = 65_536  # 196,608 objects at 3 correct nodes, within the object limit
+
+
+@pytest.mark.parametrize("core", CORES)
+def test_live_objects_never_outgrow_the_window(core):
+    params = make_params(4, 1, log_size=3, index_num=WIDE, seed=1)
+    engine = RoundEngine(TrialConfig(params=params, rounds=2 * params.kappa, core=core))
+    for r in range(engine.config.rounds):
+        engine._round(r)
+        for node in engine.nodes.values():
+            assert len(node.objects.live) <= params.log_size + 1, f"round {r}"
+
+
+def test_a_wide_array_run_allocates_little(tmp_path, capsys):
+    """Building every slot's object up front traced about 99 MB here."""
+    tracemalloc.start()
+    code = main(["run", "--index-num", str(WIDE), "--rounds", "1",
+                 "--out", str(tmp_path / "x.csv")])
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert code == 0
+    assert peak < 5_000_000
