@@ -55,7 +55,17 @@ def grid() -> list[dict]:
     ]
     for k, case in enumerate(wide):
         case["seed"] = 400 + k
-    return cases + wide
+    # n=10, t=3: correct receivers that get the same arrivals (worst_eig,
+    # equivocate) and a Byzantine payload per receiver (random)
+    large = [
+        dict(n=10, t=3, adversary=adversary, inject=inject, core="stub", recycling=True,
+             rounds=60)
+        for adversary, inject in (("worst_eig", "targeted"), ("equivocate", "full"),
+                                  ("random", "full"))
+    ]
+    for k, case in enumerate(large):
+        case["seed"] = 500 + k
+    return cases + wide + large
 
 
 def case_id(case: dict) -> str:
