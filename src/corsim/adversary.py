@@ -280,7 +280,9 @@ def inject(
     slot, so the node reads every object it leaves decided. It plants object
     state through `objects.get`, so the sweeps see every object it touches.
     Any corruption applied later must also clear `objects.settled`, or the
-    node may never read a slot it changes.
+    node may never read a slot it changes. It plants an EIG level by
+    replacing `co.tree` with a new dict: nodes can share one stored level
+    (see `corsim.mvc`), so mutating one in place would corrupt them all.
     """
     for i, fields in plan.get("nodes", {}).items():
         node = nodes[i]
@@ -314,12 +316,13 @@ def _garble_tree(node: "CorrectNode", rng: random.Random, params: Params) -> Non
     co = node.mvc.co
     co.started = bool(rng.getrandbits(1))
     co.exchanges_done = rng.randrange(0, params.t + 3)
-    co.tree = {}
+    tree = {}
     for _ in range(rng.randrange(0, 12)):
         length = rng.randrange(0, params.t + 2)
         ids = list(range(params.n))
         rng.shuffle(ids)
-        co.tree[tuple(ids[:length])] = rng.choice((0, 1, None, rng.randrange(16)))
+        tree[tuple(ids[:length])] = rng.choice((0, 1, None, rng.randrange(16)))
+    co.tree = tree
 
 
 def _garble_objects(node: "CorrectNode", rng: random.Random, params: Params) -> None:

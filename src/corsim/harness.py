@@ -312,8 +312,8 @@ class RoundEngine:
 
         outboxes: dict[int, dict[int, Envelope]] = {}
         reports = {}
-        # the round's EIG validation memo, shared by every receiver and
-        # dropped with the round
+        # the round's EIG memo (validations, levels, resolves), shared by
+        # every receiver and dropped with the round
         co_memo: dict = {}
         for i in self.correct_ids:
             outbox, report = self.nodes[i].step(

@@ -15,12 +15,26 @@ decides after exactly t+1 exchanges and tolerates any Byzantine behaviour.
 Each exchange reads only the level received last, so a node keeps that one
 level and nothing else.
 
-Every correct node broadcasts one payload object, so each arrival is
-validated once per (payload, sender, level) per round, not once per
-receiver: what a receiver stores from an arrival depends on nothing else.
-The round engine owns that memo and starts a fresh one every round. The
-resolve runs bottom-up: `permutations` lists the labels of each level in
-lexicographic order, so the children of every label are one consecutive
+Every correct node broadcasts, so the receivers of one round mostly get
+the same payload objects, and the work is shared through a memo that the
+round engine starts fresh every round (its four kinds of key differ in
+shape, so they never collide):
+
+- an exchange's arrivals, as (sender, payload object) in inbox order, build
+  one level and one next broadcast; every receiver with the same arrivals
+  at the same level stores that level dict and returns that payload object,
+  so only receivers that a Byzantine sender told different stories build
+  their own;
+- the checks on a payload that do not depend on its sender run once per
+  (payload, level), and dropping the labels that name the sender and
+  appending it run once per (payload, sender, level);
+- each distinct leaf level is resolved once per cycle.
+
+This sharing rests on one rule: a stored level is never mutated in place.
+`restart`, `propose` and `process` assign a new dict, and so must anything
+that plants a tree (`adversary._fill_tree`, `adversary._garble_tree`).
+The resolve runs bottom-up: `permutations` lists the labels of each level
+in lexicographic order, so the children of every label are one consecutive
 run of the level below, and each run folds into its parent's value.
 
 Note the processing window is {1..t+1}: t+1 exchanges are the known lower
@@ -58,12 +72,12 @@ class EigConsensus:
         self.tree = {(): value}
         return CoPayload(level=0, entries=(((), value),))
 
-    def _validate(self, sender: int, payload: CoPayload, level: int) -> tuple:
-        """The (label + (sender,), value) pairs a receiver stores from one arrival.
+    def _checked(self, payload: CoPayload, level: int) -> tuple:
+        """The (label, value) entries of a payload that some sender may relay.
 
-        Entries that are malformed, name an id twice, name the sender or an
-        id outside 0..n-1, or carry an unhashable value are dropped. The
-        pairs keep the received label objects, which are relayed as sent.
+        Entries that are malformed, name an id twice or an id outside
+        0..n-1, or carry an unhashable value are dropped; none of this
+        depends on who sent the payload. The received entry objects are kept.
         """
         if not isinstance(payload, CoPayload):
             return ()
@@ -71,7 +85,7 @@ class EigConsensus:
             return ()
         # equal to a label of this length: distinct ids in 0..n-1 (but 1.0 == 1)
         labels = _label_set(self.n, level)
-        pairs = []
+        kept = []
         for item in payload.entries:
             if not (isinstance(item, tuple) and len(item) == 2):
                 continue
@@ -81,63 +95,95 @@ class EigConsensus:
             # ints first: a label holding an unhashable id cannot be looked up
             if not all(isinstance(x, int) for x in label):
                 continue
-            if sender in label or label not in labels:
+            if label not in labels:
                 continue
             try:
                 hash(value)
             except TypeError:
                 continue
-            pairs.append((label + (sender,), value))
-        return tuple(pairs)
+            kept.append(item)
+        return tuple(kept)
+
+    def _validate(self, sender: int, payload: CoPayload, level: int, memo: dict) -> tuple:
+        """The (label + (sender,), value) pairs a receiver stores from one arrival.
+
+        The payload's checked entries, less those whose label names the
+        sender; the pairs keep the received label objects, which are relayed
+        as sent. `memo` maps (id(payload), level) to the payload and its
+        checked entries.
+        """
+        key = (id(payload), level)
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = (payload, self._checked(payload, level))
+        return tuple(
+            (label + (sender,), value) for label, value in hit[1] if sender not in label
+        )
 
     def process(self, msgs: dict[int, CoPayload | None], memo: dict) -> CoPayload | None:
         """Absorb the previous exchange; return the next level's broadcast.
 
         The level just received replaces the stored one. Malformed arrivals
         are dropped, which leaves their entries absent; the resolve treats
-        absent as the default value. `memo` maps (id(payload), sender,
-        level) to the payload and its validated pairs, so receivers sharing
-        it validate each arrival once; holding the payload keeps its id from
-        being reused while the memo lives. Share one memo only among the
-        receivers of one round of one engine.
+        absent as the default value. `memo` maps the arrivals, (level,
+        ((sender, id(payload)), ...)) in inbox order, to the payloads, the
+        level they build and the next broadcast (None after the last
+        exchange), so receivers with the same arrivals share one level dict
+        and one payload object; it maps (id(payload), sender, level) to the
+        payload and the pairs it stores from that sender. Holding the
+        payloads keeps their ids from being reused while the memo lives.
+        Share one memo only among the receivers of one round of one engine.
         """
         if not self.started:
             return None
         k = self.exchanges_done + 1
-        level: dict[tuple, object] = {}
-        for sender, payload in msgs.items():
-            if payload is None:
-                continue
-            key = (id(payload), sender, k - 1)
-            hit = memo.get(key)
-            if hit is None:
-                hit = memo[key] = (payload, self._validate(sender, payload, k - 1))
-            level.update(hit[1])
-        self.tree = level
+        key = (k - 1, tuple([(sender, id(payload)) for sender, payload in msgs.items()]))
+        hit = memo.get(key)
+        if hit is None:
+            level: dict[tuple, object] = {}
+            for sender, payload in msgs.items():
+                if payload is None:
+                    continue
+                pair_key = (id(payload), sender, k - 1)
+                pairs = memo.get(pair_key)
+                if pairs is None:
+                    pairs = memo[pair_key] = (
+                        payload, self._validate(sender, payload, k - 1, memo)
+                    )
+                level.update(pairs[1])
+            out = None
+            if k <= self.t:
+                out = CoPayload(level=k, entries=tuple(sorted(level.items())))
+            hit = memo[key] = (tuple(msgs.values()), level, out)
+        _, self.tree, out = hit
         self.exchanges_done = k
-        if k > self.t:
-            return None
-        return CoPayload(level=k, entries=tuple(sorted(level.items())))
+        return out
 
-    def result(self) -> object:
+    def result(self, memo: dict) -> object:
         """Root resolve after t+1 exchanges; None before completion.
 
         Each label's value is the strict majority of its children's values,
-        or 0 without one; an absent or None leaf reads as 0.
+        or 0 without one; an absent or None leaf reads as 0. `memo` maps
+        (id(tree),) to the stored level and its resolve, so nodes sharing a
+        level resolve it once.
         """
         if not self.started or self.exchanges_done < self.t + 1:
             return None
-        n = self.n
-        values = [
-            0 if value is None else value
-            for value in map(self.tree.get, _labels(n, self.t + 1))
-        ]
-        for k in range(self.t, -1, -1):
-            width = n - k  # children of a label of length k
+        key = (id(self.tree),)
+        hit = memo.get(key)
+        if hit is None:
+            n = self.n
             values = [
-                _majority(values[i : i + width]) for i in range(0, len(values), width)
+                0 if value is None else value
+                for value in map(self.tree.get, _labels(n, self.t + 1))
             ]
-        return values[0]
+            for k in range(self.t, -1, -1):
+                width = n - k  # children of a label of length k
+                values = [
+                    _majority(values[i : i + width]) for i in range(0, len(values), width)
+                ]
+            hit = memo[key] = (self.tree, values[0])
+        return hit[1]
 
 
 @cache
@@ -179,7 +225,7 @@ class MvcController:
     ) -> dict[int, CoPayload]:
         """One phase; `sample` is the phase-0 input, and one payload goes to every node."""
         if phase == 0:
-            self.current_result = self.co.result()
+            self.current_result = self.co.result(memo)
             self.co.restart()
             payload = self.co.propose(sample)
         elif 1 <= phase <= self.t + 1:

@@ -84,16 +84,23 @@ def exchange(
     return mail
 
 
-def serialize_envelope(env: Envelope) -> bytes:
+def serialize_envelope(env: Envelope, bodies: dict[int, bytes] | None = None) -> bytes:
     """Canonical byte form, used only for trace logging.
 
     Layout: sender byte, then for each present field a tag byte (1=est,
     2=co, 3=sig) followed by a little-endian u32 length and the payload repr.
+    `bodies` maps id(payload) to its encoded repr; it is read and filled,
+    so a payload shared by several envelopes is repr'd once. Pass one only
+    while every payload it holds stays alive.
     """
+    if bodies is None:
+        bodies = {}
     out = bytearray([env.sender & 0xFF])
     for tag, payload in ((1, env.est), (2, env.co), (3, env.sig)):
         if payload is not None:
-            body = repr(payload).encode("utf-8")
+            body = bodies.get(id(payload))
+            if body is None:
+                body = bodies[id(payload)] = repr(payload).encode("utf-8")
             out.append(tag)
             out += len(body).to_bytes(4, "little")
             out += body
@@ -108,23 +115,26 @@ def traffic_digest(
 
     Hashes sender, receiver and serialized envelope for every delivery, in
     sender-then-receiver order. Each distinct envelope object is serialized
-    once, so a broadcast costs one serialization, not n. The memo is keyed
-    by identity, not equality: equal payloads can have different reprs
-    (``delivered=True`` and ``delivered=1``). It lives for one call only,
-    because ids are reused once an envelope is collected.
+    once, so a broadcast costs one serialization, not n, and each distinct
+    payload object is repr'd once, so a consensus payload that several
+    correct senders share (see `corsim.mvc`) costs one repr. Both memos are
+    keyed by identity, not equality: equal payloads can have different
+    reprs (``delivered=True`` and ``delivered=1``). They live for one call
+    only, because ids are reused once an object is collected.
 
     When ``deliveries`` is a list, every (sender, receiver, bytes) is
     appended to it in the same order.
     """
     h = hashlib.sha256()
     wire: dict[int, bytes] = {}
+    bodies: dict[int, bytes] = {}
     for i in sorted(outboxes):
         box = outboxes[i]
         for j in sorted(box):
             env = box[j]
             data = wire.get(id(env))
             if data is None:
-                data = wire[id(env)] = serialize_envelope(env)
+                data = wire[id(env)] = serialize_envelope(env, bodies)
             h.update(i.to_bytes(2, "little") + j.to_bytes(2, "little"))
             h.update(data)
             if deliveries is not None:

@@ -30,7 +30,7 @@ def run_eig_t1(proposals, byz_round1, byz_round2_by_receiver):
         msgs[3] = CoPayload(level=0, entries=(((), byz_round1[i]),))
         inbox1[i] = msgs
     out1 = {i: nodes[i].process(inbox1[i], {}) for i in nodes}
-    decided_early = any(nodes[i].result() is not None for i in nodes)
+    decided_early = any(nodes[i].result({}) is not None for i in nodes)
 
     inbox2 = {}
     for i in nodes:
@@ -41,7 +41,7 @@ def run_eig_t1(proposals, byz_round1, byz_round2_by_receiver):
         inbox2[i] = msgs
     for i in nodes:
         nodes[i].process(inbox2[i], {})
-    return {i: nodes[i].result() for i in nodes}, decided_early
+    return {i: nodes[i].result({}) for i in nodes}, decided_early
 
 
 def run_eig_t0(proposals):
@@ -51,7 +51,7 @@ def run_eig_t0(proposals):
     out0 = {i: nodes[i].propose(proposals[i]) for i in nodes}
     for i in nodes:
         nodes[i].process(out0, {})
-    return {i: nodes[i].result() for i in nodes}
+    return {i: nodes[i].result({}) for i in nodes}
 
 
 def enumerate_eig_byzantine_t1(proposals, domain=(0, 1, BOT)):

@@ -188,7 +188,7 @@ class TestInjection:
         nodes = fresh_nodes()
         plan = plan_corruption("targeted", P, [0, 1, 2])
         inject(nodes, {i: RoundMail(inbox={}) for i in range(4)}, plan, P)
-        assert all(nodes[i].mvc.co.result() == 1 for i in nodes)
+        assert all(nodes[i].mvc.co.result({}) == 1 for i in nodes)
 
     def test_full_mode_preserves_structure(self):
         nodes = fresh_nodes()

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from corsim import TrialConfig, make_params
+from corsim import TrialConfig, make_params, mvc
 from corsim.adversary import _fill_tree, _garble_tree
 from corsim.env import clock_read
 from corsim.harness import RoundEngine
@@ -51,18 +51,18 @@ class TestEigMechanics:
     def test_not_decided_before_final_exchange(self):
         node = EigConsensus(4, 1, 0)
         node.propose(1)
-        assert node.result() is None
+        assert node.result({}) is None
         node.process({}, {})
-        assert node.result() is None
+        assert node.result({}) is None
         node.process({}, {})
-        assert node.result() is not None
+        assert node.result({}) is not None
 
     def test_restart_clears_state(self):
         node = EigConsensus(4, 1, 0)
         node.propose(1)
         node.process({}, {})
         node.restart()
-        assert node.result() is None
+        assert node.result({}) is None
         assert node.tree == {}
 
     def test_malformed_payloads_dropped(self):
@@ -368,9 +368,9 @@ class TestValidation:
         calls = []
         validate = EigConsensus._validate
 
-        def counting(self, sender, payload, level):
+        def counting(self, sender, payload, level, memo):
             calls.append(level)
-            return validate(self, sender, payload, level)
+            return validate(self, sender, payload, level, memo)
 
         monkeypatch.setattr(EigConsensus, "_validate", counting)
         params = make_params(10, 3, 3, 8, seed=1)
@@ -408,7 +408,7 @@ class TestResolve:
                 value = rng.choice(choices)
                 if value is not missing:
                     co.tree[label] = value
-            assert repr(co.result()) == repr(reference_resolve(co))
+            assert repr(co.result({})) == repr(reference_resolve(co))
 
     @pytest.mark.parametrize("n,t", RESOLVE_CASES)
     def test_injected_trees_match_reference(self, n, t):
@@ -416,13 +416,13 @@ class TestResolve:
         for value in (0, 1, True):
             node = SimpleNamespace(mvc=MvcController(n, t, 0))
             _fill_tree(node, value, params)
-            assert repr(node.mvc.co.result()) == repr(reference_resolve(node.mvc.co)) == repr(value)
+            assert repr(node.mvc.co.result({})) == repr(reference_resolve(node.mvc.co)) == repr(value)
         for seed in range(40):
             node = SimpleNamespace(mvc=MvcController(n, t, 0))
             _garble_tree(node, random.Random(seed), params)
             co = node.mvc.co
             co.started, co.exchanges_done = True, t + 1
-            assert repr(co.result()) == repr(reference_resolve(co))
+            assert repr(co.result({})) == repr(reference_resolve(co))
 
 
 IDS = (0, 1, 2, 3, N, -1, 1.0, True, False, 2.0, "a", None)
@@ -471,7 +471,7 @@ def run_against_flat_reference(rng: random.Random, co: EigConsensus, ref: EigCon
         assert all(len(label) == k for label in co.tree)
         assert co.tree == {label: v for label, v in ref.tree.items() if len(label) == k}
         sent = got if got is not None else sent
-    assert repr(co.result()) == repr(reference_result(ref))
+    assert repr(co.result({})) == repr(reference_result(ref))
 
 
 class TestOneLevel:
@@ -510,3 +510,135 @@ class TestOneLevel:
             ref.restart()
             assert same_payload(out[0], reference_propose(ref, sample))
             run_against_flat_reference(rng, ctl.co, ref, out[0])
+
+
+def same_pairs(got, want) -> bool:
+    """Equal (label, value) pairs by repr, with each value and each label id
+    the same object: labels built per receiver are equal but not identical."""
+    got, want = list(got), list(want)
+    return repr(got) == repr(want) and all(
+        a[1] is b[1] and all(x is y for x, y in zip(a[0], b[0])) for a, b in zip(got, want)
+    )
+
+
+def engine(n: int, t: int, adversary: str, inject: str, rounds: int, seed: int = 1):
+    return RoundEngine(TrialConfig(
+        params=make_params(n, t, 3, 8, seed=seed), rounds=rounds, adversary=adversary,
+        inject=inject, core="stub",
+    ))
+
+
+SHARING_CASES = [("worst_eig", "targeted"), ("equivocate", "full"), ("random", "full")]
+
+
+class TestSharedLevels:
+    """Receivers with the same arrivals share one level, resolve and broadcast."""
+
+    @pytest.mark.parametrize("n,t", [(7, 2), (10, 3)])
+    @pytest.mark.parametrize("adversary,inject", SHARING_CASES)
+    def test_shared_memo_equals_private_memo_per_receiver(self, monkeypatch, n, t,
+                                                          adversary, inject):
+        """Each pulse also runs on a copy of the node with a memo of its own,
+        which is the per-receiver behaviour; tree, broadcast and floating
+        output must come out the same."""
+        pulse = MvcController.pulse
+        shared_rounds = []
+
+        def checking(self, phase, co_msgs, sample, memo):
+            alone = MvcController(self.n, self.t, self.node_id)
+            alone.current_result = self.current_result
+            co, ref = self.co, alone.co
+            ref.tree, ref.exchanges_done, ref.started = co.tree, co.exchanges_done, co.started
+            want = pulse(alone, phase, co_msgs, sample, {})
+            got = pulse(self, phase, co_msgs, sample, memo)
+            assert same_pairs(co.tree.items(), ref.tree.items())
+            assert (co.exchanges_done, co.started) == (ref.exchanges_done, ref.started)
+            assert list(got) == list(want)
+            if got:
+                assert got[0].level == want[0].level
+                assert same_pairs(got[0].entries, want[0].entries)
+            assert repr(self.current_result) == repr(alone.current_result)
+            assert self.current_result is alone.current_result
+            return got
+
+        monkeypatch.setattr(MvcController, "pulse", checking)
+        eng = engine(n, t, adversary, inject, rounds=3 * 5)
+        for r in range(eng.config.rounds):
+            eng._round(r)
+            trees = {id(eng.nodes[i].mvc.co.tree) for i in eng.correct_ids}
+            shared_rounds.append(len(trees) < len(eng.correct_ids))
+        # worst_eig and equivocate tell two stories, so receivers share
+        # levels; random sends each receiver its own payload, so every
+        # receiver builds its own level in every round
+        assert any(shared_rounds) == (adversary != "random")
+
+    def test_counts_per_round(self, monkeypatch):
+        """n=10, t=3, worst_eig/targeted: the two receiver halves hear two
+        stories, so each processing round builds 2 levels; the sender-
+        independent checks run once per distinct payload (7 correct + 3 x 2
+        Byzantine at phase 1, then 2 shared correct levels + 3 x 2), and phase
+        0 resolves each distinct leaf level once."""
+        checks, resolves = [], []
+        checked, labels = EigConsensus._checked, mvc._labels
+
+        def counting_checked(self, payload, level):
+            checks.append(level)
+            return checked(self, payload, level)
+
+        def counting_labels(n, k):
+            resolves.append(k)
+            return labels(n, k)
+
+        monkeypatch.setattr(EigConsensus, "_checked", counting_checked)
+        monkeypatch.setattr(mvc, "_labels", counting_labels)
+        eng = engine(10, 3, "worst_eig", "targeted", rounds=12)
+        t, kappa = eng.params.t, eng.params.kappa
+        for r in range(eng.config.rounds):
+            phase = clock_read(r, kappa)
+            leaves = {
+                id(eng.nodes[i].mvc.co.tree) for i in eng.correct_ids
+                if eng.nodes[i].mvc.co.started and eng.nodes[i].mvc.co.exchanges_done > t
+            }
+            checks.clear()
+            resolves.clear()
+            eng._round(r)
+            trees = {id(eng.nodes[i].mvc.co.tree) for i in eng.correct_ids}
+            if phase == 0:
+                assert (len(checks), len(resolves)) == (0, len(leaves)), f"round {r}"
+                assert len(leaves) == (7 if r == 0 else 2)  # targeted plants 7 trees
+            elif phase <= t + 1:
+                assert len(checks) == (13 if phase == 1 else 8), f"round {r}"
+                assert resolves == []
+                assert len(trees) == 2, f"round {r}"
+            else:
+                assert checks == resolves == []
+
+    def test_planting_one_node_leaves_the_others_alone(self):
+        """A plant replaces one node's level; the nodes that shared it keep
+        theirs, and their next results equal an unplanted run's."""
+        planted, control = (engine(10, 3, "worst_eig", "targeted", rounds=12) for _ in range(2))
+        t, kappa = planted.params.t, planted.params.kappa
+        last = kappa + t + 1  # the second cycle's last processing round
+        assert clock_read(last + 1, kappa) == 0
+        for r in range(last + 1):
+            planted._round(r)
+            control._round(r)
+        nodes = planted.nodes
+        target = planted.correct_ids[0]
+        sharers = [i for i in planted.correct_ids
+                   if i != target and nodes[i].mvc.co.tree is nodes[target].mvc.co.tree]
+        assert sharers
+        before = {i: (nodes[i].mvc.co.tree, dict(nodes[i].mvc.co.tree)) for i in nodes}
+        _fill_tree(nodes[target], 7, planted.params)
+        for i in planted.correct_ids:
+            if i != target:
+                tree, copy = before[i]
+                assert nodes[i].mvc.co.tree is tree and tree == copy
+        planted._round(last + 1)  # phase 0: every node resolves its level
+        control._round(last + 1)
+        assert nodes[target].mvc.current_result == 7
+        for i in planted.correct_ids:
+            if i != target:
+                got, want = nodes[i].mvc, control.nodes[i].mvc
+                assert repr(got.current_result) == repr(want.current_result)
+                assert repr(got.co.tree) == repr(want.co.tree)

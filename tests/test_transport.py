@@ -117,11 +117,19 @@ class TestDigestOncePerEnvelope:
         yes = Envelope(sender=3, est=EstPayload(slot=0, core=None, delivered=True))
         one = Envelope(sender=3, est=EstPayload(slot=0, core=None, delivered=1))
         assert yes == one and serialize_envelope(yes) != serialize_envelope(one)
+        # payload objects shared by envelopes from different senders: one
+        # consensus level, and two equal est payloads whose reprs differ
+        level = CoPayload(level=2, entries=(((0, 1), 1), ((1, 0), True)))
+        est_yes = EstPayload(slot=1, core=None, delivered=True)
+        est_one = EstPayload(slot=1, core=None, delivered=1)
         return {
             0: dict.fromkeys(self.ids, shared),
             1: dict.fromkeys(self.ids, Envelope(sender=1)),
             2: {j: Envelope(sender=2, sig=SigPayload(kind="index", value=j)) for j in self.ids},
             3: {0: yes, 1: one, 2: yes},
+            4: dict.fromkeys(self.ids, Envelope(sender=4, est=est_yes, co=level)),
+            5: dict.fromkeys(self.ids, Envelope(sender=5, est=est_one, co=level)),
+            6: {j: Envelope(sender=6, est=(est_yes, est_one)[j % 2], co=level) for j in self.ids},
         }
 
     def test_equals_per_delivery_loop(self):
