@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, replace
 from .adversary import INJECT_MODES, POLICIES, Adversary, AdversaryView, inject, plan_corruption
 from .cores import StubOracle, mmr_core_factory, stub_core_factory
 from .env import CoinOracle, Params, clock_read, derived_int, params_validate
+from .mvc import next_memo
 from .node import CorrectNode
 from .transport import (
     Envelope,
@@ -284,6 +285,7 @@ class RoundEngine:
         )
         self.pending: dict[int, RoundMail] = {i: RoundMail(inbox={}) for i in self.node_ids}
         self.last_outboxes: dict[int, dict[int, Envelope]] = {}
+        self.co_memo: dict = {}  # what round 0's EIG memo starts from
 
         plan = plan_corruption(config.inject, p, self.correct_ids)
         inject(self.nodes, self.pending, plan, p)
@@ -313,14 +315,16 @@ class RoundEngine:
         outboxes: dict[int, dict[int, Envelope]] = {}
         reports = {}
         # the round's EIG memo (validations, levels, resolves), shared by
-        # every receiver and dropped with the round
-        co_memo: dict = {}
+        # every receiver; it starts from the checks of the broadcasts built
+        # last round, and only those checks outlive it
+        co_memo = self.co_memo
         for i in self.correct_ids:
             outbox, report = self.nodes[i].step(
                 r, phase, self.pending[i].inbox, coin_bit, co_memo
             )
             outboxes[i] = outbox
             reports[i] = report
+        self.co_memo = next_memo(co_memo)
         for b, box in byz_out.items():
             outboxes[b] = box
 

@@ -16,9 +16,9 @@ Each exchange reads only the level received last, so a node keeps that one
 level and nothing else.
 
 Every correct node broadcasts, so the receivers of one round mostly get
-the same payload objects, and the work is shared through a memo that the
-round engine starts fresh every round (its four kinds of key differ in
-shape, so they never collide):
+the same payload objects, and the work is shared through a memo that
+lives for one round of one engine (its kinds of key differ in shape, so
+they never collide):
 
 - an exchange's arrivals, as (sender, payload object) in inbox order, build
   one level and one next broadcast; every receiver with the same arrivals
@@ -28,7 +28,19 @@ shape, so they never collide):
 - the checks on a payload that do not depend on its sender run once per
   (payload, level), and dropping the labels that name the sender and
   appending it run once per (payload, sender, level);
-- each distinct leaf level is resolved once per cycle.
+- each distinct leaf level is resolved once per cycle;
+- the broadcasts built this round, which `next_memo` turns into the next
+  round's starting memo.
+
+`next_memo` records each broadcast `process` built as already checked at
+its own level, with its entries as the checked entries. That is exactly
+what the checks would return: every inbox key is a node id in 0..n-1 (the
+exchange binds it), so each label `process` builds is a checked label of
+one level lower with one more distinct id in range appended, and each
+value passed the hashability check one level lower. Anything else still
+gets the full check: Byzantine payloads, mail planted before round 0, a
+payload older than one round, and any receiver whose expected level
+differs from the level the payload was built for.
 
 This sharing rests on one rule: a stored level is never mutated in place.
 `restart`, `propose` and `process` assign a new dict, and so must anything
@@ -48,6 +60,9 @@ from functools import cache
 from itertools import permutations
 
 from .transport import CoPayload
+
+# memo key of the list of broadcasts `process` built this round
+_BUILT = "built"
 
 
 class EigConsensus:
@@ -130,9 +145,10 @@ class EigConsensus:
         level they build and the next broadcast (None after the last
         exchange), so receivers with the same arrivals share one level dict
         and one payload object; it maps (id(payload), sender, level) to the
-        payload and the pairs it stores from that sender. Holding the
-        payloads keeps their ids from being reused while the memo lives.
-        Share one memo only among the receivers of one round of one engine.
+        payload and the pairs it stores from that sender. Each broadcast
+        built here is also listed for `next_memo`. Holding the payloads
+        keeps their ids from being reused while the memo lives. Share one
+        memo only among the receivers of one round of one engine.
         """
         if not self.started:
             return None
@@ -154,6 +170,7 @@ class EigConsensus:
             out = None
             if k <= self.t:
                 out = CoPayload(level=k, entries=tuple(sorted(level.items())))
+                memo.setdefault(_BUILT, []).append(out)
             hit = memo[key] = (tuple(msgs.values()), level, out)
         _, self.tree, out = hit
         self.exchanges_done = k
@@ -163,9 +180,10 @@ class EigConsensus:
         """Root resolve after t+1 exchanges; None before completion.
 
         Each label's value is the strict majority of its children's values,
-        or 0 without one; an absent or None leaf reads as 0. `memo` maps
-        (id(tree),) to the stored level and its resolve, so nodes sharing a
-        level resolve it once.
+        or 0 without one; an absent or None leaf reads as 0. A group whose
+        first value holds the majority, as every unanimous group does, costs
+        one count. `memo` maps (id(tree),) to the stored level and its
+        resolve, so nodes sharing a level resolve it once.
         """
         if not self.started or self.exchanges_done < self.t + 1:
             return None
@@ -197,8 +215,20 @@ def _label_set(n: int, k: int) -> frozenset[tuple[int, ...]]:
     return frozenset(_labels(n, k))
 
 
+def next_memo(memo: dict) -> dict:
+    """The memo the next round starts from, given this round's.
+
+    It maps (id(out), out.level) to (out, out.entries) for every broadcast
+    `process` built this round: the entry `_validate` would compute for it.
+    """
+    return {(id(out), out.level): (out, out.entries) for out in memo.get(_BUILT, ())}
+
+
 def _majority(values: list) -> object:
     """The strict-majority value, as its first occurrence, else 0."""
+    first = values[0]
+    if 2 * values.count(first) > len(values):
+        return first  # the common case: a unanimous group
     for value in dict.fromkeys(values):
         if 2 * values.count(value) > len(values):
             return value

@@ -17,6 +17,7 @@ import pytest
 
 from corsim import TrialConfig, make_params
 from corsim.harness import RoundEngine, Trace
+from corsim.mvc import EigConsensus
 
 TABLE = Path(__file__).with_name("golden_digests.json")
 ROUNDS = 120
@@ -138,6 +139,35 @@ def test_live_objects_are_exactly_the_non_fresh_ones(case):
             assert non_fresh[pos] == len(array.live), f"round {r} node {i}"
             settled_seen += len(array.settled)
     assert settled_seen
+
+
+@pytest.mark.parametrize("case", grid(), ids=case_id)
+def test_built_broadcasts_pass_their_own_checks(case, monkeypatch):
+    """The next round skips the sender-independent checks of exactly the
+    broadcasts EIG built this round, so each must come out of those checks
+    unchanged. This is what lets `corsim.mvc.next_memo` skip them."""
+    process = EigConsensus.process
+    built = {}
+
+    def recording(self, msgs, memo):
+        out = process(self, msgs, memo)
+        if out is not None:
+            built[id(out)] = out
+            assert self._checked(out, out.level) == out.entries
+        return out
+
+    monkeypatch.setattr(EigConsensus, "process", recording)
+    engine = build(case)
+    total = 0
+    for r in range(engine.config.rounds):
+        built.clear()
+        engine._round(r)
+        records = engine.co_memo
+        assert set(records) == {(key, out.level) for key, out in built.items()}, f"round {r}"
+        for out, entries in records.values():
+            assert built[id(out)] is out and entries is out.entries
+        total += len(built)
+    assert total
 
 
 @pytest.mark.parametrize("core", ["stub", "mmr-lite"])

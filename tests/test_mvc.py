@@ -7,12 +7,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from corsim import TrialConfig, make_params, mvc
+from corsim import TrialConfig, harness, make_params, mvc
 from corsim.adversary import _fill_tree, _garble_tree
 from corsim.env import clock_read
 from corsim.harness import RoundEngine
 from corsim.mvc import EigConsensus, MvcController
-from corsim.transport import CoPayload
+from corsim.transport import CoPayload, Envelope
 
 from drivers import BOT, run_eig_t0, run_eig_t1
 
@@ -424,6 +424,60 @@ class TestResolve:
             co.started, co.exchanges_done = True, t + 1
             assert repr(co.result({})) == repr(reference_resolve(co))
 
+    def test_majority_matches_first_occurrence_reference(self):
+        """Same object as a plain first-occurrence strict majority: equal
+        values of different types (True, 1, 1.0) count together, a nan
+        counts only its own object, and ties fall back to 0."""
+        rng = random.Random(14)
+        nan = float("nan")
+        palette = (True, 1, 1.0, 0, False, 0.0, None, nan, "x", (1,))
+        paths = Counter()
+        for _ in range(3000):
+            width = rng.randrange(1, 10)
+            choices = rng.sample(palette, rng.randrange(1, 5))
+            values = [
+                float("nan") if rng.random() < 0.05 else rng.choice(choices)
+                for _ in range(width)
+            ]
+            want = reference_majority(values)
+            assert mvc._majority(values) is want, values
+            held = [2 * votes(values, value) > width for value in values]
+            paths["first" if held[0] else "later" if any(held) else "none"] += 1
+        assert min(paths[path] for path in ("first", "later", "none")) > 100
+
+    def test_majority_hand_cases(self):
+        a, b = float("nan"), float("nan")
+        true, fone = True, 1.0
+        pair, same_pair = (1,), tuple([1])
+        cases = [
+            ([a, a, b], a),
+            ([a, b, a], a),
+            ([a, b, b], b),
+            ([a, b, 0], 0),
+            ([true, 1, fone], true),
+            ([fone, true, 0], fone),
+            ([0, fone, true, 1], fone),
+            ([0, "x", 0, "x"], 0),
+            (["x", 0, "x", 0], 0),
+            ([None, None, 1], None),
+            ([same_pair, pair, None], same_pair),
+        ]
+        for values, want in cases:
+            assert mvc._majority(values) is want, values
+
+
+def votes(values: list, value: object) -> int:
+    """How many entries match value, by identity or == (as list.count counts)."""
+    return sum(1 for other in values if other is value or other == value)
+
+
+def reference_majority(values: list) -> object:
+    """The first value, in list order, held by more than half the list; 0 without one."""
+    for value in values:
+        if 2 * votes(values, value) > len(values):
+            return value
+    return 0
+
 
 IDS = (0, 1, 2, 3, N, -1, 1.0, True, False, 2.0, "a", None)
 VALUES = (0, 1, True, 1.0, "x", None, (), UNHASHABLE)
@@ -575,9 +629,10 @@ class TestSharedLevels:
     def test_counts_per_round(self, monkeypatch):
         """n=10, t=3, worst_eig/targeted: the two receiver halves hear two
         stories, so each processing round builds 2 levels; the sender-
-        independent checks run once per distinct payload (7 correct + 3 x 2
-        Byzantine at phase 1, then 2 shared correct levels + 3 x 2), and phase
-        0 resolves each distinct leaf level once."""
+        independent checks run once per distinct payload that was not built
+        the round before (7 correct + 3 x 2 Byzantine at phase 1, then only
+        the 3 x 2 Byzantine ones, since the 2 shared correct levels arrive
+        checked), and phase 0 resolves each distinct leaf level once."""
         checks, resolves = [], []
         checked, labels = EigConsensus._checked, mvc._labels
 
@@ -607,7 +662,7 @@ class TestSharedLevels:
                 assert (len(checks), len(resolves)) == (0, len(leaves)), f"round {r}"
                 assert len(leaves) == (7 if r == 0 else 2)  # targeted plants 7 trees
             elif phase <= t + 1:
-                assert len(checks) == (13 if phase == 1 else 8), f"round {r}"
+                assert len(checks) == (13 if phase == 1 else 6), f"round {r}"
                 assert resolves == []
                 assert len(trees) == 2, f"round {r}"
             else:
@@ -642,3 +697,110 @@ class TestSharedLevels:
                 got, want = nodes[i].mvc, control.nodes[i].mvc
                 assert repr(got.current_result) == repr(want.current_result)
                 assert repr(got.co.tree) == repr(want.co.tree)
+
+
+def replaying(eng: RoundEngine, co_for) -> RoundEngine:
+    """Every Byzantine sender sends co_for(view), one object, to every receiver."""
+
+    def byz_outboxes(view):
+        co = co_for(view)
+        return {b: {j: Envelope(b, co=co) for j in sorted(view.correct_nodes)}
+                for b in eng.byz_ids}
+
+    eng.adversary.byz_outboxes = byz_outboxes
+    return eng
+
+
+def malformed_twice(eng: RoundEngine) -> RoundEngine:
+    """One malformed level-1 object, sent at phases 1 and 2: checked at its
+    own level first, then at the wrong level."""
+    bad = CoPayload(level=1, entries=(
+        ((0,), 1), ((9,), 1), ((-1,), 0), ((1, 2), 1), ((3,), [1]),
+    ))
+    return replaying(eng, lambda view: bad if view.phase in (1, 2) else None)
+
+
+def stale_correct(eng: RoundEngine) -> RoundEngine:
+    """The payload a correct node broadcast the round before, every round."""
+    c = eng.correct_ids[0]
+
+    def co_for(view):
+        box = view.last_outboxes.get(c)
+        return None if box is None else box[c].co
+
+    return replaying(eng, co_for)
+
+
+KAPPA = make_params(7, 2, 3, 8).kappa
+BYZ = {5, 6}  # the Byzantine ids at n=7, t=2
+
+
+def from_byz(labels: set) -> set:
+    """The labels whose last relay was a Byzantine sender."""
+    return {label for label in labels if label and label[-1] in BYZ}
+
+
+class TestCarriedChecks:
+    """The next round trusts the broadcasts `process` built (`mvc.next_memo`);
+    every tree must equal a run with a private memo per receiver and nothing
+    carried between rounds."""
+
+    def run(self, replay, garble: int | None = None) -> list:
+        """Every node's tree (by repr, and its labels) and floating output
+        after every round of three cycles. With `garble`, one receiver is
+        set back one exchange at that round, so it expects the level before
+        the one its fresh arrivals were built for."""
+        rounds = 3 * KAPPA
+        eng = replay(engine(7, 2, "silent", "none", rounds))
+        assert set(eng.byz_ids) == BYZ
+        history = []
+        for r in range(rounds):
+            if r == garble:
+                eng.nodes[eng.correct_ids[-1]].mvc.co.exchanges_done -= 1
+            eng._round(r)
+            history.append([
+                (repr(list(eng.nodes[i].mvc.co.tree.items())),
+                 repr(eng.nodes[i].mvc.current_result), set(eng.nodes[i].mvc.co.tree))
+                for i in eng.correct_ids
+            ])
+        return history
+
+    def reference(self, monkeypatch, replay, garble: int | None = None) -> list:
+        pulse = MvcController.pulse
+        with monkeypatch.context() as m:
+            m.setattr(harness, "next_memo", lambda memo: {})
+            m.setattr(MvcController, "pulse",
+                      lambda self, phase, co_msgs, sample, memo:
+                      pulse(self, phase, co_msgs, sample, {}))
+            return self.run(replay, garble)
+
+    def test_resent_malformed_payload_dropped_both_times(self, monkeypatch):
+        got = self.run(malformed_twice)
+        assert got == self.reference(monkeypatch, malformed_twice)
+        for r, nodes in enumerate(got):
+            phase = clock_read(r, KAPPA)
+            for _, _, labels in nodes:
+                if phase == 2:  # level 1: only the well-formed entry is kept
+                    assert from_byz(labels) == {(0, b) for b in BYZ}, f"round {r}"
+                elif phase == 3:  # level 2: the object is one level behind
+                    assert from_byz(labels) == set(), f"round {r}"
+                if 1 <= phase <= 3:
+                    assert labels <= mvc._label_set(7, phase), f"round {r}"
+
+    def test_resent_correct_payload_from_previous_round(self, monkeypatch):
+        """Always one level behind, so it adds nothing."""
+        got = self.run(stale_correct)
+        assert got == self.reference(monkeypatch, stale_correct)
+        for r, nodes in enumerate(got):
+            assert all(from_byz(labels) == set() for _, _, labels in nodes), f"round {r}"
+
+    def test_receiver_one_exchange_behind_checks_in_full(self, monkeypatch):
+        """A receiver set back one exchange expects the level of the stale
+        copy, not the level the fresh broadcasts were built for: it keeps
+        the stale copy's entries and drops the rest."""
+        garble = KAPPA + 2  # phase 2: the fresh broadcasts are level 1
+        got = self.run(stale_correct, garble)
+        assert got == self.reference(monkeypatch, stale_correct, garble)
+        behind, ahead = got[garble][-1][2], got[garble][0][2]
+        assert behind == {(b,) for b in BYZ}
+        assert ahead == set(permutations(range(5), 2))  # correct relays only
