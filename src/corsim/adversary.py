@@ -1,9 +1,10 @@
 """Byzantine node strategies and transient-fault injection.
 
 The adversary fixes all Byzantine outboxes for a round before the round's
-coin is revealed; it sees everything else (full prior traffic and live
-correct-node state). Per-receiver equivocation is allowed everywhere, but
-sender ids are stamped by the transport and cannot be forged.
+coin is revealed; it sees everything else (the mail each node receives
+this round and live correct-node state). Per-receiver equivocation is
+allowed everywhere, but sender ids are stamped by the transport and cannot
+be forged.
 
 A policy is a per-round builder: given the round's view it returns a
 function (sender, receiver) -> (est, co, sig), and POLICIES finds it by
@@ -36,14 +37,15 @@ Fields = Callable[[int, int], tuple]  # (sender, receiver) -> (est, co, sig)
 class AdversaryView:
     """What the adversary may observe when fixing a round's Byzantine traffic.
 
-    The current round's coin is deliberately absent.
+    `mail` is what each node receives this round, keyed by receiver. The
+    current round's coin is deliberately absent.
     """
 
     round: int
     phase: int
     params: Params
     correct_nodes: dict[int, "CorrectNode"]
-    last_outboxes: dict[int, dict[int, Envelope]]
+    mail: dict[int, RoundMail]
 
 
 class Adversary:
@@ -208,13 +210,17 @@ POLICIES: dict[str, Callable[[Adversary, AdversaryView], Fields]] = {
 def predict(view: AdversaryView, rule: Callable[[dict, int], object]) -> list:
     """What an index-phase rule yields at each correct node this round.
 
-    Receiver i's sig inbox is what every sender sent it last round, so from
-    round 1 on (round 0 delivers the injected channel contents) the rule
-    applied to that inbox is exactly what node i computes.
+    Node i's sig inbox is read from its mail as the node reads it, a value
+    that is not an `Envelope` being an absent sender, so the rule applied
+    to that inbox is exactly what node i computes.
     """
     outcomes = []
     for i in sorted(view.correct_nodes):
-        inbox = {sender: box[i].sig for sender, box in view.last_outboxes.items() if i in box}
+        inbox = {
+            sender: env.sig
+            for sender, env in view.mail[i].inbox.items()
+            if isinstance(env, Envelope)
+        }
         outcomes.append(rule(inbox, view.params.quorum))
     return outcomes
 

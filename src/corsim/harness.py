@@ -25,15 +25,8 @@ from dataclasses import dataclass, field, replace
 from .adversary import INJECT_MODES, POLICIES, Adversary, AdversaryView, inject, plan_corruption
 from .cores import StubOracle, mmr_core_factory, stub_core_factory
 from .env import CoinOracle, Params, clock_read, derived_int, params_validate
-from .mvc import next_memo
 from .node import CorrectNode
-from .transport import (
-    Envelope,
-    RoundMail,
-    TransportError,
-    exchange,
-    traffic_digest,
-)
+from .transport import Envelope, RoundMail, exchange, traffic_digest
 
 REVEAL_ORDER = ("byz_outboxes", "coin_reveal", "node_compute")
 
@@ -284,8 +277,6 @@ class RoundEngine:
             byz_ids=tuple(self.byz_ids),
         )
         self.pending: dict[int, RoundMail] = {i: RoundMail(inbox={}) for i in self.node_ids}
-        self.last_outboxes: dict[int, dict[int, Envelope]] = {}
-        self.co_memo: dict = {}  # what round 0's EIG memo starts from
 
         plan = plan_corruption(config.inject, p, self.correct_ids)
         inject(self.nodes, self.pending, plan, p)
@@ -306,7 +297,7 @@ class RoundEngine:
                 phase=phase,
                 params=p,
                 correct_nodes=self.nodes,
-                last_outboxes=self.last_outboxes,
+                mail=self.pending,
             )
         )
         coin_bit = self.coin.draw(r)
@@ -315,29 +306,16 @@ class RoundEngine:
         outboxes: dict[int, dict[int, Envelope]] = {}
         reports = {}
         # the round's EIG memo (validations, levels, resolves), shared by
-        # every receiver; it starts from the checks of the broadcasts built
-        # last round, and only those checks outlive it
-        co_memo = self.co_memo
+        # every receiver
+        co_memo: dict = {}
         for i in self.correct_ids:
-            outbox, report = self.nodes[i].step(
-                r, phase, self.pending[i].inbox, coin_bit, co_memo
-            )
+            outbox, report = self.nodes[i].step(phase, self.pending[i].inbox, coin_bit, co_memo)
             outboxes[i] = outbox
             reports[i] = report
-        self.co_memo = next_memo(co_memo)
         for b, box in byz_out.items():
             outboxes[b] = box
 
         self.pending = exchange(r, outboxes, self.node_ids, self.correct_ids)
-        # reliable delivery, re-checked every round: each correct sender's
-        # envelope reaches every correct receiver exactly once
-        for j in self.correct_ids:
-            for i in self.correct_ids:
-                if i not in self.pending[j].inbox:
-                    raise TransportError(
-                        f"round {r}: envelope {i}->{j} missing after exchange"
-                    )
-        self.last_outboxes = outboxes
         deliveries = [] if self.config.log_traffic else None
         digest = traffic_digest(outboxes, deliveries)
         if deliveries is not None:

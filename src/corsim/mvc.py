@@ -25,22 +25,23 @@ they never collide):
   at the same level stores that level dict and returns that payload object,
   so only receivers that a Byzantine sender told different stories build
   their own;
-- the checks on a payload that do not depend on its sender run once per
-  (payload, level), and dropping the labels that name the sender and
+- the checks on a payload, dropping the labels that name the sender and
   appending it run once per (payload, sender, level);
-- each distinct leaf level is resolved once per cycle;
-- the broadcasts built this round, which `next_memo` turns into the next
-  round's starting memo.
+- each distinct leaf level is resolved once per cycle.
 
-`next_memo` records each broadcast `process` built as already checked at
-its own level, with its entries as the checked entries. That is exactly
-what the checks would return: every inbox key is a node id in 0..n-1 (the
-exchange binds it), so each label `process` builds is a checked label of
-one level lower with one more distinct id in range appended, and each
-value passed the hashability check one level lower. Anything else still
-gets the full check: Byzantine payloads, mail planted before round 0, a
-payload older than one round, and any receiver whose expected level
-differs from the level the payload was built for.
+`process` registers each broadcast it builds, for as long as the payload
+lives, as already checked at its own level, and a receiver that expects
+that level takes its entries unchecked. That is exactly what the checks
+would return: every inbox key is a node id in 0..n-1 (the exchange binds
+it), so each label `process` builds is a checked label of one level lower
+with one more distinct id in range appended, and each value passed the
+hashability check one level lower. The registry is keyed by (n, id) and
+holds its payloads weakly, so an entry dies with its payload and cannot
+match a later object that reuses the id. Anything else gets the full
+check: Byzantine payloads, mail planted before round 0, propose payloads,
+and a built broadcast read at any other level (a garbled
+`exchanges_done`). Only a built broadcast is relayed by more than one
+sender, so the full checks are not shared across senders.
 
 This sharing rests on one rule: a stored level is never mutated in place.
 `restart`, `propose` and `process` assign a new dict, and so must anything
@@ -58,20 +59,20 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import permutations
+from weakref import WeakValueDictionary
 
 from .transport import CoPayload
 
-# memo key of the list of broadcasts `process` built this round
-_BUILT = "built"
+# (n, id(payload)) -> each level broadcast `process` built, while it lives
+_REGISTRY: WeakValueDictionary[tuple[int, int], CoPayload] = WeakValueDictionary()
 
 
 class EigConsensus:
     """One restartable EIG run (the co instance of the recomputation wrapper)."""
 
-    def __init__(self, n: int, t: int, node_id: int):
+    def __init__(self, n: int, t: int):
         self.n = n
         self.t = t
-        self.node_id = node_id
         self.tree: dict[tuple, object] = {}  # the level stored last
         self.exchanges_done = 0
         self.started = False
@@ -119,20 +120,20 @@ class EigConsensus:
             kept.append(item)
         return tuple(kept)
 
-    def _validate(self, sender: int, payload: CoPayload, level: int, memo: dict) -> tuple:
+    def _validate(self, sender: int, payload: CoPayload, level: int) -> tuple:
         """The (label + (sender,), value) pairs a receiver stores from one arrival.
 
         The payload's checked entries, less those whose label names the
         sender; the pairs keep the received label objects, which are relayed
-        as sent. `memo` maps (id(payload), level) to the payload and its
-        checked entries.
+        as sent. A broadcast `process` built, read at its own level, is
+        registered as checked, so its entries are taken as they are.
         """
-        key = (id(payload), level)
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = (payload, self._checked(payload, level))
+        if _REGISTRY.get((self.n, id(payload))) is payload and payload.level == level:
+            entries = payload.entries
+        else:
+            entries = self._checked(payload, level)
         return tuple(
-            (label + (sender,), value) for label, value in hit[1] if sender not in label
+            (label + (sender,), value) for label, value in entries if sender not in label
         )
 
     def process(self, msgs: dict[int, CoPayload | None], memo: dict) -> CoPayload | None:
@@ -145,10 +146,10 @@ class EigConsensus:
         level they build and the next broadcast (None after the last
         exchange), so receivers with the same arrivals share one level dict
         and one payload object; it maps (id(payload), sender, level) to the
-        payload and the pairs it stores from that sender. Each broadcast
-        built here is also listed for `next_memo`. Holding the payloads
-        keeps their ids from being reused while the memo lives. Share one
-        memo only among the receivers of one round of one engine.
+        payload and the pairs it stores from that sender. Holding the
+        payloads keeps their ids from being reused while the memo lives.
+        Share one memo only among the receivers of one round of one engine.
+        Each broadcast built here is registered as checked at its own level.
         """
         if not self.started:
             return None
@@ -163,14 +164,12 @@ class EigConsensus:
                 pair_key = (id(payload), sender, k - 1)
                 pairs = memo.get(pair_key)
                 if pairs is None:
-                    pairs = memo[pair_key] = (
-                        payload, self._validate(sender, payload, k - 1, memo)
-                    )
+                    pairs = memo[pair_key] = (payload, self._validate(sender, payload, k - 1))
                 level.update(pairs[1])
             out = None
             if k <= self.t:
                 out = CoPayload(level=k, entries=tuple(sorted(level.items())))
-                memo.setdefault(_BUILT, []).append(out)
+                _REGISTRY[(self.n, id(out))] = out
             hit = memo[key] = (tuple(msgs.values()), level, out)
         _, self.tree, out = hit
         self.exchanges_done = k
@@ -215,15 +214,6 @@ def _label_set(n: int, k: int) -> frozenset[tuple[int, ...]]:
     return frozenset(_labels(n, k))
 
 
-def next_memo(memo: dict) -> dict:
-    """The memo the next round starts from, given this round's.
-
-    It maps (id(out), out.level) to (out, out.entries) for every broadcast
-    `process` built this round: the entry `_validate` would compute for it.
-    """
-    return {(id(out), out.level): (out, out.entries) for out in memo.get(_BUILT, ())}
-
-
 def _majority(values: list) -> object:
     """The strict-majority value, as its first occurrence, else 0."""
     first = values[0]
@@ -238,11 +228,10 @@ def _majority(values: list) -> object:
 class MvcController:
     """Floating output plus the embedded co instance (the per-node state)."""
 
-    def __init__(self, n: int, t: int, node_id: int):
+    def __init__(self, n: int, t: int):
         self.n = n
         self.t = t
-        self.node_id = node_id
-        self.co = EigConsensus(n, t, node_id)
+        self.co = EigConsensus(n, t)
         # floating output; None means no completed cycle yet (read as 0)
         self.current_result: object = None
 

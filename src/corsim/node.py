@@ -50,7 +50,7 @@ class CorrectNode:
     ):
         self.params = params
         self.node_id = node_id
-        self.mvc = MvcController(params.n, params.t, node_id)
+        self.mvc = MvcController(params.n, params.t)
         self.sig = SigIndex(params, node_id)
         self.objects = ObjectArray(
             params.n, params.t, node_id, params.index_num, params.log_size, core_factory
@@ -66,7 +66,6 @@ class CorrectNode:
 
     def step(
         self,
-        round_index: int,
         phase: int,
         inbox: dict[int, Envelope],
         coin_bit: int,

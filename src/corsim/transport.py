@@ -66,12 +66,17 @@ def exchange(
 ) -> dict[int, RoundMail]:
     """Deliver outboxes exactly: inbox[j][i] = outbox[i][j].
 
-    No loss, duplication, reorder or forgery. A missing outbox for a correct
-    node is a fatal simulator bug; a Byzantine node may omit destinations.
+    No loss, duplication, reorder or forgery. A correct node's outbox that
+    is missing, or that skips a correct receiver, is a fatal simulator bug;
+    a Byzantine node may omit destinations.
     """
     for i in correct_ids:
-        if i not in outboxes:
+        box = outboxes.get(i)
+        if box is None:
             raise TransportError(f"round {round_index}: missing outbox for correct node {i}")
+        for j in correct_ids:
+            if j not in box:
+                raise TransportError(f"round {round_index}: envelope {i}->{j} missing")
     mail = {j: RoundMail(inbox={}) for j in node_ids}
     for i in node_ids:
         for j, env in outboxes.get(i, {}).items():

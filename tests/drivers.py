@@ -21,7 +21,7 @@ def run_eig_t1(proposals, byz_round1, byz_round2_by_receiver):
     Returns ({node: decision}, decided_early: bool).
     """
     n, t = 4, 1
-    nodes = {i: EigConsensus(n, t, i) for i in range(3)}
+    nodes = {i: EigConsensus(n, t) for i in range(3)}
     out0 = {i: nodes[i].propose(proposals[i]) for i in nodes}
 
     inbox1 = {}
@@ -47,7 +47,7 @@ def run_eig_t1(proposals, byz_round1, byz_round2_by_receiver):
 def run_eig_t0(proposals):
     """Degenerate t=0 run at n=4: one exchange, majority-with-default resolve."""
     n, t = 4, 0
-    nodes = {i: EigConsensus(n, t, i) for i in range(4)}
+    nodes = {i: EigConsensus(n, t) for i in range(4)}
     out0 = {i: nodes[i].propose(proposals[i]) for i in nodes}
     for i in nodes:
         nodes[i].process(out0, {})

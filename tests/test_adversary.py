@@ -34,7 +34,7 @@ def view_for(nodes, round_index=6, phase=1):
         phase=phase,
         params=P,
         correct_nodes=nodes,
-        last_outboxes={},
+        mail={i: RoundMail(inbox={}) for i in range(P.n)},
     )
 
 
@@ -91,16 +91,21 @@ class TestStrategies:
         # node computes in the same round, whatever the Byzantine traffic
         checked = set()
         for seed in range(3):
-            for policy, inject_mode in (("worst_sig", "full"), ("worst_sig", "targeted"),
-                                        ("random", "full")):
+            for policy, inject_mode, plant in (
+                ("worst_sig", "full", False), ("worst_sig", "targeted", False),
+                ("random", "full", False), ("worst_sig", "full", True),
+            ):
                 p = make_params(4, 1, 3, 8, seed=40 + seed)
                 engine = RoundEngine(TrialConfig(params=p, rounds=15 * p.kappa,
                                                  adversary=policy, inject=inject_mode))
                 for r in range(engine.config.rounds):
                     phase = r % p.kappa
+                    if plant and phase == p.kappa - 3:
+                        # read as an absent sender, by the node and by predict
+                        engine.pending[0].inbox[1] = "garbage"
+                        checked.add("planted")
                     view = AdversaryView(round=r, phase=phase, params=p,
-                                         correct_nodes=engine.nodes,
-                                         last_outboxes=engine.last_outboxes)
+                                         correct_nodes=engine.nodes, mail=engine.pending)
                     votes = predict(view, index_vote)
                     bits = predict(view, vote_bit)
                     engine._round(r)
@@ -112,7 +117,7 @@ class TestStrategies:
                         assert bits == [engine.nodes[i].sig.bit for i in ids]
                         checked.add(("bit", bits[0]))
         # both outcomes of each rule were exercised
-        assert checked == {("vote", True), ("vote", False), ("bit", 0), ("bit", 1)}
+        assert checked == {("vote", True), ("vote", False), ("bit", 0), ("bit", 1), "planted"}
 
     def test_worst_sig_predicts_once_per_round(self, monkeypatch):
         # a prediction is the same for every (sender, receiver) pair, so
@@ -163,7 +168,7 @@ class TestStrategies:
         from corsim.adversary import AdversaryView
 
         names = {f.name for f in fields(AdversaryView)}
-        assert names == {"round", "phase", "params", "correct_nodes", "last_outboxes"}
+        assert names == {"round", "phase", "params", "correct_nodes", "mail"}
 
 
 class TestInjection:

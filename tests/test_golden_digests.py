@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from corsim import TrialConfig, make_params
+from corsim import TrialConfig, make_params, mvc
 from corsim.harness import RoundEngine, Trace
 from corsim.mvc import EigConsensus
 
@@ -143,31 +143,28 @@ def test_live_objects_are_exactly_the_non_fresh_ones(case):
 
 @pytest.mark.parametrize("case", grid(), ids=case_id)
 def test_built_broadcasts_pass_their_own_checks(case, monkeypatch):
-    """The next round skips the sender-independent checks of exactly the
-    broadcasts EIG built this round, so each must come out of those checks
-    unchanged. This is what lets `corsim.mvc.next_memo` skip them."""
+    """Receivers skip the checks of the broadcasts `corsim.mvc` registered
+    as built, so each registered payload must come out of those checks
+    unchanged, and the registry must hold exactly what `process` built."""
+    before = {id(p): p for p in mvc._REGISTRY.values()}  # held, so no id is reused
     process = EigConsensus.process
-    built = {}
+    built = {}  # held too, so every payload built stays registered
 
     def recording(self, msgs, memo):
         out = process(self, msgs, memo)
         if out is not None:
             built[id(out)] = out
             assert self._checked(out, out.level) == out.entries
+        registered = [
+            (key, p) for key, p in mvc._REGISTRY.items() if before.get(key[1]) is not p
+        ]
+        assert len(registered) == len(built)
+        assert all(key == (self.n, id(p)) and built.get(id(p)) is p for key, p in registered)
         return out
 
     monkeypatch.setattr(EigConsensus, "process", recording)
-    engine = build(case)
-    total = 0
-    for r in range(engine.config.rounds):
-        built.clear()
-        engine._round(r)
-        records = engine.co_memo
-        assert set(records) == {(key, out.level) for key, out in built.items()}, f"round {r}"
-        for out, entries in records.values():
-            assert built[id(out)] is out and entries is out.entries
-        total += len(built)
-    assert total
+    build(case).run()
+    assert built
 
 
 @pytest.mark.parametrize("core", ["stub", "mmr-lite"])

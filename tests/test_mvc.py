@@ -1,13 +1,15 @@
 """EIG consensus core and the floating-output recomputation wrapper."""
 
+import gc
 import random
+import weakref
 from collections import Counter
 from itertools import permutations
 from types import SimpleNamespace
 
 import pytest
 
-from corsim import TrialConfig, harness, make_params, mvc
+from corsim import TrialConfig, make_params, mvc
 from corsim.adversary import _fill_tree, _garble_tree
 from corsim.env import clock_read
 from corsim.harness import RoundEngine
@@ -49,7 +51,7 @@ class TestEigUnanimous:
 
 class TestEigMechanics:
     def test_not_decided_before_final_exchange(self):
-        node = EigConsensus(4, 1, 0)
+        node = EigConsensus(4, 1)
         node.propose(1)
         assert node.result({}) is None
         node.process({}, {})
@@ -58,7 +60,7 @@ class TestEigMechanics:
         assert node.result({}) is not None
 
     def test_restart_clears_state(self):
-        node = EigConsensus(4, 1, 0)
+        node = EigConsensus(4, 1)
         node.propose(1)
         node.process({}, {})
         node.restart()
@@ -66,7 +68,7 @@ class TestEigMechanics:
         assert node.tree == {}
 
     def test_malformed_payloads_dropped(self):
-        node = EigConsensus(4, 1, 0)
+        node = EigConsensus(4, 1)
         node.propose(1)
         node.process(
             {
@@ -108,14 +110,14 @@ def drive_controllers_cycle(controllers, inputs, kappa):
 
 class TestMvcController:
     def test_capture_restart_propose_at_phase_zero(self):
-        ctl = MvcController(4, 1, 0)
+        ctl = MvcController(4, 1)
         ctl.current_result = "stale"
         out = ctl.pulse(0, {}, 1, {})
         assert ctl.current_result is None  # fresh co had no decision yet
         assert set(out) == {0, 1, 2, 3}
 
     def test_one_payload_object_addressed_to_every_node(self):
-        ctl = MvcController(4, 1, 0)
+        ctl = MvcController(4, 1)
         for phase in (0, 1):  # t=1: phase 2 stores the leaves and sends nothing
             out = ctl.pulse(phase, {}, 1, {})
             assert list(out) == [0, 1, 2, 3]
@@ -123,14 +125,14 @@ class TestMvcController:
             assert isinstance(out[0], CoPayload) and out[0].level == phase
 
     def test_processing_window_closes_after_t_plus_1(self):
-        ctl = MvcController(4, 1, 0)
+        ctl = MvcController(4, 1)
         ctl.pulse(0, {}, 1, {})
         assert ctl.pulse(1, {}, None, {}) != {}
         assert ctl.pulse(3, {}, None, {}) == {}  # t=1: window is {1, 2}
         assert ctl.pulse(4, {}, None, {}) == {}  # phase t+2 and later: silent
 
     def test_unanimous_inputs_become_next_cycle_result(self):
-        controllers = {i: MvcController(4, 0, i) for i in range(4)}
+        controllers = {i: MvcController(4, 0) for i in range(4)}
         drive_controllers_cycle(controllers, [1, 1, 1, 1], kappa=5)
         assert all(c.current_result is None for c in controllers.values())
         drive_controllers_cycle(controllers, [0, 0, 0, 0], kappa=5)
@@ -139,14 +141,14 @@ class TestMvcController:
         assert all(c.current_result == 0 for c in controllers.values())
 
     def test_corrupted_floating_output_replaced_at_phase_zero(self):
-        controllers = {i: MvcController(4, 0, i) for i in range(4)}
+        controllers = {i: MvcController(4, 0) for i in range(4)}
         drive_controllers_cycle(controllers, [1, 1, 1, 1], kappa=5)
         controllers[2].current_result = 77
         drive_controllers_cycle(controllers, [1, 1, 1, 1], kappa=5)
         assert controllers[2].current_result == 1
 
     def test_mixed_inputs_agree(self):
-        controllers = {i: MvcController(4, 0, i) for i in range(4)}
+        controllers = {i: MvcController(4, 0) for i in range(4)}
         drive_controllers_cycle(controllers, [1, 0, 1, 0], kappa=5)
         drive_controllers_cycle(controllers, [0, 0, 0, 0], kappa=5)
         values = {c.current_result for c in controllers.values()}
@@ -292,13 +294,13 @@ class TestValidation:
         sender, payload, level = MALFORMED[case]
         want: dict = {}
         reference_store(want, N, sender, payload, level)
-        got = stored(EigConsensus(N, 1, 0), sender, payload, level)
+        got = stored(EigConsensus(N, 1), sender, payload, level)
         assert same_tree(got, want)
 
     @pytest.mark.parametrize("case", range(len(UNHASHABLE_IDS)))
     def test_unhashable_label_ids_dropped(self, case):
         sender, payload, level = UNHASHABLE_IDS[case]
-        assert stored(EigConsensus(N, 1, 0), sender, payload, level) == {}
+        assert stored(EigConsensus(N, 1), sender, payload, level) == {}
 
     def test_corpus_keeps_some_entries(self):
         """The corpus is not all rejections, so the key objects are compared."""
@@ -331,7 +333,7 @@ class TestValidation:
             payload = CoPayload(level=level, entries=entries)
             want: dict = {}
             reference_store(want, N, sender, payload, level)
-            assert same_tree(stored(EigConsensus(N, 1, 0), sender, payload, level), want)
+            assert same_tree(stored(EigConsensus(N, 1), sender, payload, level), want)
 
     def test_shared_memo_equals_private_memos(self):
         """One memo across receivers expecting different levels, from two
@@ -348,7 +350,7 @@ class TestValidation:
         def trees(memo_for):
             out = []
             for done, msgs in inboxes:
-                co = EigConsensus(N, 1, 0)
+                co = EigConsensus(N, 1)
                 co.started = True
                 co.exchanges_done = done
                 co.process(msgs, memo_for())
@@ -368,9 +370,9 @@ class TestValidation:
         calls = []
         validate = EigConsensus._validate
 
-        def counting(self, sender, payload, level, memo):
+        def counting(self, sender, payload, level):
             calls.append(level)
-            return validate(self, sender, payload, level, memo)
+            return validate(self, sender, payload, level)
 
         monkeypatch.setattr(EigConsensus, "_validate", counting)
         params = make_params(10, 3, 3, 8, seed=1)
@@ -401,7 +403,7 @@ class TestResolve:
         for _ in range(60):
             # few distinct values per tree, so majorities form at every level
             choices = rng.sample(palette, rng.randrange(1, 4))
-            co = EigConsensus(n, t, 0)
+            co = EigConsensus(n, t)
             co.started = True
             co.exchanges_done = t + 1
             for label in leaves:
@@ -414,11 +416,11 @@ class TestResolve:
     def test_injected_trees_match_reference(self, n, t):
         params = make_params(n, t, 3, 8, seed=0)
         for value in (0, 1, True):
-            node = SimpleNamespace(mvc=MvcController(n, t, 0))
+            node = SimpleNamespace(mvc=MvcController(n, t))
             _fill_tree(node, value, params)
             assert repr(node.mvc.co.result({})) == repr(reference_resolve(node.mvc.co)) == repr(value)
         for seed in range(40):
-            node = SimpleNamespace(mvc=MvcController(n, t, 0))
+            node = SimpleNamespace(mvc=MvcController(n, t))
             _garble_tree(node, random.Random(seed), params)
             co = node.mvc.co
             co.started, co.exchanges_done = True, t + 1
@@ -533,7 +535,7 @@ class TestOneLevel:
         rng = random.Random(8)
         for _ in range(300):
             t = rng.randrange(3)
-            co, ref = EigConsensus(N, t, 0), EigConsensus(N, t, 0)
+            co, ref = EigConsensus(N, t), EigConsensus(N, t)
             value = rng.choice(VALUES[:-1])
             sent = co.propose(value)
             assert same_payload(sent, reference_propose(ref, value))
@@ -549,8 +551,8 @@ class TestOneLevel:
         starts = [("fill", value) for value in (0, 1, True)]
         starts += [("garble", seed) for seed in range(40)]
         for kind, arg in starts:
-            ctl = MvcController(n, t, 0)
-            ref = EigConsensus(n, t, 0)
+            ctl = MvcController(n, t)
+            ref = EigConsensus(n, t)
             if kind == "fill":
                 _fill_tree(SimpleNamespace(mvc=ctl), arg, params)
                 reference_fill_tree(ref, arg)
@@ -599,7 +601,7 @@ class TestSharedLevels:
         shared_rounds = []
 
         def checking(self, phase, co_msgs, sample, memo):
-            alone = MvcController(self.n, self.t, self.node_id)
+            alone = MvcController(self.n, self.t)
             alone.current_result = self.current_result
             co, ref = self.co, alone.co
             ref.tree, ref.exchanges_done, ref.started = co.tree, co.exchanges_done, co.started
@@ -628,10 +630,10 @@ class TestSharedLevels:
 
     def test_counts_per_round(self, monkeypatch):
         """n=10, t=3, worst_eig/targeted: the two receiver halves hear two
-        stories, so each processing round builds 2 levels; the sender-
-        independent checks run once per distinct payload that was not built
-        the round before (7 correct + 3 x 2 Byzantine at phase 1, then only
-        the 3 x 2 Byzantine ones, since the 2 shared correct levels arrive
+        stories, so each processing round builds 2 levels; the checks run
+        once per (payload, sender) pair that `process` did not build (7
+        correct proposals + 3 x 2 Byzantine at phase 1, then only the 3 x 2
+        Byzantine ones, since the 2 shared correct levels are registered as
         checked), and phase 0 resolves each distinct leaf level once."""
         checks, resolves = [], []
         checked, labels = EigConsensus._checked, mvc._labels
@@ -725,8 +727,8 @@ def stale_correct(eng: RoundEngine) -> RoundEngine:
     c = eng.correct_ids[0]
 
     def co_for(view):
-        box = view.last_outboxes.get(c)
-        return None if box is None else box[c].co
+        env = view.mail[c].inbox.get(c)
+        return None if env is None else env.co
 
     return replaying(eng, co_for)
 
@@ -740,10 +742,17 @@ def from_byz(labels: set) -> set:
     return {label for label in labels if label and label[-1] in BYZ}
 
 
+class NothingBuilt(dict):
+    """A registry that never holds a payload: every arrival gets the full check."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
 class TestCarriedChecks:
-    """The next round trusts the broadcasts `process` built (`mvc.next_memo`);
-    every tree must equal a run with a private memo per receiver and nothing
-    carried between rounds."""
+    """Receivers trust the broadcasts `process` registered as built; every
+    tree must equal a run with a private memo per receiver in which no
+    payload counts as built."""
 
     def run(self, replay, garble: int | None = None) -> list:
         """Every node's tree (by repr, and its labels) and floating output
@@ -768,7 +777,7 @@ class TestCarriedChecks:
     def reference(self, monkeypatch, replay, garble: int | None = None) -> list:
         pulse = MvcController.pulse
         with monkeypatch.context() as m:
-            m.setattr(harness, "next_memo", lambda memo: {})
+            m.setattr(mvc, "_REGISTRY", NothingBuilt())
             m.setattr(MvcController, "pulse",
                       lambda self, phase, co_msgs, sample, memo:
                       pulse(self, phase, co_msgs, sample, {}))
@@ -804,3 +813,38 @@ class TestCarriedChecks:
         behind, ahead = got[garble][-1][2], got[garble][0][2]
         assert behind == {(b,) for b in BYZ}
         assert ahead == set(permutations(range(5), 2))  # correct relays only
+
+
+class TestRegistry:
+    def test_registry_keeps_no_payload_alive(self, monkeypatch):
+        """A registered broadcast lives only as long as something else holds
+        it, and an equal payload that is not that object gets the full check."""
+        gc.collect()
+        n, t = 7, 2
+        eng = engine(n, t, "worst_eig", "full", rounds=KAPPA + 2)
+        for r in range(eng.config.rounds):
+            eng._round(r)
+        assert clock_read(eng.config.rounds - 1, KAPPA) == 1  # level 1 in flight
+        sent = [eng.pending[0].inbox[i].co for i in eng.correct_ids]
+        assert all(mvc._REGISTRY.get((n, id(p))) is p for p in sent)
+        assert {p.level for p in sent} == {1}
+
+        checks = []
+        checked = EigConsensus._checked
+
+        def counting(self, payload, level):
+            checks.append(payload)
+            return checked(self, payload, level)
+
+        monkeypatch.setattr(EigConsensus, "_checked", counting)
+        co = EigConsensus(n, t)
+        built = sent[0]
+        copy = CoPayload(level=built.level, entries=built.entries)
+        assert copy == built and copy is not built
+        assert co._validate(4, copy, 1) == co._validate(4, built, 1)
+        assert checks == [copy]
+
+        refs = [weakref.ref(p) for p in sent]
+        del sent, built, copy, eng
+        gc.collect()
+        assert all(ref() is None for ref in refs)

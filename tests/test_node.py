@@ -21,7 +21,7 @@ def flag(sender, slot, delivered):
 
 
 def step(node, inbox, phase=1):
-    return node.step(round_index=phase, phase=phase, inbox=inbox, coin_bit=0, memo={})
+    return node.step(phase=phase, inbox=inbox, coin_bit=0, memo={})
 
 
 def test_step_merges_each_flag_into_the_slot_its_est_names():

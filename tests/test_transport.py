@@ -15,6 +15,7 @@ from corsim.transport import (
     traffic_digest,
 )
 from corsim.env import make_params
+from corsim import harness
 from corsim.harness import RoundEngine, TrialConfig
 
 
@@ -39,8 +40,8 @@ class TestExchange:
         honest = Envelope(sender=0, sig=SigPayload(kind="index", value=9))
         outboxes = {
             0: broadcast(0, honest, self.ids),
-            1: {},
-            2: {},
+            1: broadcast(1, Envelope(sender=1), self.ids),
+            2: broadcast(2, Envelope(sender=2), self.ids),
             3: {1: a, 2: b},
         }
         mail = exchange(0, outboxes, self.ids, correct_ids=[0, 1, 2])
@@ -50,13 +51,26 @@ class TestExchange:
 
     def test_impersonation_rejected(self):
         forged = Envelope(sender=1, sig=SigPayload(kind="index", value=0))
-        outboxes = {0: {}, 1: {}, 2: {1: forged}, 3: {}}
-        with pytest.raises(TransportError):
+        outboxes = {i: broadcast(i, Envelope(sender=i), self.ids) for i in (0, 1)}
+        outboxes[2] = broadcast(2, forged, self.ids)
+        with pytest.raises(TransportError, match="node 2 attempted to send as 1"):
             exchange(0, outboxes, self.ids, correct_ids=[0, 1, 2])
 
     def test_missing_correct_outbox_is_fatal(self):
-        with pytest.raises(TransportError):
-            exchange(0, {0: {}}, self.ids, correct_ids=[0, 1])
+        outboxes = {0: broadcast(0, Envelope(sender=0), self.ids)}
+        with pytest.raises(TransportError, match="missing outbox for correct node 1"):
+            exchange(0, outboxes, self.ids, correct_ids=[0, 1])
+
+    def test_correct_outbox_skipping_a_correct_receiver_is_fatal(self):
+        outboxes = {i: broadcast(i, Envelope(sender=i), self.ids) for i in self.ids}
+        del outboxes[2][1]
+        with pytest.raises(TransportError, match="envelope 2->1 missing"):
+            exchange(3, outboxes, self.ids, correct_ids=[0, 1, 2])
+        # a correct sender may skip a Byzantine receiver, and a Byzantine one anybody
+        del outboxes[2][3], outboxes[3][0]
+        outboxes[2][1] = Envelope(sender=2)
+        mail = exchange(3, outboxes, self.ids, correct_ids=[0, 1, 2])
+        assert 2 not in mail[3].inbox and 3 not in mail[0].inbox
 
     def test_exact_delivery_no_loss_no_duplication(self):
         outboxes = {
@@ -147,12 +161,19 @@ class TestDigestOncePerEnvelope:
         ]
 
 
-def test_correct_nodes_broadcast_one_envelope_object():
+def test_correct_nodes_broadcast_one_envelope_object(monkeypatch):
+    sent = []
+
+    def recording(r, outboxes, node_ids, correct_ids):
+        sent.append(outboxes)
+        return exchange(r, outboxes, node_ids, correct_ids)
+
+    monkeypatch.setattr(harness, "exchange", recording)
     p = make_params(4, 1, 3, 8, seed=21)
     engine = RoundEngine(TrialConfig(params=p, rounds=10, adversary="equivocate"))
     for r in range(p.kappa):
         engine._round(r)
-        outboxes = engine.last_outboxes
+        outboxes = sent[-1]
         for i in engine.correct_ids:
             env = outboxes[i][i]
             assert sorted(outboxes[i]) == engine.node_ids
