@@ -2,11 +2,12 @@
 
 Two implementations back the same contract:
 
-* DelayStubCore -- safe by construction. A per-trial oracle owned by the
-  simulator fixes the decision value (majority of the correct proposals) and
-  reveals it to each node after an adversary-chosen delay in [0, dmax].
-  It models asynchrony honestly (different nodes learn the decision in
-  different rounds) without re-implementing a Byzantine consensus protocol.
+* DelayStubCore -- safe by construction. A per-trial referee owned by the
+  simulator, StubOracle, fixes the decision value (majority of the correct
+  proposals) and writes it into each node's core after a seeded delay in
+  [0, dmax], drawn with derived_int. It models asynchrony honestly
+  (different nodes learn the decision in different rounds) without
+  re-implementing a Byzantine consensus protocol.
 
 * MmrLiteCore -- a simplified coin-based binary consensus (est/aux rounds
   driven by a shared coin) for end-to-end realism. It self-checks its state
@@ -59,36 +60,38 @@ def _majority_bit(values: list[object]) -> int:
 @dataclass
 class _SlotRecord:
     value: int
-    reveal: dict[int, int]
-    members: dict[int, object]  # node id -> the core instance bound at trigger time
+    # node id -> (reveal round, the core bound at trigger time), until written
+    pending: dict[int, tuple[int, "DelayStubCore"]]
 
 
 class StubOracle:
-    """Per-trial referee for DelayStubCore decisions.
+    """Per-trial referee that writes each DelayStubCore decision into its core.
 
     A slot's record triggers once every correct node's object at that slot
-    carries a proposal; the decision value is the majority of those proposals
-    and each node learns it reveal-delay rounds later. The round engine calls
-    forget(slot) when the slot's incarnation ends, that is when every correct
-    node's object at the slot is back to its initial state.
+    carries a proposal. The trigger binds each node's core of that moment and
+    fixes the decision value, the majority of the proposals, and each node's
+    reveal round, a seeded delay in [0, dmax] after the trigger. The round
+    engine calls forget(slot) when the slot's incarnation ends, that is when
+    every correct node's object at the slot is back to its initial state.
     """
 
     def __init__(self, seed: int, correct_ids: list[int], dmax: int):
         self.seed = seed
         self.correct_ids = list(correct_ids)
         self.dmax = dmax
-        self.now = 0
         self.records: dict[int, _SlotRecord] = {}
 
-    def begin_round(self, round_index: int) -> None:
-        self.now = round_index
-
     def observe(self, round_index: int, objects_by_node: dict[int, dict]) -> None:
-        """End-of-round sweep: trigger a decision for every newly proposed slot.
+        """End-of-round sweep: trigger newly proposed slots, then write what is due.
 
         objects_by_node maps each correct node to its live objects by slot; a
-        slot can trigger only if it is live at the first correct node. Under
-        mmr-lite the engine passes no objects and nothing is swept.
+        slot can trigger only if it is live at the first correct node. Each
+        decision whose reveal round is at most round_index + 1 is then written
+        into its bound core, unless that core already holds a value: a read in
+        round R follows observe(R - 1), so it sees the decision from the
+        reveal round on, and never in the trigger round. A core built later
+        for the slot is never bound and never written. Under mmr-lite the
+        engine passes no objects and nothing is swept.
         """
         if not objects_by_node:
             return
@@ -99,39 +102,33 @@ class StubOracle:
             if all(obj is not None and obj.proposed is not None for obj in objs):
                 self.records[slot] = _SlotRecord(
                     value=_majority_bit([obj.proposed for obj in objs]),
-                    reveal={
-                        i: round_index
-                        + derived_int(
-                            self.seed, "stub-delay", slot, round_index, i,
-                            bound=self.dmax + 1,
-                        )
-                        for i in self.correct_ids
+                    pending={
+                        i: (round_index + derived_int(
+                            self.seed, "stub-delay", slot, round_index, i, bound=self.dmax + 1,
+                        ), obj.core)
+                        for i, obj in zip(self.correct_ids, objs)
                     },
-                    members={i: obj.core for i, obj in zip(self.correct_ids, objs)},
                 )
+        for rec in self.records.values():
+            due = [i for i, (reveal, _) in rec.pending.items() if reveal <= round_index + 1]
+            for i in due:
+                core = rec.pending.pop(i)[1]
+                if core.decided_cache is None:
+                    core.decided_cache = rec.value
 
     def forget(self, slot: int) -> None:
         """Drop the slot's record once its incarnation has ended."""
         self.records.pop(slot, None)
 
-    def decision_for(self, node_id: int, slot: int, core: "DelayStubCore") -> int | None:
-        rec = self.records.get(slot)
-        if rec is None:
-            return None
-        if rec.members.get(node_id) is not core:
-            return None
-        if self.now < rec.reveal.get(node_id, 0):
-            return None
-        return rec.value
-
 
 class DelayStubCore:
-    """Oracle-backed core: BC-validity/agreement/completion by construction."""
+    """Referee-backed core: BC-validity/agreement/completion by construction.
 
-    def __init__(self, oracle: StubOracle, node_id: int, slot: int):
-        self._oracle = oracle
-        self._node_id = node_id
-        self._slot = slot
+    It knows nothing of its referee: StubOracle.observe writes the decision
+    into decided_cache when it is due, and decided() reads it.
+    """
+
+    def __init__(self):
         self.proposed: int | None = None
         self.decided_cache: object = None
 
@@ -143,10 +140,6 @@ class DelayStubCore:
         return None
 
     def decided(self) -> tuple[str, object] | None:
-        if self.decided_cache is None:
-            v = self._oracle.decision_for(self._node_id, self._slot, self)
-            if v is not None:
-                self.decided_cache = v
         if self.decided_cache is None:
             return None
         if self.decided_cache not in (0, 1):
@@ -311,13 +304,6 @@ class MmrLiteCore:
             and not self.aux_seen
             and not self.faulted
         )
-
-
-def stub_core_factory(oracle: StubOracle, node_id: int) -> Callable[[int], DelayStubCore]:
-    def make(slot: int) -> DelayStubCore:
-        return DelayStubCore(oracle, node_id, slot)
-
-    return make
 
 
 def mmr_core_factory(

@@ -23,7 +23,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field, replace
 
 from .adversary import INJECT_MODES, POLICIES, Adversary, AdversaryView, inject, plan_corruption
-from .cores import StubOracle, mmr_core_factory, stub_core_factory
+from .cores import DelayStubCore, StubOracle, mmr_core_factory
 from .env import CoinOracle, Params, clock_read, derived_int, params_validate
 from .node import CorrectNode
 from .transport import Envelope, RoundMail, exchange, traffic_digest
@@ -256,15 +256,16 @@ class RoundEngine:
         self.nodes: dict[int, CorrectNode] = {}
         for i in self.correct_ids:
             if config.core == "stub":
-                factory = stub_core_factory(self.stub_oracle, i)
+                factory = lambda slot: DelayStubCore()
             else:
                 factory = mmr_core_factory(p.n, p.t, i, p.seed)
             node = CorrectNode(p, i, factory, proposer)
             if not config.recycling:
                 node.fixed_slot = 0
             self.nodes[i] = node
-        # what the stub oracle watches; no live-object dict is ever replaced,
-        # and mmr-lite objects have no oracle to serve
+        # what the stub oracle watches and writes decisions into; no
+        # live-object dict is ever replaced, and mmr-lite objects have no
+        # oracle to serve
         self.oracle_slots = (
             {i: node.objects.live for i, node in self.nodes.items()}
             if config.core == "stub" else {}
@@ -301,7 +302,6 @@ class RoundEngine:
             )
         )
         coin_bit = self.coin.draw(r)
-        self.stub_oracle.begin_round(r)
 
         outboxes: dict[int, dict[int, Envelope]] = {}
         reports = {}

@@ -51,7 +51,7 @@ class CorrectNode:
         self.params = params
         self.node_id = node_id
         self.mvc = MvcController(params.n, params.t)
-        self.sig = SigIndex(params, node_id)
+        self.sig = SigIndex(params)
         self.objects = ObjectArray(
             params.n, params.t, node_id, params.index_num, params.log_size, core_factory
         )

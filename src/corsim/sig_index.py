@@ -47,9 +47,8 @@ def vote_bit(msgs: dict[int, SigPayload | None], quorum: int) -> int:
 
 
 class SigIndex:
-    def __init__(self, params: Params, node_id: int):
+    def __init__(self, params: Params):
         self.params = params
-        self.node_id = node_id
         # read raw; an out-of-range corrupted value is normalized at the next write
         self.index = 0
         self.propose_val: object = None

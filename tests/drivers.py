@@ -94,7 +94,7 @@ def run_sig_cycle(params, indices, byz_script, mvc_results, coin_bit,
     """
     p = params
     correct = list(range(len(indices)))
-    sigs = {i: SigIndex(p, i) for i in correct}
+    sigs = {i: SigIndex(p) for i in correct}
     for i in correct:
         sigs[i].index = indices[i]
         if saves:

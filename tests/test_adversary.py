@@ -10,7 +10,7 @@ from corsim.adversary import (
     plan_corruption,
     predict,
 )
-from corsim.cores import stub_core_factory, StubOracle
+from corsim.cores import DelayStubCore
 from corsim.env import make_params
 from corsim.harness import RoundEngine, TrialConfig
 from corsim.node import CorrectNode
@@ -21,9 +21,8 @@ P = make_params(n=4, t=1, log_size=3, index_num=8, seed=11)
 
 
 def fresh_nodes(params=P):
-    oracle = StubOracle(params.seed, [0, 1, 2], dmax=3)
     return {
-        i: CorrectNode(params, i, stub_core_factory(oracle, i), lambda s, n: 0)
+        i: CorrectNode(params, i, lambda s: DelayStubCore(), lambda s, n: 0)
         for i in range(3)
     }
 

@@ -187,8 +187,15 @@ def test_identical_invocations_identical_csv(tmp_path):
     ([], "{not json", "cannot read config"),
     ([], {"recycling": 0}, "recycling must be a boolean"),
     ([], {"log_traffic": "yes"}, "log_traffic must be a boolean"),
+    (["--rounds", "0"], None, "rounds >= 1"),
+    (["--dmax", "-1"], None, "dmax >= 0"),
+    (["--t", "-1"], None, "t >= 0"),
+    (["--n", "0"], None, "n >= 1"),
+    (["--index-num", "1"], None, "index_num >= 2"),
+    (["--out", "{tmp}/missing/r.csv"], None, "cannot write output"),
 ])
 def test_bad_input_exits_2_with_message(tmp_path, capsys, argv, config, message):
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     if config is not None:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(config if isinstance(config, str) else json.dumps(config))

@@ -10,14 +10,14 @@ from corsim.cores import (
     StubOracle,
     mmr_core_factory,
 )
-from corsim.env import make_params, seeded_rng
+from corsim.env import derived_int, make_params, seeded_rng
 from corsim.harness import CORES, RoundEngine, TrialConfig
 from corsim.recyclable import CORE_ERROR, RecyclableObject
 
 
 def wire_objects(oracle, n=4, t=1, slot=0):
     return {
-        i: RecyclableObject(n, t, i, slot, DelayStubCore(oracle, i, slot))
+        i: RecyclableObject(n, t, i, slot, DelayStubCore())
         for i in oracle.correct_ids
     }
 
@@ -27,25 +27,40 @@ def live(objs, slot=0):
     return {i: {slot: obj} for i, obj in objs.items()}
 
 
+def first_visible(oracle, objs, rounds):
+    """Round from which each node's reads see a decision, sweeping as the engine does.
+
+    A read in round r follows observe(r - 1), so a decision that observe(r)
+    writes is first visible in round r + 1.
+    """
+    visible = {}
+    for r in rounds:
+        oracle.observe(r, live(objs))
+        for i, obj in objs.items():
+            if i not in visible and obj.core.decided() is not None:
+                visible[i] = r + 1
+    return visible
+
+
 class TestDelayStub:
     def test_decides_majority_of_correct_proposals(self):
-        oracle = StubOracle(seed=3, correct_ids=[0, 1, 2], dmax=0)
-        objs = wire_objects(oracle)
-        values = {0: 1, 1: 1, 2: 0}
-        for i, obj in objs.items():
-            obj.propose(values[i])
-        oracle.observe(0, live(objs))
-        oracle.begin_round(5)
-        decisions = {i: objs[i].core.decided() for i in objs}
-        assert all(d == (DECIDED, 1) for d in decisions.values())
+        for n, proposals, decision in (
+            (4, [1, 1, 0], 1),
+            (5, [1, 1, 0, 0], 0),  # a tie among the correct proposals decides 0
+        ):
+            oracle = StubOracle(seed=3, correct_ids=list(range(len(proposals))), dmax=0)
+            objs = wire_objects(oracle, n=n)
+            for i, obj in objs.items():
+                obj.propose(proposals[i])
+            oracle.observe(0, live(objs))
+            assert {obj.core.decided() for obj in objs.values()} == {(DECIDED, decision)}
 
     def test_waits_for_all_correct_proposals(self):
         oracle = StubOracle(seed=3, correct_ids=[0, 1, 2], dmax=0)
         objs = wire_objects(oracle)
         objs[0].propose(1)
-        oracle.observe(0, live(objs))
-        oracle.begin_round(9)
-        assert objs[0].core.decided() is None
+        assert first_visible(oracle, objs, range(10)) == {}
+        assert oracle.records == {}
 
     def test_a_slot_without_a_live_object_at_some_node_waits(self):
         oracle = StubOracle(seed=3, correct_ids=[0, 1, 2], dmax=0)
@@ -56,30 +71,52 @@ class TestDelayStub:
         by_node[2] = {}
         oracle.observe(0, by_node)
         assert oracle.records == {}
+        assert objs[0].core.decided() is None
         oracle.observe(1, live(objs))
         assert set(oracle.records) == {0}
 
     def test_reveal_delays_bounded_by_dmax(self):
+        """Triggered in round 2, a node's reads see the decision from round
+        2 + delay on, with delay its derived_int draw in [0, dmax], but never
+        before round 3: the trigger round's reads precede the trigger."""
         dmax = 6
-        oracle = StubOracle(seed=4, correct_ids=[0, 1, 2], dmax=dmax)
-        objs = wire_objects(oracle)
-        for obj in objs.values():
-            obj.propose(1)
-        oracle.observe(2, live(objs))
-        rec = oracle.records[0]
-        assert all(2 <= r <= 2 + dmax for r in rec.reveal.values())
+        for seed in (4, 8):
+            oracle = StubOracle(seed=seed, correct_ids=[0, 1, 2], dmax=dmax)
+            objs = wire_objects(oracle)
+            for obj in objs.values():
+                obj.propose(1)
+            visible = first_visible(oracle, objs, range(2, 2 + dmax + 1))
+            delays = {
+                i: derived_int(seed, "stub-delay", 0, 2, i, bound=dmax + 1) for i in objs
+            }
+            assert visible == {i: max(2 + d, 3) for i, d in delays.items()}
+            assert all(0 <= d <= dmax for d in delays.values())
 
     def test_decision_not_served_to_recycled_core(self):
-        oracle = StubOracle(seed=5, correct_ids=[0, 1, 2], dmax=0)
+        oracle = StubOracle(seed=5, correct_ids=[0, 1, 2], dmax=6)
         objs = wire_objects(oracle)
         for obj in objs.values():
             obj.propose(1)
         oracle.observe(0, live(objs))
-        oracle.begin_round(4)
-        # recycling drops the object; the slot's next object gets a new core
-        rebuilt = RecyclableObject(4, 1, 1, 0, DelayStubCore(oracle, 1, 0))
-        assert rebuilt.core.decided() is None
+        assert oracle.records[0].pending[1][0] > 1  # node 1's write is still to come
+        # recycling drops node 1's object; the slot's next object gets a new core
+        objs[1] = RecyclableObject(4, 1, 1, 0, DelayStubCore())
+        objs[1].propose(0)
+        first_visible(oracle, objs, range(1, 8))
+        assert objs[1].core.decided() is None
         assert objs[0].core.decided() == (DECIDED, 1)
+
+    def test_a_planted_cache_on_a_bound_core_is_never_overwritten(self):
+        oracle = StubOracle(seed=3, correct_ids=[0, 1, 2], dmax=0)
+        objs = wire_objects(oracle)
+        for obj in objs.values():
+            obj.propose(1)
+        objs[0].core.decided_cache = 7
+        objs[1].core.decided_cache = 0
+        oracle.observe(0, live(objs))
+        assert objs[0].core.decided() == (CORE_FAULT, None)
+        assert objs[1].core.decided() == (DECIDED, 0)
+        assert objs[2].core.decided() == (DECIDED, 1)
 
     def test_record_clears_when_incarnation_ends(self):
         """In an engine run a slot's record lives exactly as long as its
@@ -102,8 +139,7 @@ class TestDelayStub:
         assert ended > 10
 
     def test_corrupted_cache_reports_fault(self):
-        oracle = StubOracle(seed=7, correct_ids=[0, 1, 2], dmax=0)
-        core = DelayStubCore(oracle, 0, 0)
+        core = DelayStubCore()
         core.decided_cache = 5
         assert core.decided() == (CORE_FAULT, None)
 
@@ -173,6 +209,32 @@ class TestMmrLite:
         core.step({})
         assert core.decided() == (CORE_FAULT, None)
 
+    def test_three_backers_make_a_candidate_and_two_only_endorse(self):
+        core = mmr_core_factory(4, 1, 0, seed=0)(0)
+        core.propose(0)
+        core.step({j: ("MMR", 1, (1,), None) for j in (1, 2)})
+        assert core.my_ests == (0, 1)
+        assert core.bin_values == ()
+        core.step({3: ("MMR", 1, (1,), None)})
+        assert core.bin_values == (1,)
+
+    @pytest.mark.parametrize("aux_voters, round_after", [(2, 1), (3, 2)])
+    def test_three_backed_aux_votes_end_the_round_and_two_do_not(self, aux_voters, round_after):
+        core = mmr_core_factory(4, 1, 0, seed=0)(0)
+        core.propose(1)
+        core.step({j: ("MMR", 1, (1,), 1 if j < aux_voters else None) for j in range(3)})
+        assert core.bin_values == ((1,) if round_after == 1 else ())
+        assert core.round == round_after
+
+    def test_a_mixed_aux_view_adopts_the_coin_and_advances_undecided(self):
+        core = mmr_core_factory(4, 1, 0, seed=2)(0)
+        coin = core.coin(1)
+        core.propose(1 - coin)
+        core.step({j: ("MMR", 1, (0, 1), j % 2) for j in range(3)})
+        assert core.round == 2
+        assert core.est == coin
+        assert core.decided() is None
+
 
 def byzantine_core_message(rng):
     """A core message a Byzantine sender may send: well-formed, equivocating or malformed."""
@@ -204,7 +266,6 @@ def test_a_read_result_stays_until_recycled(core, seed):
     """
     params = make_params(4, 1, log_size=3, index_num=8, seed=seed)
     engine = RoundEngine(TrialConfig(params=params, core=core))
-    oracle = engine.stub_oracle
     rng = seeded_rng(seed, "test-read-stays")
     for i, node in engine.nodes.items():
         _garble_objects(node, seeded_rng(seed, "test-garble", i), params)
@@ -224,7 +285,6 @@ def test_a_read_result_stays_until_recycled(core, seed):
 
     last = {i: [None] * params.index_num for i in engine.correct_ids}
     for r in range(150):
-        oracle.begin_round(r)
         sent = {i: [None] * params.index_num for i in engine.correct_ids}
         for i, node in engine.nodes.items():
             for slot in range(params.index_num):
@@ -241,7 +301,7 @@ def test_a_read_result_stays_until_recycled(core, seed):
                 sent[i][slot] = obj.pulse_step(inbox).core
                 read(i, slot, obj, r)
         last = sent
-        oracle.observe(r, engine.oracle_slots)
+        engine.stub_oracle.observe(r, engine.oracle_slots)
     results = [value for _, value in first.values()]
     assert later_reads > 1000
     assert any(r > 0 for r, _ in first.values())  # some objects decide while stepped

@@ -7,6 +7,7 @@ from corsim.env import Params, make_params
 from corsim.harness import (
     VIOLATION_KINDS,
     ConfigError,
+    Trace,
     TrialConfig,
     assumption1_violations,
     compute_metrics,
@@ -281,6 +282,33 @@ def test_sweep_matches_three_pass_reference_on_golden_traces(case):
     for cut in (golden.ROUNDS, 57):  # a whole trace and one cut mid-cycle
         trace.rounds = trace.rounds[:cut]
         assert legality_violations(trace, params) == three_pass_violations(trace, params)
+
+
+class TestAssumption1:
+    """An instance some correct node read must not be evicted unread elsewhere."""
+
+    @staticmethod
+    def trace():
+        return Trace(
+            meta={},
+            correct_ids=(0, 1, 2),
+            byz_ids=(3,),
+            # slot 0's incarnation 0: read by node 0, evicted unread at node 1
+            retrievals={(0, 0): {0: (10, "1")}},
+            evictions={(0, 0): {0: 11, 1: 12}, (1, 0): {0: 12, 1: 12, 2: 12}},
+        )
+
+    def test_an_eviction_unread_after_a_read_elsewhere_is_reported(self):
+        assert assumption1_violations(self.trace()) == [((0, 0), 1, 12)]
+
+    def test_evictions_before_from_round_are_ignored(self):
+        assert assumption1_violations(self.trace(), from_round=12) == [((0, 0), 1, 12)]
+        assert assumption1_violations(self.trace(), from_round=13) == []
+
+    def test_an_instance_no_node_read_is_never_reported(self):
+        trace = self.trace()
+        trace.retrievals.clear()
+        assert assumption1_violations(trace) == []
 
 
 class TestEmit:

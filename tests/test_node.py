@@ -1,7 +1,7 @@
 """Correct node step: the one place where delivery flags are merged."""
 
 from corsim import TrialConfig
-from corsim.cores import StubOracle, stub_core_factory
+from corsim.cores import DelayStubCore
 from corsim.env import make_params
 from corsim.harness import RoundEngine
 from corsim.node import CorrectNode
@@ -11,8 +11,7 @@ P = make_params(n=4, t=1, log_size=3, index_num=8)
 
 
 def make_node(node_id=0):
-    oracle = StubOracle(P.seed, [0, 1, 2], dmax=3)
-    return CorrectNode(P, node_id, stub_core_factory(oracle, node_id), lambda s, n: 0)
+    return CorrectNode(P, node_id, lambda s: DelayStubCore(), lambda s, n: 0)
 
 
 def flag(sender, slot, delivered):

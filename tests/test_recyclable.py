@@ -7,26 +7,23 @@ from corsim.recyclable import CORE_ERROR, RecyclableObject
 from corsim.recycler import ObjectArray
 
 
-def make_object(n=4, t=1, node_id=0, slot=0, oracle=None):
-    oracle = oracle or StubOracle(seed=0, correct_ids=list(range(n - t)), dmax=0)
-    obj = RecyclableObject(n, t, node_id, slot, DelayStubCore(oracle, node_id, slot))
-    return obj, oracle
+def make_object(n=4, t=1, node_id=0, slot=0):
+    return RecyclableObject(n, t, node_id, slot, DelayStubCore())
 
 
 def make_array(core_factory=None):
     """Node 0's array at n=4, t=1 over 8 slots; window(5) = {2, 3, 4, 5} leaves slot 0 out."""
-    oracle = StubOracle(seed=0, correct_ids=[0, 1, 2], dmax=0)
-    return ObjectArray(4, 1, 0, 8, 3, core_factory or (lambda s: DelayStubCore(oracle, 0, s)))
+    return ObjectArray(4, 1, 0, 8, 3, core_factory or (lambda s: DelayStubCore()))
 
 
 class TestPropose:
     def test_fresh_propose_recorded(self):
-        obj, _ = make_object()
+        obj = make_object()
         obj.propose(1)
         assert obj.proposed == 1
 
     def test_double_propose_is_noop(self):
-        obj, _ = make_object()
+        obj = make_object()
         obj.propose(0)
         obj.propose(1)
         assert obj.proposed == 0
@@ -42,18 +39,18 @@ class TestPropose:
 
 class TestResult:
     def test_decided_core_sets_local_flag(self):
-        obj, _ = make_object()
+        obj = make_object()
         obj.core.decided_cache = 1
         assert obj.observe_result() == 1
         assert obj.delivered[0] is True
 
     def test_undecided_returns_none_flag_unchanged(self):
-        obj, _ = make_object()
+        obj = make_object()
         assert obj.observe_result() is None
         assert obj.delivered[0] is False
 
     def test_corrupted_core_yields_error_symbol(self):
-        obj, _ = make_object()
+        obj = make_object()
         obj.core.decided_cache = 7  # out of domain: core self-check fails
         assert obj.observe_result() is CORE_ERROR
         assert obj.delivered[0] is True
@@ -61,16 +58,16 @@ class TestResult:
 
 class TestWasDelivered:
     def test_three_of_four(self):
-        obj, _ = make_object()
+        obj = make_object()
         obj.delivered = [True, True, True, False]
         assert obj.was_delivered() == 1
 
     def test_all_false(self):
-        obj, _ = make_object()
+        obj = make_object()
         assert obj.was_delivered() == 0
 
     def test_two_of_four(self):
-        obj, _ = make_object()
+        obj = make_object()
         obj.delivered = [True, True, False, False]
         assert obj.was_delivered() == 0
 
@@ -78,7 +75,7 @@ class TestWasDelivered:
         # brute-force oracle: the report is exactly (true count >= n-t)
         for n in (4, 5, 6):
             t = (n - 1) // 3
-            obj, _ = make_object(n=n, t=t)
+            obj = make_object(n=n, t=t)
             for pattern in product([False, True], repeat=n):
                 obj.delivered = list(pattern)
                 expected = 1 if sum(pattern) >= n - t else 0
@@ -124,19 +121,19 @@ class TestRecycle:
 
 class TestPulseStep:
     def test_consistency_test_clears_spurious_local_flag(self):
-        obj, _ = make_object()
+        obj = make_object()
         obj.delivered[0] = True  # transient corruption: flag without decision
         obj.pulse_step({})
         assert obj.delivered[0] is False
 
     def test_no_arrivals_leaves_remote_flags(self):
-        obj, _ = make_object()
+        obj = make_object()
         obj.delivered[2] = True
         obj.pulse_step({})
         assert obj.delivered[2] is True
 
     def test_emits_slot_and_local_flag(self):
-        obj, _ = make_object()
+        obj = make_object()
         obj.core.decided_cache = 1
         out = obj.pulse_step({})
         assert out.slot == 0
@@ -160,22 +157,23 @@ class TestReadingAFreshObject:
     """
 
     def test_new_stub_object(self):
-        read_leaves_fresh(make_object()[0])
+        read_leaves_fresh(make_object())
 
     def test_rebuilt_stub_object_whose_slot_keeps_a_record(self):
         oracle = StubOracle(seed=0, correct_ids=[0, 1, 2], dmax=0)
         arrays = {
-            i: ObjectArray(4, 1, i, 8, 3, lambda s, i=i: DelayStubCore(oracle, i, s))
+            i: ObjectArray(4, 1, i, 8, 3, lambda s: DelayStubCore())
             for i in oracle.correct_ids
         }
         for arr in arrays.values():
             arr.get(0).propose(1)
-        oracle.observe(0, {i: arr.live for i, arr in arrays.items()})
-        oracle.begin_round(1)
+        live = {i: arr.live for i, arr in arrays.items()}
+        oracle.observe(0, live)
         assert arrays[0].get(0).observe_result() == 1
         assert arrays[0].recycler_pulse(5) == [0]
-        # the record still binds the slot to the previous core
-        assert oracle.records[0].members[0] is not arrays[0].get(0).core
+        # the record outlives node 0's incarnation, but the sweep binds no new core
+        oracle.observe(1, live)
+        assert 0 in oracle.records
         read_leaves_fresh(arrays[0].get(0))
 
     def test_new_mmr_object(self):
@@ -192,20 +190,20 @@ class TestReadingAFreshObject:
         read_leaves_fresh(arr.get(0))
 
     def test_stepping_an_unproposed_object_leaves_it_fresh(self):
-        for obj in (make_object()[0], make_mmr_object()):
+        for obj in (make_object(), make_mmr_object()):
             obj.pulse_step({j: ("MMR", 1, (1,), 1) for j in (1, 2, 3)})
             read_leaves_fresh(obj)
 
 
 class TestLocalState:
     def test_remote_flags_alone_are_not_local_state(self):
-        obj, _ = make_object()
+        obj = make_object()
         obj.delivered[3] = True
         assert obj.has_local_state() is False
         assert not obj.is_fresh()
 
     def test_proposal_is_local_state(self):
-        obj, _ = make_object()
+        obj = make_object()
         obj.propose(1)
         assert obj.has_local_state() is True
 
@@ -216,13 +214,12 @@ def test_delivery_indication_propagates_to_all_correct():
     wasDelivered()=1 (single object, no recycling, lock-step by hand)."""
     n, t = 4, 1
     oracle = StubOracle(seed=1, correct_ids=[0, 1, 2], dmax=2)
-    objs = {i: RecyclableObject(n, t, i, 0, DelayStubCore(oracle, i, 0)) for i in range(3)}
+    objs = {i: RecyclableObject(n, t, i, 0, DelayStubCore()) for i in range(3)}
     for i, obj in objs.items():
         obj.propose(1)
     outboxes = {i: None for i in objs}
     first_report = None
     for r in range(12):
-        oracle.begin_round(r)
         inboxes = {
             i: {
                 j: outboxes[j]

@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 
 from corsim.cli import main
-from corsim.cores import DelayStubCore, StubOracle
+from corsim.cores import DelayStubCore
 from corsim.env import make_params
 from corsim.harness import CORES, RoundEngine, TrialConfig
 from corsim.recycler import ObjectArray, _window, window
@@ -53,11 +53,7 @@ class TestWindow:
 
 
 def make_array(n=4, t=1, node_id=0, index_num=8, log_size=3):
-    oracle = StubOracle(seed=0, correct_ids=list(range(n - t)), dmax=0)
-    return ObjectArray(
-        n, t, node_id, index_num, log_size,
-        lambda s: DelayStubCore(oracle, node_id, s),
-    )
+    return ObjectArray(n, t, node_id, index_num, log_size, lambda s: DelayStubCore())
 
 
 class TestRecyclerPulse:

@@ -13,7 +13,7 @@ P = make_params(n=4, t=1, log_size=3, index_num=8, seed=0)
 
 class TestGetIndex:
     def test_plain_read(self):
-        assert SigIndex(P, 0).index == 0
+        assert SigIndex(P).index == 0
         sigs = run_sig_cycle(P, indices=[5, 5, 5], byz_script={},
                              mvc_results=[0, 0, 0], coin_bit=0)
         assert [s.index for s in sigs.values()] == [5, 5, 5]
@@ -25,7 +25,7 @@ class TestGetIndex:
         assert [s.index for s in sigs.values()] == [0, 0, 0]
 
     def test_out_of_range_corruption_read_raw_until_write(self):
-        sig = SigIndex(P, 0)
+        sig = SigIndex(P)
         sig.index = 12
         assert sig.index == 12
         sigs = run_sig_cycle(P, indices=[12, 12, 12], byz_script={},
@@ -103,17 +103,17 @@ class TestHandSimulatedCycles:
 
 class TestPhaseDetails:
     def test_no_traffic_outside_protocol_phases(self):
-        sig = SigIndex(P, 0)
+        sig = SigIndex(P)
         assert sig.pulse(0, {}, 0, 0) is None
 
     def test_propose_requires_quorum(self):
-        sig = SigIndex(P, 0)
+        sig = SigIndex(P)
         msgs = {j: SigPayload(kind="index", value=4) for j in range(2)}
         out = sig.pulse(P.kappa - 3, msgs, 0, 0)
         assert out.value is None
 
     def test_bit_counts_distinct_senders_not_values(self):
-        sig = SigIndex(P, 0)
+        sig = SigIndex(P)
         msgs = {
             0: SigPayload(kind="propose", value=1),
             1: SigPayload(kind="propose", value=2),
@@ -125,7 +125,7 @@ class TestPhaseDetails:
         assert sig.save == 0  # but no majority value: default
 
     def test_mistyped_payloads_ignored(self):
-        sig = SigIndex(P, 0)
+        sig = SigIndex(P)
         sig.index = 9
         msgs = {j: SigPayload(kind="bit", value=1) for j in range(4)}
         out = sig.pulse(P.kappa - 3, msgs, 0, 0)
