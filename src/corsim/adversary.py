@@ -33,7 +33,7 @@ if TYPE_CHECKING:
 Fields = Callable[[int, int], tuple]  # (sender, receiver) -> (est, co, sig)
 
 
-@dataclass
+@dataclass(slots=True)
 class AdversaryView:
     """What the adversary may observe when fixing a round's Byzantine traffic.
 

@@ -133,6 +133,11 @@ def main(argv: list[str] | None = None) -> int:
         trial = {key: options[key] for key in TRIAL_DEFAULTS}
         trial["adversary"] = trial["adversary"].replace("-", "_")
         config = TrialConfig(params=params, **trial)
+        # the CSV's directory, also the trace directory, must exist before any trial runs
+        out_dir = os.path.dirname(options["out"] or "") or "."
+        if not os.path.isdir(out_dir):
+            print(f"cannot write output: no directory {out_dir!r}", file=sys.stderr)
+            return 2
         results = run_ensemble(config, options["trials"])
     except ConfigError as err:
         print("invalid configuration:", file=sys.stderr)
@@ -140,12 +145,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  - {violation}", file=sys.stderr)
         return 2
 
-    trace_dir = None
-    if args.trace:
-        if options["out"]:
-            trace_dir = os.path.dirname(options["out"]) or "."
-        else:
-            trace_dir = "."
+    trace_dir = out_dir if args.trace else None
     try:
         summary, exit_code = emit(
             results, options["out"], strict=args.strict, trace_dir=trace_dir

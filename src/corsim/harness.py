@@ -113,7 +113,7 @@ class TrialConfig:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class RoundRecord:
     round: int
     phase: int

@@ -43,9 +43,11 @@ and a built broadcast read at any other level (a garbled
 `exchanges_done`). Only a built broadcast is relayed by more than one
 sender, so the full checks are not shared across senders.
 
-This sharing rests on one rule: a stored level is never mutated in place.
-`restart`, `propose` and `process` assign a new dict, and so must anything
-that plants a tree (`adversary._fill_tree`, `adversary._garble_tree`).
+This sharing rests on one rule: neither a stored level nor a payload is
+ever mutated in place. `restart`, `propose` and `process` assign a new
+dict, and so must anything that plants a tree (`adversary._fill_tree`,
+`adversary._garble_tree`); no field of a payload is rebound once it is
+built (see `corsim.transport`).
 The resolve runs bottom-up: `permutations` lists the labels of each level
 in lexicographic order, so the children of every label are one consecutive
 run of the level below, and each run folds into its parent's value.

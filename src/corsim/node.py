@@ -29,7 +29,7 @@ from .sig_index import SigIndex
 from .transport import CoPayload, Envelope, EstPayload, SigPayload
 
 
-@dataclass
+@dataclass(slots=True)
 class StepReport:
     """What one node did in one round, for the trace."""
 

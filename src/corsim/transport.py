@@ -6,6 +6,15 @@ recomputation, and a sig field for the shared index. A correct sender only
 broadcasts, so its outbox maps every receiver to one shared envelope object;
 a Byzantine sender may equivocate with a distinct envelope per receiver.
 Delivery is exact and authenticated: no sender can alter its sender id.
+
+Messages are shared by reference: one envelope reaches every receiver, and
+one co payload can ride the envelopes of several senders (see `corsim.mvc`).
+So no field of an envelope or payload is rebound after construction. The
+classes are not frozen all the same, because a frozen dataclass sets each
+field through `object.__setattr__`, about 0.5 us more per message;
+`test_messages_are_never_rebound` holds every golden trial to the rule.
+Each payload writes its own repr: the generated repr's bytes for every
+acyclic value, without its recursion guard (no payload contains itself).
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ import hashlib
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class EstPayload:
     """Recyclable-object piggyback: slot number, core message, sender's delivery flag."""
 
@@ -22,24 +31,35 @@ class EstPayload:
     core: object
     delivered: bool
 
+    def __repr__(self) -> str:
+        return f"EstPayload(slot={self.slot!r}, core={self.core!r}, delivered={self.delivered!r})"
 
-@dataclass(frozen=True)
+
+# not slotted: `corsim.mvc` registers built broadcasts weakly, and a slotted
+# class takes weak references only with `weakref_slot` (Python 3.11+)
+@dataclass(unsafe_hash=True)
 class CoPayload:
     """One consensus-core message: tree level plus (label, value) entries."""
 
     level: int
     entries: tuple
 
+    def __repr__(self) -> str:
+        return f"CoPayload(level={self.level!r}, entries={self.entries!r})"
 
-@dataclass(frozen=True)
+
+@dataclass(slots=True, unsafe_hash=True)
 class SigPayload:
     """Index-protocol message, tagged by phase kind: 'index', 'propose' or 'bit'."""
 
     kind: str
     value: object
 
+    def __repr__(self) -> str:
+        return f"SigPayload(kind={self.kind!r}, value={self.value!r})"
 
-@dataclass(frozen=True)
+
+@dataclass(slots=True, unsafe_hash=True)
 class Envelope:
     sender: int
     est: EstPayload | None = None
@@ -47,7 +67,7 @@ class Envelope:
     sig: SigPayload | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class RoundMail:
     """Per-receiver mail for one round: sender id -> envelope."""
 
@@ -84,8 +104,9 @@ def exchange(
                 raise TransportError(
                     f"round {round_index}: node {i} attempted to send as {env.sender}"
                 )
-            if j in node_ids:
-                mail[j].inbox[i] = env
+            box = mail.get(j)
+            if box is not None:
+                box.inbox[i] = env
     return mail
 
 

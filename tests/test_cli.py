@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+from corsim import harness
 from corsim.adversary import POLICIES
 from corsim.cli import main
 from corsim.env import make_params, params_validate
@@ -193,8 +194,16 @@ def test_identical_invocations_identical_csv(tmp_path):
     (["--n", "0"], None, "n >= 1"),
     (["--index-num", "1"], None, "index_num >= 2"),
     (["--out", "{tmp}/missing/r.csv"], None, "cannot write output"),
+    (["--out", "{tmp}/missing/r.csv", "--trace"], None, "cannot write output"),
 ])
-def test_bad_input_exits_2_with_message(tmp_path, capsys, argv, config, message):
+def test_bad_input_exits_2_with_message(
+    tmp_path, capsys, monkeypatch, argv, config, message
+):
+    # bad input is refused before any trial runs
+    def no_trial(self):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness.RoundEngine, "run", no_trial)
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     if config is not None:
         cfg = tmp_path / "cfg.json"

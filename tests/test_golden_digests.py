@@ -18,6 +18,7 @@ import pytest
 from corsim import TrialConfig, make_params, mvc
 from corsim.harness import RoundEngine, Trace
 from corsim.mvc import EigConsensus
+from corsim.transport import CoPayload, Envelope, EstPayload, SigPayload
 
 TABLE = Path(__file__).with_name("golden_digests.json")
 ROUNDS = 120
@@ -165,6 +166,34 @@ def test_built_broadcasts_pass_their_own_checks(case, monkeypatch):
     monkeypatch.setattr(EigConsensus, "process", recording)
     build(case).run()
     assert built
+
+
+MESSAGES = (EstPayload, CoPayload, SigPayload, Envelope)
+
+
+def refuse_rebind(self, name, value):
+    try:
+        getattr(self, name)
+    except AttributeError:  # not yet set: construction
+        object.__setattr__(self, name, value)
+    else:
+        raise AttributeError(f"{type(self).__name__}.{name} rebound")
+
+
+@pytest.mark.parametrize("case", grid(), ids=case_id)
+def test_messages_are_never_rebound(case, golden, monkeypatch):
+    """Messages are shared by reference (one envelope to every receiver, one
+    co payload among senders) and are not frozen, so no code may rebind a
+    field once a message is built."""
+    for cls in MESSAGES:
+        monkeypatch.setattr(cls, "__setattr__", refuse_rebind)
+    sig = SigPayload(kind="bit", value=0)
+    with pytest.raises(AttributeError, match="SigPayload.value rebound"):
+        sig.value = 1
+    co = CoPayload(level=0, entries=())
+    with pytest.raises(AttributeError, match="CoPayload.entries rebound"):
+        co.entries = ((), 1)
+    assert run(case).digest() == golden[case_id(case)]
 
 
 @pytest.mark.parametrize("core", ["stub", "mmr-lite"])

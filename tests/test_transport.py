@@ -1,6 +1,7 @@
 """Envelope serialization and lock-step delivery."""
 
 import hashlib
+from dataclasses import field, make_dataclass
 
 import pytest
 
@@ -98,11 +99,109 @@ class TestSerialization:
         raw = serialize_envelope(Envelope(sender=0))
         assert raw == b"\x00"
 
+    def test_wire_bytes_pinned(self):
+        """Sender byte, then tag, u32 little-endian length and UTF-8 repr per field."""
+        env = Envelope(
+            sender=3,
+            est=EstPayload(slot=5, core=("MMR", 2, (0, 1), None), delivered=1),
+            co=CoPayload(level=1, entries=(((0,), None), ((2,), 1))),
+            sig=SigPayload(kind="propose", value='a "b" \'c\' \u00e9'),
+        )
+        assert serialize_envelope(env) == (
+            b"\x03"
+            b"\x01\x3e\x00\x00\x00"
+            b"EstPayload(slot=5, core=('MMR', 2, (0, 1), None), delivered=1)"
+            b"\x02\x35\x00\x00\x00"
+            b"CoPayload(level=1, entries=(((0,), None), ((2,), 1)))"
+            b"\x03\x32\x00\x00\x00"
+            b"SigPayload(kind='propose', value='a \"b\" \\'c\\' \xc3\xa9')"
+        )
+        env = Envelope(sender=0, est=EstPayload(slot=5, core=None, delivered=True))
+        assert serialize_envelope(env) == (
+            b"\x00\x01\x2d\x00\x00\x00EstPayload(slot=5, core=None, delivered=True)"
+        )
+
     def test_digest_stable_and_order_insensitive_input(self):
         env = Envelope(sender=0, sig=SigPayload(kind="index", value=3))
         out1 = {0: {1: env, 0: env}}
         out2 = {0: {0: env, 1: env}}
         assert traffic_digest(out1) == traffic_digest(out2)
+
+
+# the message classes as frozen dataclasses, the form whose reprs, equality
+# and hashes the slotted classes must reproduce
+REFERENCE = {
+    "EstPayload": make_dataclass(
+        "EstPayload", [("slot", int), ("core", object), ("delivered", bool)], frozen=True
+    ),
+    "CoPayload": make_dataclass("CoPayload", [("level", int), ("entries", tuple)], frozen=True),
+    "SigPayload": make_dataclass("SigPayload", [("kind", str), ("value", object)], frozen=True),
+    "Envelope": make_dataclass(
+        "Envelope",
+        [
+            ("sender", int),
+            ("est", object, field(default=None)),
+            ("co", object, field(default=None)),
+            ("sig", object, field(default=None)),
+        ],
+        frozen=True,
+    ),
+}
+CURRENT = {cls.__name__: cls for cls in (EstPayload, CoPayload, SigPayload, Envelope)}
+
+UNHASHABLE = [1, 2]
+EST = [
+    ("EstPayload", 2, None, True),
+    ("EstPayload", 2, None, 1),
+    ("EstPayload", 0, ("MMR", 3, (0, 1), None), False),
+    ("EstPayload", 7, ("MMR", 1, (1,), 1), 0),
+    ("EstPayload", 1, UNHASHABLE, True),
+]
+CO = [
+    ("CoPayload", 0, (((), None),)),
+    ("CoPayload", 1, (((0,), 1), ((2,), True))),
+    ("CoPayload", 1, (((0,), 1.0), ((2,), 1))),
+    ("CoPayload", 1, (((0,), UNHASHABLE),)),
+    ("CoPayload", 2, "garbage"),
+]
+SIG = [
+    ("SigPayload", "index", 7),
+    ("SigPayload", "index", True),
+    ("SigPayload", "index", 1.0),
+    ("SigPayload", "bit", 'quote " and \' \u00fc'),
+    ("SigPayload", "propose", {1: 2}),
+]
+CORPUS = EST + CO + SIG + [
+    ("Envelope", 0, None, None, None),
+    ("Envelope", 1, EST[0], CO[0], SIG[0]),
+    ("Envelope", 1, EST[1], CO[0], SIG[1]),
+    ("Envelope", 2, None, CO[1], None),
+    ("Envelope", 3, EST[4], None, SIG[3]),
+    ("Envelope", 3, None, None, SIG[4]),
+]
+
+
+def build(classes, spec):
+    """A message from (class name, *fields); an envelope's payloads are specs too."""
+    name, *fields = spec
+    if name == "Envelope":
+        fields = [fields[0]] + [None if f is None else build(classes, f) for f in fields[1:]]
+    return classes[name](*fields)
+
+
+@pytest.mark.parametrize("spec", CORPUS, ids=repr)
+def test_messages_match_frozen_dataclasses(spec):
+    new, ref = build(CURRENT, spec), build(REFERENCE, spec)
+    assert repr(new) == repr(ref)
+    for other in CORPUS:
+        assert (new == build(CURRENT, other)) == (ref == build(REFERENCE, other))
+    try:
+        expected = hash(ref)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(new)
+    else:
+        assert hash(new) == expected
 
 
 def reference_digest(outboxes):
