@@ -166,6 +166,18 @@ def test_strict_mode_zero_exit_on_clean_run(tmp_path):
     assert code == 0
 
 
+def test_strict_mode_fails_a_run_where_no_instance_completed(tmp_path, capsys):
+    """With decisions delayed past the run, every predicate holds trivially."""
+    argv = ["run", "--dmax", "100000", "--rounds", "300", "--trials", "2",
+            "--out", str(tmp_path / "r.csv")]
+    assert main(argv) == 0
+    assert "instances completed (total): 0" in capsys.readouterr().out
+    assert main(argv + ["--strict"]) == 1
+    out = capsys.readouterr().out
+    assert "stabilized: 2/2" in out
+    assert "no instance completed" in out
+
+
 def test_identical_invocations_identical_csv(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["run", "--rounds", "70", "--trials", "2", "--seed", "12", "--inject", "full"]

@@ -1,7 +1,8 @@
 """Fixed trace bytes: Trace.digest() pinned over a grid of small trials.
 
 C11 checks that a rerun reproduces its own trace; this module checks that the
-trace itself does not change. A change that alters traces on purpose records
+trace itself does not change, and that the streamed encoding of every pinned
+trace equals `one_shot_bytes`, the whole JSON tree dumped in one call. A change that alters traces on purpose records
 the new table with
 
     PYTHONPATH=src python tests/test_golden_digests.py --record
@@ -9,6 +10,7 @@ the new table with
 and says why the traces changed.
 """
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -104,6 +106,61 @@ def digest(case: dict) -> str:
     return run(case).digest()
 
 
+def one_shot_bytes(trace: Trace) -> bytes:
+    """The reference encoding: the whole trace as one tree, then one json.dumps."""
+
+    def key(k: tuple) -> str:
+        return f"{k[0]}:{k[1]}"
+
+    tree = {
+        "meta": trace.meta,
+        "correct_ids": list(trace.correct_ids),
+        "byz_ids": list(trace.byz_ids),
+        "reveal_order": list(trace.reveal_order),
+        "corruption": trace.corruption,
+        "traffic": trace.traffic,
+        "rounds": [
+            {
+                "round": r.round,
+                "phase": r.phase,
+                "coin": r.coin,
+                "idx": list(r.idx),
+                "mvc": [repr(v) for v in r.mvc],
+                "sample": None if r.sample is None else list(r.sample),
+                "wd": list(r.wd),
+                "save": None if r.save is None else [repr(v) for v in r.save],
+                "inc": None if r.inc is None else list(r.inc),
+                "quorum1": None if r.quorum1 is None else list(r.quorum1),
+                "quorum0": None if r.quorum0 is None else list(r.quorum0),
+                "recycled": [list(x) for x in r.recycled],
+                "active": list(r.active),
+                "non_fresh": list(r.non_fresh),
+                "digest": r.digest,
+            }
+            for r in trace.rounds
+        ],
+        "retrievals": {
+            key(k): {str(i): [rd, val] for i, (rd, val) in sorted(v.items())}
+            for k, v in sorted(trace.retrievals.items())
+        },
+        "proposals": {
+            key(k): {str(i): [rd, val] for i, (rd, val) in sorted(v.items())}
+            for k, v in sorted(trace.proposals.items())
+        },
+        "evictions": {
+            key(k): {str(i): rd for i, rd in sorted(v.items())}
+            for k, v in sorted(trace.evictions.items())
+        },
+    }
+    return json.dumps(tree, sort_keys=True, separators=(",", ":")).encode()
+
+
+def assert_encodes_as_one_shot(trace: Trace) -> None:
+    raw = trace.to_bytes()
+    assert raw == one_shot_bytes(trace)
+    assert trace.digest() == hashlib.sha256(raw).hexdigest()
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return json.loads(TABLE.read_text())
@@ -111,7 +168,9 @@ def golden() -> dict:
 
 @pytest.mark.parametrize("case", grid(), ids=case_id)
 def test_trace_digest_unchanged(case, golden):
-    assert digest(case) == golden[case_id(case)]
+    trace = run(case)
+    assert trace.digest() == golden[case_id(case)]
+    assert_encodes_as_one_shot(trace)
 
 
 @pytest.mark.parametrize("case", grid(), ids=case_id)
