@@ -16,7 +16,6 @@ from .env import (
     derive_kappa,
     make_params,
     params_validate,
-    rcc_draw,
 )
 from .harness import (
     ConfigError,
@@ -51,7 +50,6 @@ __all__ = [
     "derive_kappa",
     "make_params",
     "params_validate",
-    "rcc_draw",
     "ConfigError",
     "Metrics",
     "Trace",

@@ -282,13 +282,14 @@ def inject(
 ) -> None:
     """Apply the corruption plan to node state and round-0 channel contents.
 
-    It runs before the first round, while no object array has settled a
-    slot, so the node reads every object it leaves decided. It plants object
-    state through `objects.get`, so the sweeps see every object it touches.
-    Any corruption applied later must also clear `objects.settled`, or the
-    node may never read a slot it changes. It plants an EIG level by
-    replacing `co.tree` with a new dict: nodes can share one stored level
-    (see `corsim.mvc`), so mutating one in place would corrupt them all.
+    It runs before the first round, while no object holds a read value, so
+    the node reads every object it leaves decided. It plants object state
+    through `objects.get`, so the sweeps see every object it touches. Any
+    corruption applied later to an object that was already read must also
+    clear its `read_value`, or the node never reads what it changes. It
+    plants an EIG level by replacing `co.tree` with a new dict: nodes can
+    share one stored level (see `corsim.mvc`), so mutating one in place
+    would corrupt them all.
     """
     for i, fields in plan.get("nodes", {}).items():
         node = nodes[i]
@@ -340,8 +341,7 @@ def _garble_objects(node: "CorrectNode", rng: random.Random, params: Params) -> 
         obj.delivered = [bool(rng.getrandbits(1)) for _ in range(params.n)]
         core = obj.core
         core.proposed = rng.choice((None, 0, 1, rng.randrange(8)))
-        if hasattr(core, "decided_cache"):
-            core.decided_cache = rng.choice((None, 0, 1, rng.randrange(2, 9)))
+        core.decided_cache = rng.choice((None, 0, 1, rng.randrange(2, 9)))
         if hasattr(core, "round"):
             core.round = rng.choice((1, 2, rng.randrange(1, 50)))
         if hasattr(core, "est"):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -22,18 +23,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="execute seeded trials and emit a CSV")
     run.add_argument("--config", help="flat JSON config file; CLI flags override it")
-    run.add_argument("--n", type=int)
-    run.add_argument("--t", type=int)
-    run.add_argument("--log-size", type=int, dest="log_size")
-    run.add_argument("--index-num", type=int, dest="index_num")
-    run.add_argument("--kappa", type=int)
-    run.add_argument("--rounds", type=int)
-    run.add_argument("--trials", type=int)
-    run.add_argument("--seed", type=int)
+    for key, kind in KINDS.items():
+        if kind is int:
+            run.add_argument("--" + key.replace("_", "-"), type=int, dest=key)
     run.add_argument("--adversary", choices=[name.replace("_", "-") for name in POLICIES])
     run.add_argument("--inject", choices=INJECT_MODES)
     run.add_argument("--core", choices=CORES)
-    run.add_argument("--dmax", type=int)
     run.add_argument(
         "--no-recycling",
         action="store_const",
@@ -58,7 +53,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the trial's own options take their defaults from TrialConfig
+# Every `corsim run` option and its default; the trial's own options take
+# theirs from TrialConfig. An option's type is its default's; kappa and out
+# default to None, meaning unset, and are an integer and a string.
 TRIAL_DEFAULTS = {f.name: f.default for f in fields(TrialConfig) if f.name != "params"}
 DEFAULTS = {
     "n": 4,
@@ -71,11 +68,10 @@ DEFAULTS = {
     "out": None,
     **TRIAL_DEFAULTS,
 }
-
-
-# options that take a string or a boolean; every other option takes an integer
-STR_KEYS = ("adversary", "inject", "core", "out")
-BOOL_KEYS = ("recycling", "log_traffic")
+KINDS = {key: type(value) for key, value in DEFAULTS.items()} | {"kappa": int, "out": str}
+KIND_NAMES = {int: "an integer", str: "a string", bool: "a boolean"}
+# the options that make_params takes
+PARAM_KEYS = tuple(inspect.signature(make_params).parameters)
 
 
 def resolve_options(args: argparse.Namespace) -> dict:
@@ -106,14 +102,10 @@ def check_options(options: dict) -> None:
     for key, value in options.items():
         if value is None and DEFAULTS[key] is None:
             continue  # kappa and out may stay unset
-        if key in STR_KEYS:
-            if not isinstance(value, str):
-                problems.append(f"{key} must be a string (got {value!r})")
-        elif key in BOOL_KEYS:
-            if not isinstance(value, bool):
-                problems.append(f"{key} must be a boolean (got {value!r})")
-        elif not isinstance(value, int) or isinstance(value, bool):
-            problems.append(f"{key} must be an integer (got {value!r})")
+        kind = KINDS[key]
+        # bool is a subclass of int, but True is not an integer option value
+        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+            problems.append(f"{key} must be {KIND_NAMES[kind]} (got {value!r})")
     if problems:
         raise ConfigError(problems)
 
@@ -122,17 +114,18 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         options = resolve_options(args)
-        params = make_params(
-            n=options["n"],
-            t=options["t"],
-            log_size=options["log_size"],
-            index_num=options["index_num"],
-            kappa=options["kappa"],
-            seed=options["seed"],
-        )
+        params = make_params(**{key: options[key] for key in PARAM_KEYS})
         trial = {key: options[key] for key in TRIAL_DEFAULTS}
         trial["adversary"] = trial["adversary"].replace("-", "_")
         config = TrialConfig(params=params, **trial)
+        config.check()
+        if args.strict and config.rounds < 2 * params.kappa:
+            # the first cycle end with a phase-0 sample to check validity
+            # against is round 2*kappa-1
+            raise ConfigError([
+                f"--strict needs rounds >= 2*kappa = {2 * params.kappa} to check "
+                f"validity (got rounds={config.rounds})"
+            ])
         # the CSV's directory, also the trace directory, must exist before any trial runs
         out_dir = os.path.dirname(options["out"] or "") or "."
         if not os.path.isdir(out_dir):

@@ -173,7 +173,6 @@ class MmrLiteCore:
 
     n: int
     t: int
-    node_id: int
     coin: Callable[[int], int]  # mmr round -> shared bit
     proposed: int | None = None
     est: int | None = None
@@ -306,13 +305,13 @@ class MmrLiteCore:
         )
 
 
-def mmr_core_factory(
-    n: int, t: int, node_id: int, seed: int
-) -> Callable[[int], MmrLiteCore]:
+def mmr_core_factory(n: int, t: int, seed: int) -> Callable[[int], MmrLiteCore]:
+    """The trial's core factory; a core depends on its slot alone, so one serves every node."""
+
     def make(slot: int) -> MmrLiteCore:
         def coin(mmr_round: int) -> int:
             return derived_int(seed, "mmr-coin", slot, mmr_round, bound=2)
 
-        return MmrLiteCore(n=n, t=t, node_id=node_id, coin=coin)
+        return MmrLiteCore(n=n, t=t, coin=coin)
 
     return make

@@ -39,15 +39,6 @@ def clock_read(round_index: int, kappa: int) -> int:
     return round_index % kappa
 
 
-def rcc_draw(round_index: int, seed: int) -> int:
-    """Shared coin bit for a round: common to all nodes, replayable from the seed.
-
-    Unpredictability is realized by the harness ordering (Byzantine outboxes
-    are fixed before the coin of the round is revealed), not by this function.
-    """
-    return _digest64(seed, "rcc", round_index) & 1
-
-
 class CoinOracle:
     """Per-trial coin source. Holds no mutable state beyond the seed."""
 
@@ -55,8 +46,13 @@ class CoinOracle:
         self.seed = seed
 
     def draw(self, round_index: int) -> int:
-        """The round's coin bit; every correct node observes the same one."""
-        return rcc_draw(round_index, self.seed)
+        """The round's coin bit: common to all nodes, replayable from the seed.
+
+        Unpredictability is realized by the harness ordering (Byzantine
+        outboxes are fixed before the coin of the round is revealed), not by
+        this method.
+        """
+        return _digest64(self.seed, "rcc", round_index) & 1
 
 
 @dataclass(frozen=True)

@@ -133,8 +133,7 @@ class RoundRecord:
     wd: tuple
     save: tuple | None
     inc: tuple | None
-    quorum1: tuple | None
-    quorum0: tuple | None
+    branch: tuple | None  # each node's last_quorum at a cycle end
     recycled: tuple
     active: tuple
     non_fresh: tuple
@@ -232,8 +231,8 @@ def _round_json(r: RoundRecord) -> dict:
         "wd": r.wd,
         "save": None if r.save is None else [repr(v) for v in r.save],
         "inc": r.inc,
-        "quorum1": r.quorum1,
-        "quorum0": r.quorum0,
+        "quorum1": None if r.branch is None else [int(b == "ones") for b in r.branch],
+        "quorum0": None if r.branch is None else [int(b == "zeros") for b in r.branch],
         "recycled": r.recycled,
         "active": r.active,
         "non_fresh": r.non_fresh,
@@ -304,12 +303,12 @@ class RoundEngine:
         def proposer(slot: int, node_id: int) -> int:
             return derived_int(p.seed, "proposal", slot, slot_gen[slot], node_id, bound=2)
 
+        if config.core == "stub":
+            factory = lambda slot: DelayStubCore()
+        else:
+            factory = mmr_core_factory(p.n, p.t, p.seed)
         self.nodes: dict[int, CorrectNode] = {}
         for i in self.correct_ids:
-            if config.core == "stub":
-                factory = lambda slot: DelayStubCore()
-            else:
-                factory = mmr_core_factory(p.n, p.t, i, p.seed)
             node = CorrectNode(p, i, factory, proposer)
             if not config.recycling:
                 node.fixed_slot = 0
@@ -438,14 +437,7 @@ class RoundEngine:
             wd=wd,
             save=tuple([nodes[i].sig.save for i in ids]) if at_cycle_end else None,
             inc=tuple([nodes[i].sig.inc for i in ids]) if at_cycle_end else None,
-            quorum1=(
-                tuple([int(nodes[i].sig.last_quorum == "ones") for i in ids])
-                if at_cycle_end else None
-            ),
-            quorum0=(
-                tuple([int(nodes[i].sig.last_quorum == "zeros") for i in ids])
-                if at_cycle_end else None
-            ),
+            branch=tuple([nodes[i].sig.last_quorum for i in ids]) if at_cycle_end else None,
             recycled=recycled,
             active=active,
             non_fresh=counts,

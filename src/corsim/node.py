@@ -8,13 +8,14 @@ the active object, and read results. Fresh proposals bind to the slot the
 index points at during phase 0. A flag that is not set builds no object:
 merging it into a fresh one changes nothing.
 
-One loop reads the active object and every live in-window object (their
-results must reach every correct node before the window slides past them),
-but only the active object sends traffic. A slot without a live object is
-fresh, and reading a fresh object changes nothing. A settled slot, one whose
-current incarnation this node has already read a value from, is skipped too:
-a core's decision never changes once made, so a second read would return the
-same value and leave the same flag set.
+One loop reads every live in-window object, the active one, the window's
+anchor, among them (their results must reach every correct node before the
+window slides past them), but only the active object sends traffic. With
+recycling off it reads only the fixed slot. A slot without a live object is
+fresh, and reading a fresh object changes nothing. An object that already
+holds a read value is skipped too: a core's decision never changes once
+made, so a second read would return the same value and leave the same flag
+set.
 """
 
 from __future__ import annotations
@@ -116,16 +117,18 @@ class CorrectNode:
 
         est_out = active.pulse_step(core_for_slot.get(active.slot, {}))
 
-        reads = {active.slot}
         if self.fixed_slot is None:
             keep = window(self.sig.index, params.index_num, params.log_size)
-            reads.update(keep.intersection(objects.live))
+            reads = sorted(keep.intersection(objects.live))
+        else:
+            reads = [active.slot]
         retrievals = []
-        for slot in sorted(reads - objects.settled):
-            value = objects.live[slot].observe_result()
-            if value is not None:
-                objects.settled.add(slot)
-                retrievals.append((slot, value))
+        for slot in reads:
+            obj = objects.live[slot]
+            if obj.read_value is None:
+                obj.read_value = obj.observe_result()
+                if obj.read_value is not None:
+                    retrievals.append((slot, obj.read_value))
         report.retrievals = tuple(retrievals)
 
         # a correct node broadcasts: one envelope object serves every receiver

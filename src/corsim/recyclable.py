@@ -8,7 +8,8 @@ by the node through merge_flag(). was_delivered() reports 1 once n-t flags
 are set, which is the evidence the recycling stack agrees on.
 
 An object lives for one incarnation: its array builds it with a new core on
-the slot's first touch and drops it when the slot is recycled.
+the slot's first touch and drops it when the slot is recycled, so the value
+this node read from it (read_value) goes with it.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ class RecyclableObject:
         self.slot = slot
         self.core = core
         self.delivered: list[bool] = [False] * n
+        # the value this node's read returned; None until then. Only the
+        # node's read loop sets it, so no planted state can skip the read.
+        self.read_value: object = None
 
     @property
     def proposed(self) -> object:

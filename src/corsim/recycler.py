@@ -9,13 +9,10 @@ so after each round the live slots are exactly the non-fresh ones. The
 sweeps visit only live slots: out-of-window garbage is purged even when the
 index never moves, and memory follows the window, not index_num.
 
-The array also keeps the settled slots: those whose current incarnation this
-node has already read a result from. The set starts empty, a slot joins it
-only when the node's own read reports a value, and it leaves when its object
-is recycled, so no planted state can put a slot in it. A core's decision
-never changes once made, so a settled slot needs no further read, and its own
-delivery flag stays set until it is recycled, so it is non-fresh without a
-test.
+An object that holds a read value (its read_value, set by the node's own
+read) is non-fresh without a test: a core's decision never changes once
+made, so its own delivery flag stays set until the object is recycled, and
+recycling drops the value with the object.
 """
 
 from __future__ import annotations
@@ -47,9 +44,6 @@ class ObjectArray:
         self._core_factory = core_factory
         # slot -> its live object; an absent slot is fresh
         self.live: dict[int, RecyclableObject] = {}
-        # the live slots whose incarnation this node has read; the node adds
-        # to it and recycling takes the slot out
-        self.settled: set[int] = set()
 
     def get(self, slot: int) -> RecyclableObject:
         """The slot's object, built fresh on first touch."""
@@ -73,15 +67,15 @@ class ObjectArray:
         for slot in sorted(self.live.keys() - keep):
             if self.live.pop(slot).has_local_state():
                 recycled.append(slot)
-            self.settled.discard(slot)
         return recycled
 
     def non_fresh_slots(self) -> list[int]:
         """The non-fresh slots in ascending order; the fresh ones are dropped.
 
-        Settled slots are non-fresh by construction, so only the rest are tested.
+        An object that holds a read value is non-fresh by construction, so only
+        the rest are tested.
         """
         live = self.live
-        for slot in [s for s in live.keys() - self.settled if live[s].is_fresh()]:
+        for slot in [s for s, obj in live.items() if obj.read_value is None and obj.is_fresh()]:
             del live[slot]
         return sorted(live)

@@ -9,7 +9,7 @@ import pytest
 
 from corsim import harness
 from corsim.adversary import POLICIES
-from corsim.cli import main
+from corsim.cli import DEFAULTS, main
 from corsim.env import make_params, params_validate
 from corsim.harness import ConfigError, TrialConfig
 
@@ -21,7 +21,8 @@ def test_run_writes_csv_and_summary(tmp_path, capsys):
         "--rounds", "80", "--trials", "2", "--seed", "9", "--out", str(out),
     ])
     assert code == 0
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 2
     assert rows[0]["seed"] == "9" and rows[1]["seed"] == "10"
     assert "median stabilization round" in capsys.readouterr().out
@@ -93,7 +94,8 @@ def test_config_file_with_cli_override(tmp_path):
     out = tmp_path / "o.csv"
     code = main(["run", "--config", str(cfg), "--rounds", "60", "--out", str(out)])
     assert code == 0
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert rows[0]["rounds"] == "60"  # CLI wins
     assert rows[0]["adversary"] == "random"  # file value survives
 
@@ -139,7 +141,8 @@ def test_no_recycling_flag_pins_slot_zero(tmp_path):
     out = tmp_path / "runs.csv"
     assert main(["run", "--rounds", "40", "--seed", "4", "--inject", "full",
                  "--no-recycling", "--out", str(out), "--trace"]) == 0
-    assert list(csv.DictReader(out.open()))[0]["recycling"] == "False"
+    with out.open() as fh:
+        assert next(csv.DictReader(fh))["recycling"] == "False"
     trace = json.loads((tmp_path / "trace_4.json").read_text())
     assert trace["meta"]["recycling"] is False
     assert all(rec["active"] == [0, 0, 0] for rec in trace["rounds"])
@@ -154,7 +157,8 @@ def test_adversary_flag_spelling(tmp_path, policy):
         "--rounds", "80", "--seed", "2", "--out", str(out),
     ])
     assert code == 0
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert rows[0]["adversary"] == policy
 
 
@@ -207,6 +211,10 @@ def test_identical_invocations_identical_csv(tmp_path):
     (["--index-num", "1"], None, "index_num >= 2"),
     (["--out", "{tmp}/missing/r.csv"], None, "cannot write output"),
     (["--out", "{tmp}/missing/r.csv", "--trace"], None, "cannot write output"),
+    # too short for a validity-checked cycle end, the first at round 2*kappa-1
+    (["--rounds", "5", "--strict"], None, "--strict needs rounds >= 2*kappa = 10"),
+    (["--kappa", "12", "--rounds", "20", "--strict"], None,
+     "--strict needs rounds >= 2*kappa = 24"),
 ])
 def test_bad_input_exits_2_with_message(
     tmp_path, capsys, monkeypatch, argv, config, message
@@ -225,3 +233,34 @@ def test_bad_input_exits_2_with_message(
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+
+
+# each option's type as its error message names it, and values of other types
+INTEGER = ("an integer", ["4", True, 2.5])
+STRING = ("a string", [3, True])
+BOOLEAN = ("a boolean", [0, "yes", None])
+OPTION_KINDS = {
+    "n": INTEGER, "t": INTEGER, "log_size": INTEGER, "index_num": INTEGER,
+    "kappa": INTEGER, "trials": INTEGER, "seed": INTEGER, "rounds": INTEGER,
+    "dmax": INTEGER, "adversary": STRING, "inject": STRING, "core": STRING,
+    "out": STRING, "recycling": BOOLEAN, "log_traffic": BOOLEAN,
+}
+
+
+def test_option_kinds_cover_every_option():
+    assert OPTION_KINDS.keys() == DEFAULTS.keys()
+
+
+@pytest.mark.parametrize("key", list(DEFAULTS))
+def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, monkeypatch, key):
+    def no_trial(self):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness.RoundEngine, "run", no_trial)
+    kind, wrong_values = OPTION_KINDS[key]
+    cfg = tmp_path / "cfg.json"
+    for value in wrong_values:
+        cfg.write_text(json.dumps({key: value}))
+        assert main(["run", "--config", str(cfg)]) == 2, value
+        err = capsys.readouterr().err
+        assert f"{key} must be {kind} (got {value!r})" in err

@@ -166,7 +166,7 @@ def run_mmr_network(cores, rounds=30, byz=None):
 class TestMmrLite:
     def test_unanimous_inputs_decide_that_value(self):
         for value in (0, 1):
-            cores = {i: mmr_core_factory(4, 1, i, seed=1)(0) for i in range(3)}
+            cores = {i: mmr_core_factory(4, 1, seed=1)(0) for i in range(3)}
             for c in cores.values():
                 c.propose(value)
             decided_round = run_mmr_network(cores)
@@ -175,7 +175,7 @@ class TestMmrLite:
 
     def test_mixed_inputs_agree(self):
         for seed in range(6):
-            cores = {i: mmr_core_factory(4, 1, i, seed=seed)(2) for i in range(3)}
+            cores = {i: mmr_core_factory(4, 1, seed=seed)(2) for i in range(3)}
             votes = {0: 1, 1: 0, 2: 1}
             for i, c in cores.items():
                 c.propose(votes[i])
@@ -186,14 +186,14 @@ class TestMmrLite:
         def byz(r, receiver):
             return ("MMR", 1 + r // 2, (receiver % 2,), receiver % 2)
 
-        cores = {i: mmr_core_factory(4, 1, i, seed=9)(1) for i in range(3)}
+        cores = {i: mmr_core_factory(4, 1, seed=9)(1) for i in range(3)}
         for c in cores.values():
             c.propose(1)
         assert run_mmr_network(cores, byz=byz) is not None
         assert {c.decided() for c in cores.values()} == {(DECIDED, 1)}
 
     def test_corrupted_state_eventually_faults_not_hangs(self):
-        core = mmr_core_factory(4, 1, 0, seed=2)(3)
+        core = mmr_core_factory(4, 1, seed=2)(3)
         core.propose(1)
         core.round = 500  # desynchronized past recovery: nobody else is there
         for r in range(200):
@@ -203,14 +203,14 @@ class TestMmrLite:
         assert core.decided() == (CORE_FAULT, None)
 
     def test_out_of_domain_state_flags_fault(self):
-        core = mmr_core_factory(4, 1, 0, seed=2)(3)
+        core = mmr_core_factory(4, 1, seed=2)(3)
         core.propose(1)
         core.est = 7
         core.step({})
         assert core.decided() == (CORE_FAULT, None)
 
     def test_three_backers_make_a_candidate_and_two_only_endorse(self):
-        core = mmr_core_factory(4, 1, 0, seed=0)(0)
+        core = mmr_core_factory(4, 1, seed=0)(0)
         core.propose(0)
         core.step({j: ("MMR", 1, (1,), None) for j in (1, 2)})
         assert core.my_ests == (0, 1)
@@ -220,14 +220,14 @@ class TestMmrLite:
 
     @pytest.mark.parametrize("aux_voters, round_after", [(2, 1), (3, 2)])
     def test_three_backed_aux_votes_end_the_round_and_two_do_not(self, aux_voters, round_after):
-        core = mmr_core_factory(4, 1, 0, seed=0)(0)
+        core = mmr_core_factory(4, 1, seed=0)(0)
         core.propose(1)
         core.step({j: ("MMR", 1, (1,), 1 if j < aux_voters else None) for j in range(3)})
         assert core.bin_values == ((1,) if round_after == 1 else ())
         assert core.round == round_after
 
     def test_a_mixed_aux_view_adopts_the_coin_and_advances_undecided(self):
-        core = mmr_core_factory(4, 1, 0, seed=2)(0)
+        core = mmr_core_factory(4, 1, seed=2)(0)
         coin = core.coin(1)
         core.propose(1 - coin)
         core.step({j: ("MMR", 1, (0, 1), j % 2) for j in range(3)})

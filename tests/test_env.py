@@ -1,5 +1,7 @@
 """Clock, coin oracle and parameter validation."""
 
+import hashlib
+
 import pytest
 
 from corsim.env import (
@@ -9,7 +11,6 @@ from corsim.env import (
     derive_kappa,
     make_params,
     params_validate,
-    rcc_draw,
 )
 
 
@@ -37,29 +38,39 @@ def test_clock_same_for_all_nodes():
 
 
 def test_coin_deterministic():
-    assert rcc_draw(12, seed=99) == rcc_draw(12, seed=99)
+    assert CoinOracle(99).draw(12) == CoinOracle(99).draw(12)
 
 
 def test_coin_sequence_replayable():
-    seq1 = [rcc_draw(r, seed=5) for r in range(200)]
+    oracle = CoinOracle(5)
+    seq1 = [oracle.draw(r) for r in range(200)]
     seq2 = [CoinOracle(5).draw(r) for r in range(200)]
     assert seq1 == seq2
 
 
 def test_coin_unbiased_frequency():
-    draws = [rcc_draw(r, seed=1) for r in range(10_000)]
+    oracle = CoinOracle(1)
+    draws = [oracle.draw(r) for r in range(10_000)]
     frac = sum(draws) / len(draws)
     assert 0.45 <= frac <= 0.55
 
 
 def test_coin_varies_across_rounds():
-    bits = {rcc_draw(r, seed=3) for r in range(64)}
+    oracle = CoinOracle(3)
+    bits = {oracle.draw(r) for r in range(64)}
     assert bits == {0, 1}
 
 
-def test_coin_oracle_draws_the_round_bit():
-    oracle = CoinOracle(7)
-    assert [oracle.draw(r) for r in range(32)] == [rcc_draw(r, seed=7) for r in range(32)]
+def pinned_coin(round_index: int, seed: int) -> int:
+    """The coin's formula as pinned: the low bit of the seeded 64-bit digest."""
+    raw = repr((seed, "rcc", round_index)).encode("utf-8")
+    return int.from_bytes(hashlib.sha256(raw).digest()[:8], "little") & 1
+
+
+@pytest.mark.parametrize("seed", [7, 1234])
+def test_coin_oracle_draws_the_round_bit(seed):
+    oracle = CoinOracle(seed)
+    assert [oracle.draw(r) for r in range(200)] == [pinned_coin(r, seed) for r in range(200)]
 
 
 def test_derive_kappa_floor():

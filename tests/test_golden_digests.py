@@ -130,8 +130,8 @@ def one_shot_bytes(trace: Trace) -> bytes:
                 "wd": list(r.wd),
                 "save": None if r.save is None else [repr(v) for v in r.save],
                 "inc": None if r.inc is None else list(r.inc),
-                "quorum1": None if r.quorum1 is None else list(r.quorum1),
-                "quorum0": None if r.quorum0 is None else list(r.quorum0),
+                "quorum1": None if r.branch is None else [int(b == "ones") for b in r.branch],
+                "quorum0": None if r.branch is None else [int(b == "zeros") for b in r.branch],
                 "recycled": [list(x) for x in r.recycled],
                 "active": list(r.active),
                 "non_fresh": list(r.non_fresh),
@@ -179,26 +179,30 @@ def test_live_objects_are_exactly_the_non_fresh_ones(case):
 
     The sweeps visit only live slots, and the freshness sweep drops every live
     object it finds fresh, so the live slots are the non-fresh set the trace
-    counts. Settled slots are skipped by the node's reads and by the freshness
-    test, so each must be live and read in its current incarnation.
+    counts. An object that holds a read value is skipped by the node's reads
+    and by the freshness test, so its read must be in the trace's retrievals
+    for its current incarnation.
     """
     engine = build(case)
     for i in engine.correct_ids:
-        assert engine.nodes[i].objects.settled == set()
-    settled_seen = 0
+        assert all(obj.read_value is None for obj in engine.nodes[i].objects.live.values())
+    read_seen = 0
     for r in range(engine.config.rounds):
         engine._round(r)
         non_fresh = engine.trace.rounds[-1].non_fresh
         for pos, i in enumerate(engine.correct_ids):
             array = engine.nodes[i].objects
             assert not any(obj.is_fresh() for obj in array.live.values()), f"round {r}"
-            assert array.settled <= array.live.keys(), f"round {r} node {i}"
-            for slot in array.settled:
+            for slot, obj in array.live.items():
+                if obj.read_value is None:
+                    continue
                 key = (slot, engine.slot_gen[slot])
-                assert i in engine.trace.retrievals.get(key, {}), f"round {r} node {i} {key}"
+                read = engine.trace.retrievals.get(key, {}).get(i)
+                assert read is not None, f"round {r} node {i} {key}"
+                assert read[1] == repr(obj.read_value), f"round {r} node {i} {key}"
+                read_seen += 1
             assert non_fresh[pos] == len(array.live), f"round {r} node {i}"
-            settled_seen += len(array.settled)
-    assert settled_seen
+    assert read_seen
 
 
 @pytest.mark.parametrize("case", grid(), ids=case_id)
@@ -257,7 +261,7 @@ def test_messages_are_never_rebound(case, golden, monkeypatch):
 
 @pytest.mark.parametrize("core", ["stub", "mmr-lite"])
 def test_a_decided_core_planted_before_round_0_is_read_once(core):
-    """The settled set starts empty, so planted state cannot skip the first read."""
+    """No object starts with a read value, so planted state cannot skip the first read."""
     engine = build(dict(n=4, t=1, adversary="silent", inject="none", core=core,
                         recycling=True, seed=7))
     node = engine.nodes[0]
@@ -275,7 +279,7 @@ def test_a_decided_core_planted_before_round_0_is_read_once(core):
     node.step = spy
     for r in range(4):
         engine._round(r)
-    assert planted in node.objects.settled
+    assert node.objects.live[planted].read_value == 1
     assert reads == [[1], [], [], []]
     assert engine.trace.retrievals[(planted, 0)][0] == (0, "1")
 
@@ -294,8 +298,7 @@ def test_split_case_takes_coin_branch():
     coin = [
         rec.round
         for rec in run(case).rounds
-        if rec.quorum1 is not None
-        and any(q1 == q0 == 0 for q1, q0 in zip(rec.quorum1, rec.quorum0))
+        if rec.branch is not None and "coin" in rec.branch
     ]
     assert coin
 

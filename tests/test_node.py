@@ -90,13 +90,15 @@ def test_mail_that_is_not_an_envelope_reads_as_an_absent_sender():
 def test_each_incarnation_is_reported_read_once():
     node = make_node(0)
     node.fixed_slot = 0
-    node.objects.get(0).core.decided_cache = 1
-    assert node.objects.settled == set()
+    first = node.objects.get(0)
+    first.core.decided_cache = 1
+    assert first.read_value is None
     assert step(node, {})[1].retrievals == ((0, 1),)
-    assert node.objects.settled == {0}
+    assert first.read_value == 1
     assert step(node, {})[1].retrievals == ()
     assert node.objects.recycler_pulse(4) == [0]  # window(4) = {1, 2, 3, 4}
-    assert node.objects.settled == set()
-    node.objects.get(0).core.decided_cache = 0
+    second = node.objects.get(0)
+    assert second is not first and second.read_value is None
+    second.core.decided_cache = 0
     assert step(node, {})[1].retrievals == ((0, 0),)
-    assert node.objects.settled == {0}
+    assert second.read_value == 0

@@ -91,16 +91,17 @@ class TestRecycle:
             obj = arr.get(slot)
             obj.propose(1)
             obj.core.decided_cache = 1
-            assert obj.observe_result() == 1
-            arr.settled.add(slot)  # as the node does on its read
+            obj.read_value = obj.observe_result()  # as the node does on its read
+            assert obj.read_value == 1
         old = arr.get(0)
         assert arr.recycler_pulse(5) == [0]
         new = arr.get(0)
         assert new is not old
         assert new.was_delivered() == 0
         assert new.is_fresh()
-        # recycling takes only its own slot out of the settled set
-        assert arr.settled == {5}
+        # the rebuilt object is read again; the kept one stays read
+        assert new.read_value is None
+        assert arr.get(5).read_value == 1
 
     def test_recycle_clears_corruption(self):
         arr = make_array()
@@ -147,7 +148,7 @@ def read_leaves_fresh(obj):
 
 
 def make_mmr_object(n=4, t=1, node_id=0, slot=0):
-    return RecyclableObject(n, t, node_id, slot, mmr_core_factory(n, t, node_id, seed=0)(slot))
+    return RecyclableObject(n, t, node_id, slot, mmr_core_factory(n, t, seed=0)(slot))
 
 
 class TestReadingAFreshObject:
@@ -180,7 +181,7 @@ class TestReadingAFreshObject:
         read_leaves_fresh(make_mmr_object())
 
     def test_rebuilt_mmr_object(self):
-        arr = make_array(mmr_core_factory(4, 1, 0, seed=0))
+        arr = make_array(mmr_core_factory(4, 1, seed=0))
         obj = arr.get(0)
         obj.propose(1)
         obj.pulse_step({j: ("MMR", 1, (1,), 1) for j in (1, 2, 3)})

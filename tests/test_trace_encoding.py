@@ -56,7 +56,7 @@ def test_reprs_with_quotes_backslash_and_non_ascii_encode_as_one_shot():
     record = RoundRecord(
         round=0, phase=4, coin=1, idx=(0,) * len(values), mvc=values, sample=None,
         wd=(1,) * len(values), save=values[::-1], inc=(0,) * len(values),
-        quorum1=(1,) * len(values), quorum0=(0,) * len(values),
+        branch=("ones", "zeros", "coin") * 3,
         recycled=((),) * len(values), active=(0,) * len(values),
         non_fresh=(0,) * len(values), digest="0" * 16,
     )
