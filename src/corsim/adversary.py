@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import permutations
 from typing import TYPE_CHECKING, Callable
 
 from .env import Params, derived_int, seeded_rng
+from .mvc import _labels
 from .sig_index import index_vote, vote_bit
 from .transport import CoPayload, Envelope, EstPayload, RoundMail, SigPayload
 
@@ -287,10 +287,12 @@ def inject(
     through `objects.get`, so the sweeps see every object it touches. Any
     corruption applied later to an object that was already read must also
     clear its `read_value`, or the node never reads what it changes. It
-    plants an EIG level by replacing `co.tree` with a new dict: nodes can
-    share one stored level (see `corsim.mvc`), so mutating one in place
-    would corrupt them all.
+    builds the all-ones level once per call and plants that one dict in
+    every node whose plan sets `eig_all_ones`, as a round shares a level
+    it builds (see `corsim.mvc`): nothing may mutate a planted level in
+    place, and a change to one node's level must assign it a new dict.
     """
+    all_ones = None
     for i, fields in plan.get("nodes", {}).items():
         node = nodes[i]
         for name in ("index", "propose_val", "save", "bit", "inc"):
@@ -299,7 +301,9 @@ def inject(
         if "current_result" in fields:
             node.mvc.current_result = fields["current_result"]
         if fields.get("eig_all_ones"):
-            _fill_tree(node, value=1, params=params)
+            if all_ones is None:
+                all_ones = dict.fromkeys(_labels(params.n, params.t + 1), 1)
+            _fill_tree(node, all_ones, params)
         if "eig_garbage" in fields:
             rng = seeded_rng(params.seed, "inject-eig", i, fields["eig_garbage"])
             _garble_tree(node, rng, params)
@@ -311,12 +315,16 @@ def inject(
             _garble_mail(round0_mail, i, rng, params)
 
 
-def _fill_tree(node: "CorrectNode", value: int, params: Params) -> None:
-    """A completed run's stored level: every distinct-id leaf label set to value."""
+def _fill_tree(node: "CorrectNode", level: dict[tuple, object], params: Params) -> None:
+    """Plant a completed run's stored level, every leaf label of length t+1.
+
+    The dict is stored, not copied, and other nodes may hold the same one,
+    like a level a round builds, so nothing may mutate it in place.
+    """
     co = node.mvc.co
     co.started = True
     co.exchanges_done = params.t + 1
-    co.tree = dict.fromkeys(permutations(range(params.n), params.t + 1), value)
+    co.tree = level
 
 
 def _garble_tree(node: "CorrectNode", rng: random.Random, params: Params) -> None:

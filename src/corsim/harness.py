@@ -26,7 +26,6 @@ import hashlib
 import io
 import json
 import os
-import statistics
 from collections import defaultdict
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
@@ -44,6 +43,8 @@ CORES = ("stub", "mmr-lite")
 # Size limits, checked before a trial allocates anything. Each correct node's
 # EIG stores (n)_(t+1) leaf labels per cycle: (17)_5 = 742,560 is admitted,
 # and no t >= 5 is, since (16)_6 = 5,765,760 is the smallest such count.
+# `targeted` inject plants one completed level per trial, which every correct
+# node shares, not one per node.
 EIG_LEAF_LIMIT = 1_000_000
 # Objects are built on first touch, but `full` inject builds and garbles about
 # half of each node's index_num slots (about 1 KB each under mmr-lite).
@@ -577,6 +578,13 @@ def run_ensemble(config: TrialConfig, trials: int) -> list[tuple[TrialConfig, Me
     return results
 
 
+def _median(values: list[int]) -> float:
+    """The middle value, or the mean of the two middle ones for an even count."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+
+
 def emit(
     results: list[tuple[TrialConfig, Metrics, Trace]],
     out_path: str | None,
@@ -607,7 +615,7 @@ def emit(
         f"trials: {len(metrics)}",
         f"stabilized: {len(stab_rounds)}/{len(metrics)}",
         f"median stabilization round: "
-        f"{statistics.median(stab_rounds) if stab_rounds else 'n/a'}",
+        f"{_median(stab_rounds) if stab_rounds else 'n/a'}",
         f"instances completed (total): {completed}",
         "violation totals (post-stabilization): "
         + ", ".join(f"{k}={v}" for k, v in totals.items()),

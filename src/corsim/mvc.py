@@ -47,7 +47,9 @@ This sharing rests on one rule: neither a stored level nor a payload is
 ever mutated in place. `restart`, `propose` and `process` assign a new
 dict, and so must anything that plants a tree (`adversary._fill_tree`,
 `adversary._garble_tree`); no field of a payload is rebound once it is
-built (see `corsim.transport`).
+built (see `corsim.transport`). A planted level may be shared like a built
+one: targeted injection plants one all-ones level in every correct node,
+so round 0 resolves it once.
 The resolve runs bottom-up: `permutations` lists the labels of each level
 in lexicographic order, so the children of every label are one consecutive
 run of the level below, and each run folds into its parent's value.

@@ -1,5 +1,8 @@
 """Byzantine strategies and the one-shot fault injector."""
 
+import tracemalloc
+from itertools import permutations
+
 import pytest
 
 from corsim.adversary import (
@@ -220,6 +223,29 @@ class TestInjection:
         assert [nodes1[i].sig.index for i in nodes1] == [
             nodes2[i].sig.index for i in nodes2
         ]
+
+    def test_targeted_plants_one_level_for_every_node(self):
+        """At n=10, t=3 all seven correct nodes hold one planted level, a
+        full trial never mutates it in place, and building the engine
+        allocates about one level, not one per node."""
+        cfg = TrialConfig(params=make_params(10, 3, 3, 8, seed=1), rounds=60,
+                          adversary="worst_eig", inject="targeted", core="stub")
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fresh = dict.fromkeys(permutations(range(10), 4), 1)
+            level_bytes = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            eng = RoundEngine(cfg)
+            construction_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert construction_peak < 2 * level_bytes
+        planted = eng.nodes[0].mvc.co.tree
+        assert all(eng.nodes[i].mvc.co.tree is planted for i in eng.correct_ids)
+        eng.run()
+        assert planted == fresh and repr(planted) == repr(fresh)
 
     def test_params_never_in_plan(self):
         plan = plan_corruption("full", P, [0, 1, 2])

@@ -1,7 +1,14 @@
 """Round engine, trace legality checks, metrics and CSV emission."""
 
+import os
+import statistics
+import subprocess
+import sys
+from itertools import product
+
 import pytest
 
+import corsim
 import test_golden_digests as golden
 from corsim.env import Params, make_params
 from corsim.harness import (
@@ -9,6 +16,7 @@ from corsim.harness import (
     ConfigError,
     Trace,
     TrialConfig,
+    _median,
     assumption1_violations,
     compute_metrics,
     emit,
@@ -344,6 +352,22 @@ class TestEmit:
         emit(run_ensemble(config(rounds=60), trials=2), str(a))
         emit(run_ensemble(config(rounds=60), trials=2), str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_median_matches_statistics(self):
+        for length in range(1, 7):
+            for values in product((0, 3, 4, 9, 250), repeat=length):
+                got, want = _median(list(values)), statistics.median(values)
+                assert got == want and type(got) is type(want), values
+
+
+def test_import_loads_no_statistics():
+    """`statistics` pulls in `fractions` and `decimal` at every cold start."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(corsim.__file__)))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import corsim; "
+            "print('statistics' in sys.modules)")
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_optional_traffic_log_lines():

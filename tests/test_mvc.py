@@ -203,6 +203,11 @@ def reference_fill_tree(co: EigConsensus, value: object) -> None:
     }
 
 
+def leaf_level(n: int, t: int, value: object) -> dict:
+    """A completed run's stored level: every label of length t+1 set to value."""
+    return dict.fromkeys(permutations(range(n), t + 1), value)
+
+
 def reference_propose(co: EigConsensus, value: object) -> CoPayload:
     co.started = True
     co.tree[()] = value
@@ -417,7 +422,7 @@ class TestResolve:
         params = make_params(n, t, 3, 8, seed=0)
         for value in (0, 1, True):
             node = SimpleNamespace(mvc=MvcController(n, t))
-            _fill_tree(node, value, params)
+            _fill_tree(node, leaf_level(n, t, value), params)
             assert repr(node.mvc.co.result({})) == repr(reference_resolve(node.mvc.co)) == repr(value)
         for seed in range(40):
             node = SimpleNamespace(mvc=MvcController(n, t))
@@ -554,7 +559,7 @@ class TestOneLevel:
             ctl = MvcController(n, t)
             ref = EigConsensus(n, t)
             if kind == "fill":
-                _fill_tree(SimpleNamespace(mvc=ctl), arg, params)
+                _fill_tree(SimpleNamespace(mvc=ctl), leaf_level(n, t, arg), params)
                 reference_fill_tree(ref, arg)
                 assert all(len(label) == t + 1 for label in ctl.co.tree)
             else:
@@ -634,7 +639,8 @@ class TestSharedLevels:
         once per (payload, sender) pair that `process` did not build (7
         correct proposals + 3 x 2 Byzantine at phase 1, then only the 3 x 2
         Byzantine ones, since the 2 shared correct levels are registered as
-        checked), and phase 0 resolves each distinct leaf level once."""
+        checked), and phase 0 resolves each distinct leaf level once: the
+        one level targeted injection plants in every node at round 0."""
         checks, resolves = [], []
         checked, labels = EigConsensus._checked, mvc._labels
 
@@ -662,7 +668,7 @@ class TestSharedLevels:
             trees = {id(eng.nodes[i].mvc.co.tree) for i in eng.correct_ids}
             if phase == 0:
                 assert (len(checks), len(resolves)) == (0, len(leaves)), f"round {r}"
-                assert len(leaves) == (7 if r == 0 else 2)  # targeted plants 7 trees
+                assert len(leaves) == (1 if r == 0 else 2)  # targeted plants 1 level
             elif phase <= t + 1:
                 assert len(checks) == (13 if phase == 1 else 6), f"round {r}"
                 assert resolves == []
@@ -686,7 +692,7 @@ class TestSharedLevels:
                    if i != target and nodes[i].mvc.co.tree is nodes[target].mvc.co.tree]
         assert sharers
         before = {i: (nodes[i].mvc.co.tree, dict(nodes[i].mvc.co.tree)) for i in nodes}
-        _fill_tree(nodes[target], 7, planted.params)
+        _fill_tree(nodes[target], leaf_level(10, 3, 7), planted.params)
         for i in planted.correct_ids:
             if i != target:
                 tree, copy = before[i]
