@@ -53,7 +53,6 @@ class Adversary:
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}")
         self.policy = policy
-        self.params = params
         self.byz_ids = sorted(byz_ids)
         self.rng = seeded_rng(params.seed, "adversary", policy)
 
@@ -72,11 +71,11 @@ class Adversary:
 
     def _random(self, view: AdversaryView) -> Fields:
         """Fresh random fields for every pair, drawn in pair order."""
-        return lambda b, j: self._random_fields()
+        p = view.params
+        return lambda b, j: self._random_fields(p)
 
-    def _random_fields(self) -> tuple:
+    def _random_fields(self, p: Params) -> tuple:
         rng = self.rng
-        p = self.params
         est = None
         if rng.random() < 0.7:
             est = EstPayload(
@@ -87,7 +86,7 @@ class Adversary:
         co = None
         if rng.random() < 0.7:
             level = rng.randrange(p.t + 2)
-            co = CoPayload(level=level, entries=self._random_entries(level))
+            co = CoPayload(level=level, entries=self._random_entries(p.n, level))
         sig = None
         if rng.random() < 0.8:
             kind = rng.choice(("index", "propose", "bit"))
@@ -100,9 +99,8 @@ class Adversary:
             sig = SigPayload(kind=kind, value=value)
         return est, co, sig
 
-    def _random_entries(self, level: int) -> tuple:
+    def _random_entries(self, n: int, level: int) -> tuple:
         rng = self.rng
-        n = self.params.n
         if level == 0:
             return (((), rng.choice((0, 1, None))),)
         entries = []

@@ -126,10 +126,14 @@ def main(argv: list[str] | None = None) -> int:
                 f"--strict needs rounds >= 2*kappa = {2 * params.kappa} to check "
                 f"validity (got rounds={config.rounds})"
             ])
-        # the CSV's directory, also the trace directory, must exist before any trial runs
+        # the CSV's directory, also the trace directory, must exist, and the
+        # CSV must not be a directory, before any trial runs
         out_dir = os.path.dirname(options["out"] or "") or "."
         if not os.path.isdir(out_dir):
             print(f"cannot write output: no directory {out_dir!r}", file=sys.stderr)
+            return 2
+        if options["out"] and os.path.isdir(options["out"]):
+            print(f"cannot write output: {options['out']!r} is a directory", file=sys.stderr)
             return 2
         results = run_ensemble(config, options["trials"])
     except ConfigError as err:

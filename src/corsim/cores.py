@@ -75,30 +75,33 @@ class StubOracle:
     every correct node's object at the slot is back to its initial state.
     """
 
-    def __init__(self, seed: int, correct_ids: list[int], dmax: int):
+    def __init__(self, seed: int, dmax: int, objects_by_node: dict[int, dict]):
         self.seed = seed
-        self.correct_ids = list(correct_ids)
         self.dmax = dmax
+        # each correct node's live objects by slot, in node order; the dicts
+        # are read, never replaced, so they follow the nodes
+        self.objects_by_node = objects_by_node
         self.records: dict[int, _SlotRecord] = {}
 
-    def observe(self, round_index: int, objects_by_node: dict[int, dict]) -> None:
+    def observe(self, round_index: int) -> None:
         """End-of-round sweep: trigger newly proposed slots, then write what is due.
 
-        objects_by_node maps each correct node to its live objects by slot; a
-        slot can trigger only if it is live at the first correct node. Each
-        decision whose reveal round is at most round_index + 1 is then written
-        into its bound core, unless that core already holds a value: a read in
-        round R follows observe(R - 1), so it sees the decision from the
-        reveal round on, and never in the trigger round. A core built later
-        for the slot is never bound and never written. Under mmr-lite the
-        engine passes no objects and nothing is swept.
+        The objects are the ones bound at construction, read as they stand
+        now; a slot can trigger only if it is live at the first correct node.
+        Each decision whose reveal round is at most round_index + 1 is then
+        written into its bound core, unless that core already holds a value:
+        a read in round R follows observe(R - 1), so it sees the decision
+        from the reveal round on, and never in the trigger round. A core
+        built later for the slot is never bound and never written. Under
+        mmr-lite the referee is bound to no objects and nothing is swept.
         """
+        objects_by_node = self.objects_by_node
         if not objects_by_node:
             return
-        for slot in objects_by_node[self.correct_ids[0]]:
+        for slot in next(iter(objects_by_node.values())):
             if slot in self.records:
                 continue
-            objs = [objects_by_node[i].get(slot) for i in self.correct_ids]
+            objs = [live.get(slot) for live in objects_by_node.values()]
             if all(obj is not None and obj.proposed is not None for obj in objs):
                 self.records[slot] = _SlotRecord(
                     value=_majority_bit([obj.proposed for obj in objs]),
@@ -106,7 +109,7 @@ class StubOracle:
                         i: (round_index + derived_int(
                             self.seed, "stub-delay", slot, round_index, i, bound=self.dmax + 1,
                         ), obj.core)
-                        for i, obj in zip(self.correct_ids, objs)
+                        for i, obj in zip(objects_by_node, objs)
                     },
                 )
         for rec in self.records.values():

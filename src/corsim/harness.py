@@ -291,7 +291,6 @@ class RoundEngine:
         self.correct_ids = self.node_ids[: p.n - p.t]
 
         self.coin = CoinOracle(p.seed)
-        self.stub_oracle = StubOracle(p.seed, self.correct_ids, config.dmax)
         self.slot_gen: defaultdict[int, int] = defaultdict(int)
         # slots not fresh at some correct node after the last round
         self.slots_in_use: set[int] = set()
@@ -314,13 +313,10 @@ class RoundEngine:
             if not config.recycling:
                 node.fixed_slot = 0
             self.nodes[i] = node
-        # what the stub oracle watches and writes decisions into; no
-        # live-object dict is ever replaced, and mmr-lite objects have no
-        # oracle to serve
-        self.oracle_slots = (
-            {i: node.objects.live for i, node in self.nodes.items()}
-            if config.core == "stub" else {}
-        )
+        # the stub oracle is bound once to each node's live objects, since no
+        # live-object dict is ever replaced; mmr-lite objects have no oracle
+        live = {i: node.objects.live for i, node in self.nodes.items()}
+        self.stub_oracle = StubOracle(p.seed, config.dmax, live if config.core == "stub" else {})
 
         self.adversary = Adversary(config.adversary, p, self.byz_ids)
         self.trace = Trace(
@@ -373,7 +369,7 @@ class RoundEngine:
             self.trace.traffic.extend(
                 f"{r} {i} {j} {data.hex()}" for i, j, data in deliveries
             )
-        self.stub_oracle.observe(r, self.oracle_slots)
+        self.stub_oracle.observe(r)
         # the round's one freshness sweep, for the trace and the generation sweep
         non_fresh = [self.nodes[i].objects.non_fresh_slots() for i in self.correct_ids]
         self._record(r, phase, coin_bit, reports, digest, non_fresh)
@@ -393,7 +389,8 @@ class RoundEngine:
                 key = (slot, self.slot_gen[slot])
                 self.trace.evictions.setdefault(key, {}).setdefault(i, r)
             if rep.proposed_value is not None:
-                key = (rep.active_slot, self.slot_gen[rep.active_slot])
+                slot = nodes[i].active_slot()
+                key = (slot, self.slot_gen[slot])
                 self.trace.proposals.setdefault(key, {}).setdefault(
                     i, (r, rep.proposed_value)
                 )
@@ -409,7 +406,7 @@ class RoundEngine:
         idx = tuple([nodes[i].sig.index for i in ids])
         wd = tuple([nodes[i].was_delivered_active() for i in ids])
         recycled = tuple([reports[i].recycled for i in ids])
-        active = tuple([reports[i].active_slot for i in ids])
+        active = tuple([nodes[i].active_slot() for i in ids])
         counts = tuple(map(len, non_fresh))
         rows = self.trace.rounds
         if rows:
@@ -592,14 +589,12 @@ def emit(
     trace_dir: str | None = None,
 ) -> tuple[str, int]:
     """Write one CSV row per trial plus a text summary; return (summary, exit code)."""
-    rows = [metrics.csv_row(trial) for trial, metrics, _ in results]
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
-    writer.writeheader()
-    writer.writerows(rows)
     if out_path:
+        rows = [metrics.csv_row(trial) for trial, metrics, _ in results]
         with open(out_path, "w", newline="") as fh:
-            fh.write(buf.getvalue())
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
     if trace_dir:
         for trial, _, trace in results:
             path = os.path.join(trace_dir, f"trace_{trial.params.seed}.json")

@@ -2,7 +2,7 @@
 
 A non-self-stabilizing synchronous consensus core is re-run once per
 schedule cycle: at phase 0 the previous run's decision is captured into a
-floating output, the core is restarted, and fresh inputs are proposed;
+floating output, and proposing fresh inputs restarts the core;
 phases 1..t+1 each run one processing step. Consumers read the floating
 output at any time and therefore see, during cycle m, the decision over the
 inputs sampled at phase 0 of cycle m-1.
@@ -44,8 +44,8 @@ and a built broadcast read at any other level (a garbled
 sender, so the full checks are not shared across senders.
 
 This sharing rests on one rule: neither a stored level nor a payload is
-ever mutated in place. `restart`, `propose` and `process` assign a new
-dict, and so must anything that plants a tree (`adversary._fill_tree`,
+ever mutated in place. `propose` and `process` assign a new dict, and so
+must anything that plants a tree (`adversary._fill_tree`,
 `adversary._garble_tree`); no field of a payload is rebound once it is
 built (see `corsim.transport`). A planted level may be shared like a built
 one: targeted injection plants one all-ones level in every correct node,
@@ -61,7 +61,7 @@ phase 0 only initiates the first exchange.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import lru_cache
 from itertools import permutations
 from weakref import WeakValueDictionary
 
@@ -72,7 +72,7 @@ _REGISTRY: WeakValueDictionary[tuple[int, int], CoPayload] = WeakValueDictionary
 
 
 class EigConsensus:
-    """One restartable EIG run (the co instance of the recomputation wrapper)."""
+    """One EIG run, restarted by each propose (the co instance of the recomputation wrapper)."""
 
     def __init__(self, n: int, t: int):
         self.n = n
@@ -81,14 +81,10 @@ class EigConsensus:
         self.exchanges_done = 0
         self.started = False
 
-    def restart(self) -> None:
-        self.tree = {}
-        self.exchanges_done = 0
-        self.started = False
-
     def propose(self, value: object) -> CoPayload:
-        """Record the root value and broadcast it (first exchange)."""
+        """Start a run: record the root value and broadcast it (first exchange)."""
         self.started = True
+        self.exchanges_done = 0
         self.tree = {(): value}
         return CoPayload(level=0, entries=(((), value),))
 
@@ -103,8 +99,7 @@ class EigConsensus:
             return ()
         if payload.level != level or not isinstance(payload.entries, tuple):
             return ()
-        # equal to a label of this length: distinct ids in 0..n-1 (but 1.0 == 1)
-        labels = _label_set(self.n, level)
+        n = self.n
         kept = []
         for item in payload.entries:
             if not (isinstance(item, tuple) and len(item) == 2):
@@ -112,10 +107,11 @@ class EigConsensus:
             label, value = item
             if not isinstance(label, tuple) or len(label) != level:
                 continue
-            # ints first: a label holding an unhashable id cannot be looked up
-            if not all(isinstance(x, int) for x in label):
+            # ints first, so the set below never meets an unhashable id
+            # (True is an int and equals 1)
+            if not all(isinstance(x, int) and 0 <= x < n for x in label):
                 continue
-            if label not in labels:
+            if len(set(label)) != level:
                 continue
             try:
                 hash(value)
@@ -207,15 +203,12 @@ class EigConsensus:
         return hit[1]
 
 
-@cache
+# A trial asks only for (n, t+1), from `result` and targeted injection, so
+# one entry serves it and the next trial's size drops the last one's labels.
+@lru_cache(maxsize=1)
 def _labels(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """Every label of length k, in lexicographic order."""
     return tuple(permutations(range(n), k))
-
-
-@cache
-def _label_set(n: int, k: int) -> frozenset[tuple[int, ...]]:
-    return frozenset(_labels(n, k))
 
 
 def _majority(values: list) -> object:
@@ -249,7 +242,6 @@ class MvcController:
         """One phase; `sample` is the phase-0 input, and one payload goes to every node."""
         if phase == 0:
             self.current_result = self.co.result(memo)
-            self.co.restart()
             payload = self.co.propose(sample)
         elif 1 <= phase <= self.t + 1:
             payload = self.co.process(co_msgs, memo)

@@ -36,7 +36,6 @@ class StepReport:
 
     sample: object = None  # phase-0 consensus input, None on other phases
     recycled: tuple[int, ...] = ()
-    active_slot: int = 0
     proposed_value: object = None  # set when a fresh proposal was made
     retrievals: tuple = ()  # (slot, value) pairs newly read this round
 
@@ -108,7 +107,6 @@ class CorrectNode:
             report.recycled = tuple(objects.recycler_pulse(self.sig.index))
 
         active = objects.get(self.active_slot())
-        report.active_slot = active.slot
 
         if phase == 0 and active.proposed is None:
             value = self._proposer(active.slot, self.node_id)

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from corsim import harness
+from corsim import cli, harness
 from corsim.adversary import POLICIES
 from corsim.cli import DEFAULTS, main
 from corsim.env import make_params, params_validate
@@ -211,6 +211,8 @@ def test_identical_invocations_identical_csv(tmp_path):
     (["--index-num", "1"], None, "index_num >= 2"),
     (["--out", "{tmp}/missing/r.csv"], None, "cannot write output"),
     (["--out", "{tmp}/missing/r.csv", "--trace"], None, "cannot write output"),
+    (["--out", "{tmp}"], None, "is a directory"),
+    (["--out", "{tmp}", "--trace"], None, "cannot write output"),
     # too short for a validity-checked cycle end, the first at round 2*kappa-1
     (["--rounds", "5", "--strict"], None, "--strict needs rounds >= 2*kappa = 10"),
     (["--kappa", "12", "--rounds", "20", "--strict"], None,
@@ -223,7 +225,16 @@ def test_bad_input_exits_2_with_message(
     def no_trial(self):
         raise AssertionError("a trial ran")
 
+    run_ensemble = cli.run_ensemble
+
+    def no_ensemble(config, trials):
+        # run_ensemble itself refuses trials < 1, before any trial
+        if trials >= 1:
+            raise AssertionError("an ensemble ran")
+        return run_ensemble(config, trials)
+
     monkeypatch.setattr(harness.RoundEngine, "run", no_trial)
+    monkeypatch.setattr(cli, "run_ensemble", no_ensemble)
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     if config is not None:
         cfg = tmp_path / "cfg.json"

@@ -15,15 +15,12 @@ from corsim.harness import CORES, RoundEngine, TrialConfig
 from corsim.recyclable import CORE_ERROR, RecyclableObject
 
 
-def wire_objects(oracle, n=4, t=1, slot=0):
-    return {
-        i: RecyclableObject(n, t, i, slot, DelayStubCore())
-        for i in oracle.correct_ids
-    }
+def wire_objects(count=3, n=4, t=1, slot=0):
+    return {i: RecyclableObject(n, t, i, slot, DelayStubCore()) for i in range(count)}
 
 
 def live(objs, slot=0):
-    """What the engine hands the oracle: each node's live objects by slot."""
+    """What the engine binds the oracle to: each node's live objects by slot."""
     return {i: {slot: obj} for i, obj in objs.items()}
 
 
@@ -35,7 +32,7 @@ def first_visible(oracle, objs, rounds):
     """
     visible = {}
     for r in rounds:
-        oracle.observe(r, live(objs))
+        oracle.observe(r)
         for i, obj in objs.items():
             if i not in visible and obj.core.decided() is not None:
                 visible[i] = r + 1
@@ -48,31 +45,32 @@ class TestDelayStub:
             (4, [1, 1, 0], 1),
             (5, [1, 1, 0, 0], 0),  # a tie among the correct proposals decides 0
         ):
-            oracle = StubOracle(seed=3, correct_ids=list(range(len(proposals))), dmax=0)
-            objs = wire_objects(oracle, n=n)
+            objs = wire_objects(len(proposals), n=n)
+            oracle = StubOracle(seed=3, dmax=0, objects_by_node=live(objs))
             for i, obj in objs.items():
                 obj.propose(proposals[i])
-            oracle.observe(0, live(objs))
+            oracle.observe(0)
             assert {obj.core.decided() for obj in objs.values()} == {(DECIDED, decision)}
 
     def test_waits_for_all_correct_proposals(self):
-        oracle = StubOracle(seed=3, correct_ids=[0, 1, 2], dmax=0)
-        objs = wire_objects(oracle)
+        objs = wire_objects()
+        oracle = StubOracle(seed=3, dmax=0, objects_by_node=live(objs))
         objs[0].propose(1)
         assert first_visible(oracle, objs, range(10)) == {}
         assert oracle.records == {}
 
     def test_a_slot_without_a_live_object_at_some_node_waits(self):
-        oracle = StubOracle(seed=3, correct_ids=[0, 1, 2], dmax=0)
-        objs = wire_objects(oracle)
+        objs = wire_objects()
+        by_node = live(objs)
+        oracle = StubOracle(seed=3, dmax=0, objects_by_node=by_node)
         for obj in objs.values():
             obj.propose(1)
-        by_node = live(objs)
-        by_node[2] = {}
-        oracle.observe(0, by_node)
+        del by_node[2][0]
+        oracle.observe(0)
         assert oracle.records == {}
         assert objs[0].core.decided() is None
-        oracle.observe(1, live(objs))
+        by_node[2][0] = objs[2]
+        oracle.observe(1)
         assert set(oracle.records) == {0}
 
     def test_reveal_delays_bounded_by_dmax(self):
@@ -81,8 +79,8 @@ class TestDelayStub:
         before round 3: the trigger round's reads precede the trigger."""
         dmax = 6
         for seed in (4, 8):
-            oracle = StubOracle(seed=seed, correct_ids=[0, 1, 2], dmax=dmax)
-            objs = wire_objects(oracle)
+            objs = wire_objects()
+            oracle = StubOracle(seed=seed, dmax=dmax, objects_by_node=live(objs))
             for obj in objs.values():
                 obj.propose(1)
             visible = first_visible(oracle, objs, range(2, 2 + dmax + 1))
@@ -93,27 +91,28 @@ class TestDelayStub:
             assert all(0 <= d <= dmax for d in delays.values())
 
     def test_decision_not_served_to_recycled_core(self):
-        oracle = StubOracle(seed=5, correct_ids=[0, 1, 2], dmax=6)
-        objs = wire_objects(oracle)
+        objs = wire_objects()
+        by_node = live(objs)
+        oracle = StubOracle(seed=5, dmax=6, objects_by_node=by_node)
         for obj in objs.values():
             obj.propose(1)
-        oracle.observe(0, live(objs))
+        oracle.observe(0)
         assert oracle.records[0].pending[1][0] > 1  # node 1's write is still to come
         # recycling drops node 1's object; the slot's next object gets a new core
-        objs[1] = RecyclableObject(4, 1, 1, 0, DelayStubCore())
+        objs[1] = by_node[1][0] = RecyclableObject(4, 1, 1, 0, DelayStubCore())
         objs[1].propose(0)
         first_visible(oracle, objs, range(1, 8))
         assert objs[1].core.decided() is None
         assert objs[0].core.decided() == (DECIDED, 1)
 
     def test_a_planted_cache_on_a_bound_core_is_never_overwritten(self):
-        oracle = StubOracle(seed=3, correct_ids=[0, 1, 2], dmax=0)
-        objs = wire_objects(oracle)
+        objs = wire_objects()
+        oracle = StubOracle(seed=3, dmax=0, objects_by_node=live(objs))
         for obj in objs.values():
             obj.propose(1)
         objs[0].core.decided_cache = 7
         objs[1].core.decided_cache = 0
-        oracle.observe(0, live(objs))
+        oracle.observe(0)
         assert objs[0].core.decided() == (CORE_FAULT, None)
         assert objs[1].core.decided() == (DECIDED, 0)
         assert objs[2].core.decided() == (DECIDED, 1)
@@ -301,7 +300,7 @@ def test_a_read_result_stays_until_recycled(core, seed):
                 sent[i][slot] = obj.pulse_step(inbox).core
                 read(i, slot, obj, r)
         last = sent
-        engine.stub_oracle.observe(r, engine.oracle_slots)
+        engine.stub_oracle.observe(r)
     results = [value for _, value in first.values()]
     assert later_reads > 1000
     assert any(r > 0 for r, _ in first.values())  # some objects decide while stepped

@@ -59,13 +59,17 @@ class TestEigMechanics:
         node.process({}, {})
         assert node.result({}) is not None
 
-    def test_restart_clears_state(self):
-        node = EigConsensus(4, 1)
-        node.propose(1)
-        node.process({}, {})
-        node.restart()
-        assert node.result({}) is None
-        assert node.tree == {}
+    def test_propose_starts_a_clean_run_from_any_state(self):
+        for started in (False, True):
+            for exchanges_done in (0, 1, 2, 3, -1):
+                node = EigConsensus(4, 1)
+                node.started = started
+                node.exchanges_done = exchanges_done
+                node.tree = {(0, 1): 5, (2,): None, (): 0}
+                sent = node.propose(1)
+                assert (node.started, node.exchanges_done, node.tree) == (True, 0, {(): 1})
+                assert node.result({}) is None
+                assert sent == CoPayload(level=0, entries=(((), 1),))
 
     def test_malformed_payloads_dropped(self):
         node = EigConsensus(4, 1)
@@ -550,7 +554,8 @@ class TestOneLevel:
     @pytest.mark.parametrize("n,t", [(4, 0), (4, 1), (7, 2)])
     def test_injected_starts_match_flat_tree_reference(self, n, t):
         """Phase 0 as the engine runs it after an injected fault: capture
-        the result, restart, propose, then run every exchange."""
+        the result, propose, then run every exchange. The reference restarts
+        by hand before its propose, which writes into the tree it is given."""
         params = make_params(n, t, 3, 8, seed=0)
         rng = random.Random(n * 10 + t)
         starts = [("fill", value) for value in (0, 1, True)]
@@ -568,7 +573,8 @@ class TestOneLevel:
             sample = rng.choice((0, 1))
             out = ctl.pulse(0, {}, sample, {})
             assert repr(ctl.current_result) == repr(reference_result(ref))
-            ref.restart()
+            ref.tree = {}
+            ref.exchanges_done = 0
             assert same_payload(out[0], reference_propose(ref, sample))
             run_against_flat_reference(rng, ctl.co, ref, out[0])
 
@@ -800,7 +806,7 @@ class TestCarriedChecks:
                 elif phase == 3:  # level 2: the object is one level behind
                     assert from_byz(labels) == set(), f"round {r}"
                 if 1 <= phase <= 3:
-                    assert labels <= mvc._label_set(7, phase), f"round {r}"
+                    assert labels <= set(mvc._labels(7, phase)), f"round {r}"
 
     def test_resent_correct_payload_from_previous_round(self, monkeypatch):
         """Always one level behind, so it adds nothing."""
@@ -854,3 +860,17 @@ class TestRegistry:
         del sent, built, copy, eng
         gc.collect()
         assert all(ref() is None for ref in refs)
+
+
+def test_label_cache_keeps_only_the_last_trial_size():
+    """A trial asks for the labels of (n, t+1) alone, so the cache holds one
+    entry, and a trial at another size drops the previous size's labels."""
+    for n, t in ((10, 3), (7, 2)):
+        RoundEngine(TrialConfig(
+            params=make_params(n, t, 3, 8, seed=1), rounds=2 * (t + 5),
+            adversary="worst_eig", inject="targeted",
+        )).run()
+    info = mvc._labels.cache_info()
+    assert info.currsize == 1
+    mvc._labels(7, 3)  # the one entry is (7, 3)
+    assert mvc._labels.cache_info().hits == info.hits + 1

@@ -161,19 +161,17 @@ class TestReadingAFreshObject:
         read_leaves_fresh(make_object())
 
     def test_rebuilt_stub_object_whose_slot_keeps_a_record(self):
-        oracle = StubOracle(seed=0, correct_ids=[0, 1, 2], dmax=0)
-        arrays = {
-            i: ObjectArray(4, 1, i, 8, 3, lambda s: DelayStubCore())
-            for i in oracle.correct_ids
-        }
+        arrays = {i: ObjectArray(4, 1, i, 8, 3, lambda s: DelayStubCore()) for i in range(3)}
+        oracle = StubOracle(
+            seed=0, dmax=0, objects_by_node={i: arr.live for i, arr in arrays.items()}
+        )
         for arr in arrays.values():
             arr.get(0).propose(1)
-        live = {i: arr.live for i, arr in arrays.items()}
-        oracle.observe(0, live)
+        oracle.observe(0)
         assert arrays[0].get(0).observe_result() == 1
         assert arrays[0].recycler_pulse(5) == [0]
         # the record outlives node 0's incarnation, but the sweep binds no new core
-        oracle.observe(1, live)
+        oracle.observe(1)
         assert 0 in oracle.records
         read_leaves_fresh(arrays[0].get(0))
 
@@ -214,8 +212,8 @@ def test_delivery_indication_propagates_to_all_correct():
     reports delivery and keeps it, est exchange brings every correct copy to
     wasDelivered()=1 (single object, no recycling, lock-step by hand)."""
     n, t = 4, 1
-    oracle = StubOracle(seed=1, correct_ids=[0, 1, 2], dmax=2)
     objs = {i: RecyclableObject(n, t, i, 0, DelayStubCore()) for i in range(3)}
+    oracle = StubOracle(seed=1, dmax=2, objects_by_node={i: {0: objs[i]} for i in objs})
     for i, obj in objs.items():
         obj.propose(1)
     outboxes = {i: None for i in objs}
@@ -235,7 +233,7 @@ def test_delivery_indication_propagates_to_all_correct():
                 obj.merge_flag(j, est.delivered)
             outboxes[i] = obj.pulse_step({j: est.core for j, est in inboxes[i].items()
                                           if est.core is not None})
-        oracle.observe(r, {i: {0: objs[i]} for i in objs})
+        oracle.observe(r)
         if first_report is None and any(o.was_delivered() for o in objs.values()):
             first_report = r
     assert first_report is not None
