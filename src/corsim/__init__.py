@@ -28,6 +28,8 @@ from .harness import (
     legality_violations,
     run_ensemble,
     run_trial,
+    stream_ensemble,
+    summarize,
 )
 from .mvc import EigConsensus, MvcController
 from .recyclable import CORE_ERROR, RecyclableObject
@@ -60,6 +62,8 @@ __all__ = [
     "legality_violations",
     "run_ensemble",
     "run_trial",
+    "stream_ensemble",
+    "summarize",
     "EigConsensus",
     "MvcController",
     "CORE_ERROR",

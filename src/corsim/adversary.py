@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Callable
 
 from .env import Params, derived_int, seeded_rng
 from .mvc import _labels
-from .sig_index import index_vote, vote_bit
+from .sig_index import index_vote, read_kind, tally, vote_bit
 from .transport import CoPayload, Envelope, EstPayload, RoundMail, SigPayload
 
 if TYPE_CHECKING:
@@ -208,18 +208,15 @@ POLICIES: dict[str, Callable[[Adversary, AdversaryView], Fields]] = {
 def predict(view: AdversaryView, rule: Callable[[dict, int], object]) -> list:
     """What an index-phase rule yields at each correct node this round.
 
-    Node i's sig inbox is read from its mail as the node reads it, a value
+    Node i's tally is taken from its mail as the node takes it, a value
     that is not an `Envelope` being an absent sender, so the rule applied
-    to that inbox is exactly what node i computes.
+    to that tally is exactly what node i computes.
     """
+    kind = read_kind(view.phase, view.params.kappa)
     outcomes = []
     for i in sorted(view.correct_nodes):
-        inbox = {
-            sender: env.sig
-            for sender, env in view.mail[i].inbox.items()
-            if isinstance(env, Envelope)
-        }
-        outcomes.append(rule(inbox, view.params.quorum))
+        sigs = [env.sig for env in view.mail[i].inbox.values() if isinstance(env, Envelope)]
+        outcomes.append(rule(tally(sigs, kind), view.params.quorum))
     return outcomes
 
 
@@ -371,6 +368,4 @@ def _garble_mail(
             value=rng.choice((None, rng.randrange(params.index_num), rng.getrandbits(1))),
         )
         co = CoPayload(level=0, entries=(((), rng.choice((0, 1, None))),))
-        round0_mail[receiver].inbox[sender] = Envelope(
-            sender=sender, est=est, co=co, sig=sig
-        )
+        round0_mail[receiver].plant(sender, Envelope(sender=sender, est=est, co=co, sig=sig))

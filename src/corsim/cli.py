@@ -11,7 +11,7 @@ from dataclasses import fields
 
 from .adversary import INJECT_MODES, POLICIES
 from .env import make_params
-from .harness import CORES, ConfigError, TrialConfig, emit, run_ensemble
+from .harness import CORES, ConfigError, TrialConfig, stream_ensemble, summarize
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_const",
         const=True,
         dest="log_traffic",
-        help="record every delivered envelope in the trace (see --trace)",
+        help="record every delivered envelope in the trace; needs --trace",
     )
     run.add_argument("--out", help="CSV output path")
     run.add_argument("--trace", action="store_true", help="write per-trial trace files")
@@ -126,6 +126,9 @@ def main(argv: list[str] | None = None) -> int:
                 f"--strict needs rounds >= 2*kappa = {2 * params.kappa} to check "
                 f"validity (got rounds={config.rounds})"
             ])
+        if config.log_traffic and not args.trace:
+            raise ConfigError(["log_traffic needs --trace: the traffic log is written only "
+                               "into the trace files"])
         # the CSV's directory, also the trace directory, must exist, and the
         # CSV must not be a directory, before any trial runs
         out_dir = os.path.dirname(options["out"] or "") or "."
@@ -135,18 +138,14 @@ def main(argv: list[str] | None = None) -> int:
         if options["out"] and os.path.isdir(options["out"]):
             print(f"cannot write output: {options['out']!r} is a directory", file=sys.stderr)
             return 2
-        results = run_ensemble(config, options["trials"])
+        # each trace file is written as its trial ends, and only the metrics are kept
+        results = stream_ensemble(config, options["trials"], out_dir if args.trace else None)
+        summary, exit_code = summarize(results, options["out"], strict=args.strict)
     except ConfigError as err:
         print("invalid configuration:", file=sys.stderr)
         for violation in err.violations:
             print(f"  - {violation}", file=sys.stderr)
         return 2
-
-    trace_dir = out_dir if args.trace else None
-    try:
-        summary, exit_code = emit(
-            results, options["out"], strict=args.strict, trace_dir=trace_dir
-        )
     except OSError as err:
         print(f"cannot write output: {err}", file=sys.stderr)
         return 2

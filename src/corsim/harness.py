@@ -16,7 +16,8 @@ output bytes plus one chunk of `TRACE_CHUNK_ROWS` rows being encoded. A round
 keeps the previous round's tuple for each field of ints that did not change.
 A 30,000-round traced `corsim run` (n=4, mmr-lite, log_size 30, index_num 64)
 peaks at 41.6 MB of RSS, against about 101 MB when the whole tree was built
-first (2-CPU Linux host, Python 3.11).
+first (2-CPU Linux host, Python 3.11). `corsim run` writes each trial's trace
+file as the trial ends (`stream_ensemble`), so it holds one trace at a time.
 """
 
 from __future__ import annotations
@@ -324,7 +325,8 @@ class RoundEngine:
             correct_ids=tuple(self.correct_ids),
             byz_ids=tuple(self.byz_ids),
         )
-        self.pending: dict[int, RoundMail] = {i: RoundMail(inbox={}) for i in self.node_ids}
+        # round-0 mail has an empty shared part; inject plants in the own parts
+        self.pending: dict[int, RoundMail] = {i: RoundMail({}, {}) for i in self.node_ids}
 
         plan = plan_corruption(config.inject, p, self.correct_ids)
         inject(self.nodes, self.pending, plan, p)
@@ -352,11 +354,11 @@ class RoundEngine:
 
         outboxes: dict[int, dict[int, Envelope]] = {}
         reports = {}
-        # the round's EIG memo (validations, levels, resolves), shared by
-        # every receiver
-        co_memo: dict = {}
+        # the round's memo (the split of the shared mail, and EIG's
+        # validations, levels and resolves), shared by every receiver
+        memo: dict = {}
         for i in self.correct_ids:
-            outbox, report = self.nodes[i].step(phase, self.pending[i].inbox, coin_bit, co_memo)
+            outbox, report = self.nodes[i].step(phase, self.pending[i], coin_bit, memo)
             outboxes[i] = outbox
             reports[i] = report
         for b, box in byz_out.items():
@@ -563,16 +565,45 @@ def compute_metrics(trace: Trace, params: Params) -> Metrics:
 # ensemble execution and CSV emission
 
 
-def run_ensemble(config: TrialConfig, trials: int) -> list[tuple[TrialConfig, Metrics, Trace]]:
-    """Run seed, seed+1, ... seed+trials-1; each trial is seed-isolated."""
+def trial_configs(config: TrialConfig, trials: int) -> list[TrialConfig]:
+    """The configs of seed, seed+1, ... seed+trials-1; each trial is seed-isolated."""
     if trials < 1:
         raise ConfigError([f"trials >= 1 (got trials={trials})"])
+    return [
+        replace(config, params=replace(config.params, seed=config.params.seed + k))
+        for k in range(trials)
+    ]
+
+
+def run_ensemble(config: TrialConfig, trials: int) -> list[tuple[TrialConfig, Metrics, Trace]]:
+    """Run every trial of the ensemble and keep each one's trace."""
     results = []
-    for k in range(trials):
-        trial = replace(config, params=replace(config.params, seed=config.params.seed + k))
+    for trial in trial_configs(config, trials):
         trace, metrics = run_trial(trial)
         results.append((trial, metrics, trace))
     return results
+
+
+def stream_ensemble(
+    config: TrialConfig, trials: int, trace_dir: str | None = None
+) -> list[tuple[TrialConfig, Metrics]]:
+    """Run every trial, writing its trace file as it ends; keep only the metrics.
+
+    Memory holds one trial's trace at a time, not the whole ensemble's.
+    """
+    results = []
+    for trial in trial_configs(config, trials):
+        trace, metrics = run_trial(trial)
+        if trace_dir:
+            write_trace(trace, trial, trace_dir)
+        results.append((trial, metrics))
+    return results
+
+
+def write_trace(trace: Trace, trial: TrialConfig, trace_dir: str) -> None:
+    path = os.path.join(trace_dir, f"trace_{trial.params.seed}.json")
+    with open(path, "wb") as fh:
+        fh.write(trace.to_bytes())
 
 
 def _median(values: list[int]) -> float:
@@ -588,20 +619,28 @@ def emit(
     strict: bool = False,
     trace_dir: str | None = None,
 ) -> tuple[str, int]:
+    """Write one CSV row per trial, then each trace when trace_dir is set; see `summarize`."""
+    outcome = summarize([(trial, metrics) for trial, metrics, _ in results], out_path, strict)
+    if trace_dir:
+        for trial, _, trace in results:
+            write_trace(trace, trial, trace_dir)
+    return outcome
+
+
+def summarize(
+    results: list[tuple[TrialConfig, Metrics]],
+    out_path: str | None,
+    strict: bool = False,
+) -> tuple[str, int]:
     """Write one CSV row per trial plus a text summary; return (summary, exit code)."""
     if out_path:
-        rows = [metrics.csv_row(trial) for trial, metrics, _ in results]
+        rows = [metrics.csv_row(trial) for trial, metrics in results]
         with open(out_path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()
             writer.writerows(rows)
-    if trace_dir:
-        for trial, _, trace in results:
-            path = os.path.join(trace_dir, f"trace_{trial.params.seed}.json")
-            with open(path, "wb") as fh:
-                fh.write(trace.to_bytes())
 
-    metrics = [m for _, m, _ in results]
+    metrics = [m for _, m in results]
     stab_rounds = [m.stabilization_round for m in metrics if m.stabilized]
     totals = {name: sum(m.cor_violations[name] for m in metrics) for name in VIOLATION_KINDS}
     unstable = len(metrics) - len(stab_rounds)

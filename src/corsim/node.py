@@ -1,12 +1,19 @@
 """Per-node composition of the protocol stack for one simulated round.
 
-A correct node's step: walk the arriving envelopes once, splitting off their
-co and sig fields and merging each est's delivery flag into the slot the est
-names (the only place flags are merged), run the consensus recomputation
-pulse, run the index pulse, sweep the recycler window, propose to and step
-the active object, and read results. Fresh proposals bind to the slot the
-index points at during phase 0. A flag that is not set builds no object:
-merging it into a fresh one changes nothing.
+A correct node's step: split the arriving envelopes into their co fields,
+the tally of their sig fields and, per slot, the delivery flags and core
+messages their est fields carry, merge the flags into this node's objects
+(the only place flags are merged), run the consensus recomputation pulse,
+run the index pulse, sweep the recycler window, propose to and step the
+active object, and read results. Fresh proposals bind to the slot the index points at
+during phase 0. A flag that is not set builds no object: merging it into a
+fresh one changes nothing.
+
+The round's shared mail (see `corsim.transport`) is split once per round,
+through the round memo, and each receiver folds its own arrivals into a
+copy of that split. The split is read-only: a receiver without own
+arrivals reads the shared one as it is. Flag merges write this node's
+objects, so they run at each receiver.
 
 One loop reads every live in-window object, the active one, the window's
 anchor, among them (their results must reach every correct node before the
@@ -20,14 +27,15 @@ set.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable
 
 from .env import Params
 from .mvc import MvcController
 from .recycler import ObjectArray, window
-from .sig_index import SigIndex
-from .transport import CoPayload, Envelope, EstPayload, SigPayload
+from .sig_index import SigIndex, read_kind, tally
+from .transport import Envelope, EstPayload, RoundMail
 
 
 @dataclass(slots=True)
@@ -38,6 +46,50 @@ class StepReport:
     recycled: tuple[int, ...] = ()
     proposed_value: object = None  # set when a fresh proposal was made
     retrievals: tuple = ()  # (slot, value) pairs newly read this round
+
+
+# What a node reads from its mail: (co, counts, flags, cores), that is
+# sender -> co field, the tally of the sig fields of the kind its phase reads
+# (see `corsim.sig_index`), slot -> sender -> delivery flag, and slot ->
+# sender -> core message. An absent co field is left out: the consensus
+# core takes a sender without one as a sender whose field is None.
+Split = tuple[dict, dict, dict, dict]
+_NO_SPLIT: Split = ({}, {}, {}, {})
+
+
+def _fold(base: Split, part: Mapping[int, object], index_num: int, kind: str | None) -> Split:
+    """base with the arrivals of part, whose senders base does not name, folded in.
+
+    A value that is not an `Envelope` is an absent sender, and sig fields
+    are tallied for `kind` (none when it is None). No dict of base is
+    mutated: each is copied before its first write.
+    """
+    base_co, counts, base_flags, base_cores = base
+    co, flags, cores = base_co, base_flags, base_cores
+    sigs = []
+    for sender, env in part.items():
+        if not isinstance(env, Envelope):
+            continue
+        if env.co is not None:
+            if co is base_co:
+                co = dict(co)
+            co[sender] = env.co
+        if env.sig is not None:
+            sigs.append(env.sig)
+        est = env.est
+        if not isinstance(est, EstPayload) or not isinstance(est.slot, int):
+            continue
+        slot = est.slot % index_num
+        if flags is base_flags:
+            flags = {s: dict(by_sender) for s, by_sender in flags.items()}
+        flags.setdefault(slot, {})[sender] = bool(est.delivered)
+        if est.core is not None:
+            if cores is base_cores:
+                cores = {s: dict(by_sender) for s, by_sender in cores.items()}
+            cores.setdefault(slot, {})[sender] = est.core
+    if sigs and kind is not None:
+        counts = tally(sigs, kind, dict(counts))
+    return co, counts, flags, cores
 
 
 class CorrectNode:
@@ -67,7 +119,7 @@ class CorrectNode:
     def step(
         self,
         phase: int,
-        inbox: dict[int, Envelope],
+        mail: RoundMail,
         coin_bit: int,
         memo: dict,
     ) -> tuple[dict[int, Envelope], StepReport]:
@@ -75,33 +127,34 @@ class CorrectNode:
         objects = self.objects
         report = StepReport()
 
-        # split off co and sig; merge each slot-tagged delivery flag and keep
-        # the core message for the slot the est names
-        co_by_sender: dict[int, CoPayload | None] = {}
-        sig_by_sender: dict[int, SigPayload | None] = {}
-        core_for_slot: dict[int, dict[int, object]] = {}
-        for sender, env in inbox.items():
-            if not isinstance(env, Envelope):
-                continue  # not an envelope: read as an absent sender
-            co_by_sender[sender] = env.co
-            sig_by_sender[sender] = env.sig
-            est = env.est
-            if not isinstance(est, EstPayload) or not isinstance(est.slot, int):
-                continue
-            slot = est.slot % params.index_num
-            obj = objects.get(slot) if est.delivered else objects.live.get(slot)
+        # the shared part is split once per round, under its id, and the memo
+        # holds it, so the id stays reserved while the memo lives; each
+        # receiver folds its own arrivals into a copy of that split
+        shared, own = mail.shared, mail.own
+        hit = memo.get(id(shared))
+        if hit is None:
+            kind = read_kind(phase, params.kappa)
+            hit = memo[id(shared)] = (shared, kind, _fold(_NO_SPLIT, shared, params.index_num, kind))
+        _, kind, split = hit
+        co_msgs, sig_counts, flags_by_slot, cores_by_slot = (
+            _fold(split, own, params.index_num, kind) if own else split
+        )
+        # a set flag builds its slot's object; merging the unset ones of a
+        # slot without one changes nothing
+        for slot, flags in flags_by_slot.items():
+            obj = objects.live.get(slot)
+            if obj is None and True in flags.values():
+                obj = objects.get(slot)
             if obj is not None:
-                obj.merge_flag(sender, est.delivered)
-            if est.core is not None:
-                core_for_slot.setdefault(slot, {})[sender] = est.core
+                obj.merge_flags(flags)
 
         # consensus recomputation; inputs are sampled before any index write
         if phase == 0:
             report.sample = self.was_delivered_active()
-        co_out = self.mvc.pulse(phase, co_by_sender, report.sample, memo)
+        co_out = self.mvc.pulse(phase, co_msgs, report.sample, memo)
 
         # index pulse, then the recycler sweep on the possibly-updated index
-        sig_out = self.sig.pulse(phase, sig_by_sender, self.mvc.current_result, coin_bit)
+        sig_out = self.sig.pulse(phase, sig_counts, self.mvc.current_result, coin_bit)
 
         if self.fixed_slot is None:
             report.recycled = tuple(objects.recycler_pulse(self.sig.index))
@@ -113,7 +166,7 @@ class CorrectNode:
             active.propose(value)
             report.proposed_value = value
 
-        est_out = active.pulse_step(core_for_slot.get(active.slot, {}))
+        est_out = active.pulse_step(cores_by_slot.get(active.slot, {}))
 
         if self.fixed_slot is None:
             keep = window(self.sig.index, params.index_num, params.log_size)

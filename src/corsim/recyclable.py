@@ -4,7 +4,7 @@ Each object tracks an n-slot vector of delivery flags. observe_result() is
 the only read: the local flag flips true when it returns a decision (or the
 internal-fault symbol) and is forced back to false whenever it says
 undecided. Remote flags mirror the last flag received from each peer, merged
-by the node through merge_flag(). was_delivered() reports 1 once n-t flags
+by the node through merge_flags(). was_delivered() reports 1 once n-t flags
 are set, which is the evidence the recycling stack agrees on.
 
 An object lives for one incarnation: its array builds it with a new core on
@@ -80,10 +80,12 @@ class RecyclableObject:
         """
         return self.delivered[self.node_id] or not self.core.is_initial()
 
-    def merge_flag(self, sender: int, flag: bool) -> None:
-        """Adopt the delivery flag last received from a peer (never from self)."""
-        if sender != self.node_id and 0 <= sender < self.n:
-            self.delivered[sender] = bool(flag)
+    def merge_flags(self, flags: dict[int, bool]) -> None:
+        """Adopt the delivery flag last received from each peer (never from self)."""
+        delivered, node_id, n = self.delivered, self.node_id, self.n
+        for sender, flag in flags.items():
+            if sender != node_id and 0 <= sender < n:
+                delivered[sender] = bool(flag)
 
     def pulse_step(self, core_inbox: dict[int, object]) -> EstPayload:
         """One synchronous step of the active object.

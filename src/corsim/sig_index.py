@@ -11,38 +11,59 @@ consensus decided 1, which is how agreed recycling evidence turns into one
 index increment.
 
 The quorum rules are the module-level functions below; SigIndex.pulse and
-the worst_sig adversary's predictions both call them. Every inbox holds at
-most one payload per sender, and 2(n-t) > n because n >= 3t+1, so at most
-one value can reach an n-t quorum: the vote, and the branch a write takes,
-never depend on the order in which values are counted.
+the worst_sig adversary's predictions both call them. Each phase that reads
+the index messages reads one kind (`read_kind`), through its tally: the
+senders per value among the arrivals of that kind. A node tallies the
+round's shared arrivals once and adds its own (see `corsim.node`). Every
+inbox holds at most one payload per sender, and 2(n-t) > n because
+n >= 3t+1, so at most one value can reach an n-t quorum: the vote, and the
+branch a write takes, never depend on the order in which values are counted.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
 
 from .env import Params
 from .transport import SigPayload
 
 
-def tally(msgs: dict[int, SigPayload | None], kind: str) -> dict[object, int]:
-    """Senders per value among the payloads of one kind."""
-    counts: dict[object, int] = {}
-    for payload in msgs.values():
+def read_kind(phase: int, kappa: int) -> str | None:
+    """The kind of payload the phase's pulse tallies, or None if it reads none."""
+    if phase == kappa - 3:
+        return "index"
+    if phase == kappa - 2:
+        return "propose"
+    if phase == kappa - 1:
+        return "bit"
+    return None
+
+
+def tally(
+    payloads: Iterable[object], kind: str, counts: dict[object, int] | None = None
+) -> dict[object, int]:
+    """Senders per value among the payloads of one kind, added to counts when given.
+
+    Anything but a `SigPayload` of that kind is skipped.
+    """
+    if counts is None:
+        counts = {}
+    for payload in payloads:
         if isinstance(payload, SigPayload) and payload.kind == kind:
             counts[payload.value] = counts.get(payload.value, 0) + 1
     return counts
 
 
-def index_vote(msgs: dict[int, SigPayload | None], quorum: int) -> object:
+def index_vote(counts: dict[object, int], quorum: int) -> object:
     """Phase kappa-3: the non-None index reported by >= quorum senders, else None."""
-    for value, count in tally(msgs, "index").items():
+    for value, count in counts.items():
         if value is not None and count >= quorum:
             return value
     return None
 
 
-def vote_bit(msgs: dict[int, SigPayload | None], quorum: int) -> int:
+def vote_bit(counts: dict[object, int], quorum: int) -> int:
     """Phase kappa-2: 1 when >= quorum senders cast a non-None vote."""
-    counts = tally(msgs, "propose")
     return 1 if sum(c for v, c in counts.items() if v is not None) >= quorum else 0
 
 
@@ -61,31 +82,31 @@ class SigIndex:
     def pulse(
         self,
         phase: int,
-        msgs: dict[int, SigPayload | None],
+        counts: dict[object, int],
         mvc_result: object,
         coin_bit: int,
     ) -> SigPayload | None:
+        """One phase; counts is the tally of the kind `read_kind(phase)` names."""
         p = self.params
         k = p.kappa
         if phase == k - 4:
             return SigPayload(kind="index", value=self.index)
 
         if phase == k - 3:
-            self.propose_val = index_vote(msgs, p.quorum)
+            self.propose_val = index_vote(counts, p.quorum)
             return SigPayload(kind="propose", value=self.propose_val)
 
         if phase == k - 2:
-            self.bit = vote_bit(msgs, p.quorum)
+            self.bit = vote_bit(counts, p.quorum)
             # a strict majority is unique, so the first one found is the one
             self.save = 0
-            for value, count in tally(msgs, "propose").items():
+            for value, count in counts.items():
                 if value is not None and 2 * count > p.n:
                     self.save = value
                     break
             return SigPayload(kind="bit", value=self.bit)
 
         if phase == k - 1:
-            counts = tally(msgs, "bit")
             self.inc = 1 if mvc_result == 1 else 0
             save = self.save if isinstance(self.save, int) else 0
             if counts.get(1, 0) >= p.quorum:

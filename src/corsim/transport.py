@@ -15,12 +15,23 @@ field through `object.__setattr__`, about 0.5 us more per message;
 `test_messages_are_never_rebound` holds every golden trial to the rule.
 Each payload writes its own repr: the generated repr's bytes for every
 acyclic value, without its recursion guard (no payload contains itself).
+
+A broadcast costs O(1) Python work per round, not one unit per receiver.
+`exchange` checks a broadcast box once and puts its envelope in the
+round's shared part, one dict that every receiver's `RoundMail` holds;
+only a receiver's own arrivals, Byzantine or planted, are kept per
+receiver. `traffic_digest` hashes a broadcast as one join of its bytes
+with precomputed delivery headers. Both tell a broadcast by identity, one
+envelope object for every receiver, never by equality.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import repeat
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -69,9 +80,37 @@ class Envelope:
 
 @dataclass(slots=True)
 class RoundMail:
-    """Per-receiver mail for one round: sender id -> envelope."""
+    """One receiver's mail for one round: the round's shared part plus its own arrivals.
 
-    inbox: dict[int, Envelope]
+    `shared` maps each sender of the round's leading broadcasts (see
+    `exchange`) to its envelope, and every receiver's mail holds that one
+    dict, which is never mutated. `own` maps every other sender to what
+    this receiver got from it: a Byzantine sender's envelope, or a value
+    planted with `plant`. The two parts name disjoint senders.
+    """
+
+    shared: dict[int, Envelope]
+    own: dict[int, object]
+
+    @property
+    def inbox(self) -> dict[int, object]:
+        """A new dict of every arrival, sender id -> envelope: the shared part, then the own.
+
+        Mail from `exchange` is in sender order; an arrival planted in place
+        of a shared one comes after the shared arrivals.
+        """
+        return {**self.shared, **self.own}
+
+    def plant(self, sender: int, value: object) -> None:
+        """Deliver value from sender to this receiver in place of what it sent.
+
+        A shared arrival is replaced through a copy of the shared part that
+        leaves the sender out, so the planted value comes after the shared
+        arrivals, and no other receiver's mail changes.
+        """
+        if sender in self.shared:
+            self.shared = {i: env for i, env in self.shared.items() if i != sender}
+        self.own[sender] = value
 
 
 class TransportError(Exception):
@@ -89,25 +128,63 @@ def exchange(
     No loss, duplication, reorder or forgery. A correct node's outbox that
     is missing, or that skips a correct receiver, is a fatal simulator bug;
     a Byzantine node may omit destinations.
+
+    A correct box is checked once, in one pass over the node ids that tests
+    coverage and identity: whether it sends one envelope object to every
+    node. Senders are then taken in node order. Each leading such
+    broadcast joins the round's shared part after one sender-stamp test,
+    and every receiver's mail holds that one dict. From the first sender
+    that is not one, each delivery goes to its receiver's own part. So the
+    shared senders precede the own ones, and every inbox is in sender order.
     """
+    broadcasts: dict[int, Envelope] = {}  # correct sender -> its one envelope object
     for i in correct_ids:
         box = outboxes.get(i)
         if box is None:
             raise TransportError(f"round {round_index}: missing outbox for correct node {i}")
+        # identity, not equality: equal envelopes can serialize differently
+        env = box.get(i)
+        if env is not None:
+            for j in node_ids:
+                if box.get(j) is not env:
+                    break
+            else:
+                broadcasts[i] = env
+                continue
         for j in correct_ids:
             if j not in box:
                 raise TransportError(f"round {round_index}: envelope {i}->{j} missing")
-    mail = {j: RoundMail(inbox={}) for j in node_ids}
+    shared: dict[int, Envelope] = {}
+    own: dict[int, dict[int, object]] = {j: {} for j in node_ids}
+    leading = True
     for i in node_ids:
-        for j, env in outboxes.get(i, {}).items():
+        env = broadcasts.get(i) if leading else None
+        if env is not None:
             if env.sender != i:
                 raise TransportError(
                     f"round {round_index}: node {i} attempted to send as {env.sender}"
                 )
-            box = mail.get(j)
-            if box is not None:
-                box.inbox[i] = env
-    return mail
+            shared[i] = env
+            continue
+        box = outboxes.get(i)
+        if not box:
+            continue
+        leading = False
+        for j, env in box.items():
+            if env.sender != i:
+                raise TransportError(
+                    f"round {round_index}: node {i} attempted to send as {env.sender}"
+                )
+            inbox = own.get(j)
+            if inbox is not None:
+                inbox[i] = env
+    return {j: RoundMail(shared, own[j]) for j in node_ids}
+
+
+# field header: tag byte (1=est, 2=co, 3=sig), then the body's length as a u32
+_FIELD = struct.Struct("<BI")
+_PAIR = struct.Struct("<HH")  # delivery header: sender and receiver as u16
+_SENDER_BYTE = tuple(bytes((b,)) for b in range(256))
 
 
 def serialize_envelope(env: Envelope, bodies: dict[int, bytes] | None = None) -> bytes:
@@ -121,16 +198,27 @@ def serialize_envelope(env: Envelope, bodies: dict[int, bytes] | None = None) ->
     """
     if bodies is None:
         bodies = {}
-    out = bytearray([env.sender & 0xFF])
-    for tag, payload in ((1, env.est), (2, env.co), (3, env.sig)):
+    parts = [_SENDER_BYTE[env.sender & 0xFF]]
+    tag = 0
+    for payload in (env.est, env.co, env.sig):
+        tag += 1
         if payload is not None:
-            body = bodies.get(id(payload))
+            key = id(payload)
+            body = bodies.get(key)
             if body is None:
-                body = bodies[id(payload)] = repr(payload).encode("utf-8")
-            out.append(tag)
-            out += len(body).to_bytes(4, "little")
-            out += body
-    return bytes(out)
+                body = bodies[key] = repr(payload).encode("utf-8")
+            parts += (_FIELD.pack(tag, len(body)), body)
+    return b"".join(parts)
+
+
+@lru_cache(maxsize=1)
+def _broadcast_headers(n: int) -> tuple[tuple[bytes, ...], ...]:
+    """Per sender i < n, the (i, j) delivery headers for receivers j = 0..n-1.
+
+    Each row ends with b"", so an envelope's bytes joined by a row give
+    header then envelope for every receiver in order.
+    """
+    return tuple(tuple(_PAIR.pack(i, j) for j in range(n)) + (b"",) for i in range(n))
 
 
 def traffic_digest(
@@ -140,13 +228,18 @@ def traffic_digest(
     """Stable digest of one round's full message traffic.
 
     Hashes sender, receiver and serialized envelope for every delivery, in
-    sender-then-receiver order. Each distinct envelope object is serialized
-    once, so a broadcast costs one serialization, not n, and each distinct
-    payload object is repr'd once, so a consensus payload that several
-    correct senders share (see `corsim.mvc`) costs one repr. Both memos are
-    keyed by identity, not equality: equal payloads can have different
-    reprs (``delivered=True`` and ``delivered=1``). They live for one call
-    only, because ids are reused once an object is collected.
+    sender-then-receiver order, as one hash update per sender. Each
+    distinct envelope object is serialized once, and each distinct payload
+    object is repr'd once, so a consensus payload that several correct
+    senders share (see `corsim.mvc`) costs one repr. Both memos are keyed
+    by identity, not equality: equal payloads can have different reprs
+    (``delivered=True`` and ``delivered=1``). They live for one call only,
+    because ids are reused once an object is collected.
+
+    With n senders, a box that sends one envelope object, by identity, to
+    receivers 0..n-1 is a broadcast: its bytes are one join of the
+    envelope's bytes with the sender's precomputed delivery headers. Any
+    other box is walked one delivery at a time.
 
     When ``deliveries`` is a list, every (sender, receiver, bytes) is
     appended to it in the same order.
@@ -154,15 +247,35 @@ def traffic_digest(
     h = hashlib.sha256()
     wire: dict[int, bytes] = {}
     bodies: dict[int, bytes] = {}
+    n = len(outboxes)
+    rows = _broadcast_headers(n)
     for i in sorted(outboxes):
         box = outboxes[i]
+        if not box:
+            continue
+        if len(box) == n and 0 <= i < n:
+            env = box.get(0)
+            if env is not None:
+                for j in range(n):
+                    if box.get(j) is not env:
+                        break
+                else:
+                    data = wire.get(id(env))
+                    if data is None:
+                        data = wire[id(env)] = serialize_envelope(env, bodies)
+                    h.update(data.join(rows[i]))
+                    if deliveries is not None:
+                        deliveries += zip(repeat(i), range(n), repeat(data))
+                    continue
+        sender = i.to_bytes(2, "little")
+        parts = []
         for j in sorted(box):
             env = box[j]
             data = wire.get(id(env))
             if data is None:
                 data = wire[id(env)] = serialize_envelope(env, bodies)
-            h.update(i.to_bytes(2, "little") + j.to_bytes(2, "little"))
-            h.update(data)
+            parts += (sender + j.to_bytes(2, "little"), data)
             if deliveries is not None:
                 deliveries.append((i, j, data))
+        h.update(b"".join(parts))
     return h.hexdigest()[:16]

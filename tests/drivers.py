@@ -6,7 +6,7 @@ values can be verified by hand simulation.
 """
 
 from corsim.mvc import EigConsensus
-from corsim.sig_index import SigIndex
+from corsim.sig_index import SigIndex, read_kind, tally
 from corsim.transport import CoPayload, SigPayload
 
 BOT = None
@@ -104,7 +104,9 @@ def run_sig_cycle(params, indices, byz_script, mvc_results, coin_bit,
     pending = {i: {} for i in correct}
     for phase, tag in ((k - 4, "k-4"), (k - 3, "k-3"), (k - 2, "k-2"), (k - 1, None)):
         outs = {
-            i: sigs[i].pulse(phase, pending[i], mvc_results[i], coin_bit) for i in correct
+            i: sigs[i].pulse(phase, tally(pending[i].values(), read_kind(phase, k)),
+                             mvc_results[i], coin_bit)
+            for i in correct
         }
         pending = {
             i: {j: outs[j] for j in correct if outs[j] is not None} for i in correct

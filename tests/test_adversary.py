@@ -36,7 +36,7 @@ def view_for(nodes, round_index=6, phase=1):
         phase=phase,
         params=P,
         correct_nodes=nodes,
-        mail={i: RoundMail(inbox={}) for i in range(P.n)},
+        mail={i: RoundMail({}, {}) for i in range(P.n)},
     )
 
 
@@ -104,7 +104,7 @@ class TestStrategies:
                     phase = r % p.kappa
                     if plant and phase == p.kappa - 3:
                         # read as an absent sender, by the node and by predict
-                        engine.pending[0].inbox[1] = "garbage"
+                        engine.pending[0].plant(1, "garbage")
                         checked.add("planted")
                     view = AdversaryView(round=r, phase=phase, params=p,
                                          correct_nodes=engine.nodes, mail=engine.pending)
@@ -178,13 +178,13 @@ class TestInjection:
         nodes = fresh_nodes()
         before = {i: nodes[i].sig.index for i in nodes}
         plan = plan_corruption("none", P, [0, 1, 2])
-        inject(nodes, {i: RoundMail(inbox={}) for i in range(4)}, plan, P)
+        inject(nodes, {i: RoundMail({}, {}) for i in range(4)}, plan, P)
         assert {i: nodes[i].sig.index for i in nodes} == before
 
     def test_targeted_mode_sets_distinct_indices(self):
         nodes = fresh_nodes()
         plan = plan_corruption("targeted", P, [0, 1, 2])
-        inject(nodes, {i: RoundMail(inbox={}) for i in range(4)}, plan, P)
+        inject(nodes, {i: RoundMail({}, {}) for i in range(4)}, plan, P)
         indices = [nodes[i].sig.index for i in nodes]
         assert len(set(indices)) == 3
         assert all(nodes[i].mvc.current_result == 1 for i in nodes)
@@ -194,12 +194,12 @@ class TestInjection:
     def test_targeted_tree_resolves_to_one(self):
         nodes = fresh_nodes()
         plan = plan_corruption("targeted", P, [0, 1, 2])
-        inject(nodes, {i: RoundMail(inbox={}) for i in range(4)}, plan, P)
+        inject(nodes, {i: RoundMail({}, {}) for i in range(4)}, plan, P)
         assert all(nodes[i].mvc.co.result({}) == 1 for i in nodes)
 
     def test_full_mode_preserves_structure(self):
         nodes = fresh_nodes()
-        mail = {i: RoundMail(inbox={}) for i in range(4)}
+        mail = {i: RoundMail({}, {}) for i in range(4)}
         plan = plan_corruption("full", P, [0, 1, 2])
         inject(nodes, mail, plan, P)
         for i, node in nodes.items():
@@ -218,8 +218,8 @@ class TestInjection:
         nodes1, nodes2 = fresh_nodes(), fresh_nodes()
         p1 = plan_corruption("full", P, [0, 1, 2])
         p2 = plan_corruption("full", P, [0, 1, 2])
-        inject(nodes1, {i: RoundMail(inbox={}) for i in range(4)}, p1, P)
-        inject(nodes2, {i: RoundMail(inbox={}) for i in range(4)}, p2, P)
+        inject(nodes1, {i: RoundMail({}, {}) for i in range(4)}, p1, P)
+        inject(nodes2, {i: RoundMail({}, {}) for i in range(4)}, p2, P)
         assert [nodes1[i].sig.index for i in nodes1] == [
             nodes2[i].sig.index for i in nodes2
         ]

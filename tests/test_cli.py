@@ -116,6 +116,44 @@ def test_trace_flag_writes_trace_files(tmp_path):
     assert (tmp_path / "trace_4.json").exists()
 
 
+def test_trials_write_their_traces_as_they_end(tmp_path):
+    # only (trial, metrics) outlive a trial, so more trials do not raise the peak
+    argv = ["run", "--core", "mmr-lite", "--log-size", "30", "--index-num", "64",
+            "--rounds", "3000", "--trace"]
+    peaks = {}
+    for trials in (1, 3):
+        out = tmp_path / str(trials)
+        out.mkdir()
+        tracemalloc.start()
+        assert main(argv + ["--trials", str(trials), "--out", str(out / "runs.csv")]) == 0
+        peaks[trials] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert sorted(p.name for p in (tmp_path / "3").iterdir()) == [
+        "runs.csv", "trace_1.json", "trace_2.json", "trace_3.json"
+    ]
+    assert peaks[3] - peaks[1] < 1_000_000
+
+
+def test_cli_writes_what_emit_writes(tmp_path, capsys):
+    # streaming the traces changes no byte of the CSV, the summary or a trace
+    argv = ["--adversary", "random", "--inject", "full", "--rounds", "60", "--trials", "2",
+            "--seed", "5", "--strict", "--log-traffic"]
+    streamed, listed = tmp_path / "streamed", tmp_path / "listed"
+    streamed.mkdir()
+    listed.mkdir()
+    assert main(["run", *argv, "--trace", "--out", str(streamed / "runs.csv")]) == 0
+    summary = capsys.readouterr().out
+    config = TrialConfig(params=make_params(4, 1, 3, 8, seed=5), rounds=60, adversary="random",
+                         inject="full", log_traffic=True)
+    results = harness.run_ensemble(config, 2)
+    assert harness.emit(results, str(listed / "runs.csv"), strict=True,
+                        trace_dir=str(listed)) == (summary.rstrip("\n"), 0)
+    names = sorted(p.name for p in listed.iterdir())
+    assert names == sorted(p.name for p in streamed.iterdir())
+    for name in names:
+        assert (streamed / name).read_bytes() == (listed / name).read_bytes()
+
+
 def test_log_traffic_writes_one_line_per_delivery(tmp_path):
     out = tmp_path / "runs.csv"
     code = main([
@@ -217,6 +255,9 @@ def test_identical_invocations_identical_csv(tmp_path):
     (["--rounds", "5", "--strict"], None, "--strict needs rounds >= 2*kappa = 10"),
     (["--kappa", "12", "--rounds", "20", "--strict"], None,
      "--strict needs rounds >= 2*kappa = 24"),
+    # the traffic log is written only into trace files
+    (["--log-traffic"], None, "log_traffic needs --trace"),
+    ([], {"log_traffic": True}, "log_traffic needs --trace"),
 ])
 def test_bad_input_exits_2_with_message(
     tmp_path, capsys, monkeypatch, argv, config, message
@@ -225,16 +266,16 @@ def test_bad_input_exits_2_with_message(
     def no_trial(self):
         raise AssertionError("a trial ran")
 
-    run_ensemble = cli.run_ensemble
+    stream_ensemble = cli.stream_ensemble
 
-    def no_ensemble(config, trials):
-        # run_ensemble itself refuses trials < 1, before any trial
+    def no_ensemble(config, trials, trace_dir=None):
+        # stream_ensemble itself refuses trials < 1, before any trial
         if trials >= 1:
             raise AssertionError("an ensemble ran")
-        return run_ensemble(config, trials)
+        return stream_ensemble(config, trials, trace_dir)
 
     monkeypatch.setattr(harness.RoundEngine, "run", no_trial)
-    monkeypatch.setattr(cli, "run_ensemble", no_ensemble)
+    monkeypatch.setattr(cli, "stream_ensemble", no_ensemble)
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     if config is not None:
         cfg = tmp_path / "cfg.json"

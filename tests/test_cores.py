@@ -295,7 +295,7 @@ def test_a_read_result_stays_until_recycled(core, seed):
                 for b in engine.byz_ids:
                     if rng.random() < 0.8:
                         inbox[b] = byzantine_core_message(rng)
-                obj.merge_flag(rng.randrange(params.n), bool(rng.getrandbits(1)))
+                obj.merge_flags({rng.randrange(params.n): bool(rng.getrandbits(1))})
                 read(i, slot, obj, r)
                 sent[i][slot] = obj.pulse_step(inbox).core
                 read(i, slot, obj, r)

@@ -5,7 +5,7 @@ from corsim.cores import DelayStubCore
 from corsim.env import make_params
 from corsim.harness import RoundEngine
 from corsim.node import CorrectNode
-from corsim.transport import Envelope, EstPayload
+from corsim.transport import Envelope, EstPayload, RoundMail
 
 P = make_params(n=4, t=1, log_size=3, index_num=8)
 
@@ -20,7 +20,7 @@ def flag(sender, slot, delivered):
 
 
 def step(node, inbox, phase=1):
-    return node.step(phase=phase, inbox=inbox, coin_bit=0, memo={})
+    return node.step(phase=phase, mail=RoundMail({}, inbox), coin_bit=0, memo={})
 
 
 def test_step_merges_each_flag_into_the_slot_its_est_names():
@@ -70,7 +70,7 @@ def test_self_flag_never_merged_from_wire():
 def test_est_that_is_not_an_est_payload_is_skipped():
     engine = RoundEngine(TrialConfig(params=P, rounds=5))
     assert engine.byz_ids == [3]
-    engine.pending[0].inbox[3] = Envelope(sender=3, est="garbage")
+    engine.pending[0].plant(3, Envelope(sender=3, est="garbage"))
     engine._round(0)
     # a slot without a live object has every flag clear
     assert not any(obj.delivered[3] for obj in engine.nodes[0].objects.live.values())
@@ -78,7 +78,7 @@ def test_est_that_is_not_an_est_payload_is_skipped():
 
 def test_mail_that_is_not_an_envelope_reads_as_an_absent_sender():
     engine = RoundEngine(TrialConfig(params=P, rounds=5))
-    engine.pending[0].inbox[3] = "garbage"
+    engine.pending[0].plant(3, "garbage")
     engine._round(0)
     # round-0 mail is empty unless the injector plants some
     reference = RoundEngine(TrialConfig(params=P, rounds=5))

@@ -229,8 +229,7 @@ def test_delivery_indication_propagates_to_all_correct():
         }
         for i, obj in objs.items():
             # the node merges every arriving flag before stepping the active object
-            for j, est in inboxes[i].items():
-                obj.merge_flag(j, est.delivered)
+            obj.merge_flags({j: est.delivered for j, est in inboxes[i].items()})
             outboxes[i] = obj.pulse_step({j: est.core for j, est in inboxes[i].items()
                                           if est.core is not None})
         oracle.observe(r)

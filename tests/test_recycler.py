@@ -93,14 +93,14 @@ class TestRecyclerPulse:
         assert arr.recycler_pulse(5) == []
         assert arr.live == {}
         arr.get(0).propose(1)
-        arr.get(1).merge_flag(2, True)
-        arr.get(7).merge_flag(2, False)
+        arr.get(1).merge_flags({2: True})
+        arr.get(7).merge_flags({2: False})
         assert set(arr.live) == {0, 1, 7}
         assert arr.recycler_pulse(5) == [0]
         assert arr.live == {}
         arr.get(4)
         assert arr.non_fresh_slots() == []
-        arr.get(4).merge_flag(1, True)
+        arr.get(4).merge_flags({1: True})
         assert arr.non_fresh_slots() == [4]
 
     def test_flag_gossip_wiped_but_not_reported(self):

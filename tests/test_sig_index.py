@@ -3,12 +3,17 @@
 from itertools import combinations, product
 
 from corsim.env import make_params
-from corsim.sig_index import SigIndex
+from corsim.sig_index import SigIndex, read_kind, tally
 from corsim.transport import SigPayload
 
 from drivers import run_sig_cycle, sig_script
 
 P = make_params(n=4, t=1, log_size=3, index_num=8, seed=0)
+
+
+def pulse(sig, phase, msgs):
+    """One pulse on the tally of msgs that the phase reads, with mvc result and coin 0."""
+    return sig.pulse(phase, tally(msgs.values(), read_kind(phase, P.kappa)), 0, 0)
 
 
 class TestGetIndex:
@@ -104,12 +109,12 @@ class TestHandSimulatedCycles:
 class TestPhaseDetails:
     def test_no_traffic_outside_protocol_phases(self):
         sig = SigIndex(P)
-        assert sig.pulse(0, {}, 0, 0) is None
+        assert pulse(sig, 0, {}) is None
 
     def test_propose_requires_quorum(self):
         sig = SigIndex(P)
         msgs = {j: SigPayload(kind="index", value=4) for j in range(2)}
-        out = sig.pulse(P.kappa - 3, msgs, 0, 0)
+        out = pulse(sig, P.kappa - 3, msgs)
         assert out.value is None
 
     def test_bit_counts_distinct_senders_not_values(self):
@@ -120,7 +125,7 @@ class TestPhaseDetails:
             2: SigPayload(kind="propose", value=3),
             3: SigPayload(kind="propose", value=None),
         }
-        sig.pulse(P.kappa - 2, msgs, 0, 0)
+        pulse(sig, P.kappa - 2, msgs)
         assert sig.bit == 1  # three non-empty votes from distinct senders
         assert sig.save == 0  # but no majority value: default
 
@@ -128,7 +133,7 @@ class TestPhaseDetails:
         sig = SigIndex(P)
         sig.index = 9
         msgs = {j: SigPayload(kind="bit", value=1) for j in range(4)}
-        out = sig.pulse(P.kappa - 3, msgs, 0, 0)
+        out = pulse(sig, P.kappa - 3, msgs)
         assert out.value is None  # bit messages do not count as index votes
 
     def test_mvc_bot_treated_as_no_increment(self):

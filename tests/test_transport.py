@@ -1,6 +1,7 @@
 """Envelope serialization and lock-step delivery."""
 
 import hashlib
+import random
 from dataclasses import field, make_dataclass
 
 import pytest
@@ -84,6 +85,57 @@ class TestExchange:
             assert sorted(mail[j].inbox) == self.ids
             for i in self.ids:
                 assert mail[j].inbox[i].sig.value == i * 10 + j
+
+    def test_broadcast_shaped_box_keeps_every_check(self):
+        def outboxes():
+            return {i: dict.fromkeys(self.ids, Envelope(sender=i)) for i in self.ids}
+
+        # one receiver's entry is another envelope, stamped with another sender
+        forged = outboxes()
+        forged[1][2] = Envelope(sender=0)
+        with pytest.raises(TransportError, match="node 1 attempted to send as 0"):
+            exchange(0, forged, self.ids, correct_ids=[0, 1, 2])
+        # one object for every receiver, stamped with another sender
+        forged = outboxes()
+        forged[1] = dict.fromkeys(self.ids, Envelope(sender=0))
+        with pytest.raises(TransportError, match="node 1 attempted to send as 0"):
+            exchange(0, forged, self.ids, correct_ids=[0, 1, 2])
+        # one object for every receiver but one correct receiver
+        skipping = outboxes()
+        del skipping[1][2]
+        with pytest.raises(TransportError, match="envelope 1->2 missing"):
+            exchange(0, skipping, self.ids, correct_ids=[0, 1, 2])
+
+    def test_equal_envelopes_are_not_one_broadcast(self):
+        # equal envelopes whose reprs differ each reach their own receiver
+        box = {j: Envelope(sender=1, est=EstPayload(slot=0, core=None, delivered=(True, 1)[j % 2]))
+               for j in self.ids}
+        outboxes = {i: dict.fromkeys(self.ids, Envelope(sender=i)) for i in self.ids}
+        outboxes[1] = box
+        mail = exchange(0, outboxes, self.ids, correct_ids=self.ids)
+        assert all(mail[j].inbox[1] is box[j] for j in self.ids)
+        assert all(list(mail[j].inbox) == self.ids for j in self.ids)
+
+    def test_shared_part_is_the_leading_run_of_broadcasts(self):
+        # sender 1 equivocates, so sender 2's broadcast is delivered per
+        # receiver, and every inbox stays in sender order
+        outboxes = {i: dict.fromkeys(self.ids, Envelope(sender=i)) for i in self.ids}
+        outboxes[1] = {j: Envelope(sender=1) for j in self.ids}
+        mail = exchange(0, outboxes, self.ids, correct_ids=[0, 1, 2])
+        assert all(mail[j].shared is mail[0].shared for j in self.ids)
+        assert list(mail[0].shared) == [0]
+        for j in self.ids:
+            assert list(mail[j].inbox) == self.ids
+            assert all(mail[j].inbox[i] is outboxes[i][j] for i in self.ids)
+
+    def test_plant_replaces_one_receivers_arrival(self):
+        outboxes = {i: dict.fromkeys(self.ids, Envelope(sender=i)) for i in self.ids}
+        mail = exchange(0, outboxes, self.ids, correct_ids=self.ids)
+        shared = mail[0].shared
+        mail[2].plant(1, "garbage")
+        assert mail[2].inbox == {0: outboxes[0][2], 2: outboxes[2][2], 3: outboxes[3][2],
+                                 1: "garbage"}
+        assert mail[0].shared is shared and mail[0].inbox[1] is outboxes[1][0]
 
 
 class TestSerialization:
@@ -215,6 +267,113 @@ def reference_digest(outboxes):
     return h.hexdigest()[:16]
 
 
+def legacy_serialize(env, bodies):
+    """The serializer the joined one replaced: one bytearray, appended field by field."""
+    out = bytearray([env.sender & 0xFF])
+    for tag, payload in ((1, env.est), (2, env.co), (3, env.sig)):
+        if payload is not None:
+            body = bodies.get(id(payload))
+            if body is None:
+                body = bodies[id(payload)] = repr(payload).encode("utf-8")
+            out.append(tag)
+            out += len(body).to_bytes(4, "little")
+            out += body
+    return bytes(out)
+
+
+def legacy_digest(outboxes, deliveries=None):
+    """The per-delivery loop the broadcast joins replaced: two hash updates per delivery."""
+    h = hashlib.sha256()
+    wire, bodies = {}, {}
+    for i in sorted(outboxes):
+        box = outboxes[i]
+        for j in sorted(box):
+            env = box[j]
+            data = wire.get(id(env))
+            if data is None:
+                data = wire[id(env)] = legacy_serialize(env, bodies)
+            h.update(i.to_bytes(2, "little") + j.to_bytes(2, "little"))
+            h.update(data)
+            if deliveries is not None:
+                deliveries.append((i, j, data))
+    return h.hexdigest()[:16]
+
+
+BOX_SHAPES = ("broadcast", "skip", "reorder", "extend", "equivocate", "empty",
+              "other sender's envelope", "equal twins")
+
+
+def outbox_corpus(count=300, seed=22):
+    """Seeded round traffic: (outboxes, shape of each box), covering every shape.
+
+    Payload objects are drawn from a small pool, so several senders share
+    some; est flags are True, False, 1 or 0, so equal payloads can differ
+    in repr. One set in six has senders and receivers that are not 0..n-1.
+    """
+    rng = random.Random(seed)
+    corpus = []
+    for _ in range(count):
+        n = rng.randrange(1, 7)
+        ids = list(range(n))
+        if rng.random() < 1 / 6:
+            ids = sorted(rng.sample(range(1, 12), n))
+        pool = [
+            CoPayload(level=1, entries=(((0,), rng.choice((0, 1, True))),)),
+            EstPayload(slot=rng.randrange(8), core=None, delivered=rng.choice((True, 1))),
+            SigPayload(kind="bit", value=rng.choice((0, False))),
+        ]
+
+        def envelope(sender):
+            return Envelope(
+                sender=sender,
+                est=rng.choice((None, pool[1], EstPayload(
+                    slot=rng.randrange(8), core=rng.choice((None, ("MMR", 1, (0,), None))),
+                    delivered=rng.choice((True, False, 1, 0))))),
+                co=rng.choice((None, pool[0])),
+                sig=rng.choice((None, pool[2], SigPayload(kind="index", value=rng.randrange(8)))),
+            )
+
+        outboxes, shapes = {}, {}
+        for i in ids:
+            shape = rng.choice(BOX_SHAPES)
+            env = envelope(i)
+            if shape == "broadcast":
+                box = dict.fromkeys(ids, env)
+            elif shape == "skip":
+                box = dict.fromkeys(rng.sample(ids, rng.randrange(n)), env)
+            elif shape == "reorder":
+                box = dict.fromkeys(rng.sample(ids, n), env)
+            elif shape == "extend":
+                box = dict.fromkeys(ids + [ids[-1] + 1], env)
+            elif shape == "equivocate":
+                box = {j: envelope(i) for j in ids}
+            elif shape == "empty":
+                box = {}
+            elif shape == "other sender's envelope":
+                taken = [b for b in outboxes.values() if b]
+                box = dict.fromkeys(ids, next(iter(taken[0].values())) if taken else env)
+            else:
+                twins = [Envelope(sender=i, est=EstPayload(slot=0, core=None, delivered=flag))
+                         for flag in (True, 1)]
+                box = {j: twins[k % 2] for k, j in enumerate(ids)}
+            outboxes[i], shapes[i] = box, shape
+        corpus.append((outboxes, shapes))
+    return corpus
+
+
+def test_digest_equals_the_per_delivery_loop_on_a_corpus():
+    corpus = outbox_corpus()
+    seen = set()
+    for outboxes, shapes in corpus:
+        deliveries, expected = [], []
+        assert traffic_digest(outboxes, deliveries) == legacy_digest(outboxes, expected)
+        assert deliveries == expected
+        assert traffic_digest(outboxes) == legacy_digest(outboxes)
+        n = len(outboxes)
+        seen.update((shape, sorted(outboxes) == list(range(n))) for shape in shapes.values())
+    assert seen == {(shape, zero_based) for shape in BOX_SHAPES for zero_based in (True, False)}
+
+
 class TestDigestOncePerEnvelope:
     ids = [0, 1, 2, 3]
 
@@ -270,8 +429,15 @@ def test_correct_nodes_broadcast_one_envelope_object(monkeypatch):
     monkeypatch.setattr(harness, "exchange", recording)
     p = make_params(4, 1, 3, 8, seed=21)
     engine = RoundEngine(TrialConfig(params=p, rounds=10, adversary="equivocate"))
+    # round-0 mail has an empty shared part; a planted set flag from node 3
+    # builds slot 5's object at node 0, inside window(0) = {5, 6, 7, 0}
+    assert all(m.shared == {} and m.own == {} for m in engine.pending.values())
+    engine.pending[0].plant(3, Envelope(sender=3, est=EstPayload(slot=5, core=None, delivered=True)))
     for r in range(p.kappa):
         engine._round(r)
+        if r == 0:
+            assert engine.nodes[0].objects.live[5].delivered[3] is True
+            assert all(5 not in engine.nodes[i].objects.live for i in (1, 2))
         outboxes = sent[-1]
         for i in engine.correct_ids:
             env = outboxes[i][i]
@@ -284,3 +450,9 @@ def test_correct_nodes_broadcast_one_envelope_object(monkeypatch):
             assert len({id(e) for e in box.values()}) == len(box) == len(engine.correct_ids)
             assert len(set(box.values())) == 2
             assert all(engine.pending[j].inbox[b] is box[j] for j in box)
+        # the correct broadcasts are one shared part, the same dict for every receiver
+        shared = engine.pending[0].shared
+        assert list(shared) == engine.correct_ids
+        assert all(engine.pending[j].shared is shared for j in engine.node_ids)
+        assert all(list(engine.pending[j].own) == engine.byz_ids for j in engine.correct_ids)
+
