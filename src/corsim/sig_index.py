@@ -44,13 +44,18 @@ def tally(
 ) -> dict[object, int]:
     """Senders per value among the payloads of one kind, added to counts when given.
 
-    Anything but a `SigPayload` of that kind is skipped.
+    Anything but a `SigPayload` of that kind is skipped, and so is a value
+    that cannot be a dict key, as EIG drops unhashable values.
     """
     if counts is None:
         counts = {}
     for payload in payloads:
         if isinstance(payload, SigPayload) and payload.kind == kind:
-            counts[payload.value] = counts.get(payload.value, 0) + 1
+            value = payload.value
+            try:
+                counts[value] = counts.get(value, 0) + 1
+            except TypeError:
+                continue
     return counts
 
 

@@ -10,9 +10,11 @@ the new table with
 and says why the traces changed.
 """
 
+import gc
 import hashlib
 import json
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -168,7 +170,21 @@ def golden() -> dict:
 
 @pytest.mark.parametrize("case", grid(), ids=case_id)
 def test_trace_digest_unchanged(case, golden):
-    trace = run(case)
+    """The pinned digest, and a trial that leaves nothing for the cycle collector.
+
+    An engine is built and run with the collector paused, which is safe only
+    while reference counting alone frees all a trial allocates: the finished
+    engine must be freed as its last reference goes, and `gc.collect()` must
+    find no cyclic garbage. The collection before the trial clears what
+    importing corsim left (each `@dataclass(slots=True)` replaces its class).
+    """
+    gc.collect()
+    engine = build(case)
+    freed = weakref.ref(engine)
+    trace = engine.run()
+    del engine
+    assert freed() is None
+    assert gc.collect() == 0
     assert trace.digest() == golden[case_id(case)]
     assert_encodes_as_one_shot(trace)
 

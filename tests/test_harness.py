@@ -1,5 +1,6 @@
 """Round engine, trace legality checks, metrics and CSV emission."""
 
+import gc
 import os
 import statistics
 import subprocess
@@ -9,11 +10,14 @@ from itertools import product
 import pytest
 
 import corsim
+import corsim.harness as harness
 import test_golden_digests as golden
+from corsim.adversary import Adversary
 from corsim.env import Params, make_params
 from corsim.harness import (
     VIOLATION_KINDS,
     ConfigError,
+    RoundEngine,
     Trace,
     TrialConfig,
     _median,
@@ -24,6 +28,7 @@ from corsim.harness import (
     run_ensemble,
     run_trial,
 )
+from corsim.transport import Envelope, TransportError
 
 
 def config(seed=1, rounds=120, adversary="silent", inject="none", core="stub",
@@ -104,6 +109,56 @@ class TestDeterminism:
         t1, _ = run_trial(config(seed=6, rounds=80, inject="full"))
         t2, _ = run_trial(config(seed=7, rounds=80, inject="full"))
         assert t1.digest() != t2.digest()
+
+
+@pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+def collector(request):
+    """The cyclic collector set as the parameter says, then as it was."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+class TestCollectorPause:
+    """An engine is built and run with the cyclic collector paused, and the
+    caller finds the collector as it left it."""
+
+    def test_an_engine_is_built_and_run_with_the_collector_paused(self, collector,
+                                                                 monkeypatch):
+        seen = []
+        plan = harness.plan_corruption
+
+        def planning(*args):
+            seen.append(("build", gc.isenabled()))
+            return plan(*args)
+
+        monkeypatch.setattr(harness, "plan_corruption", planning)
+        engine = RoundEngine(config(rounds=12))
+        assert gc.isenabled() == collector
+        step = engine._round
+
+        def stepping(r):
+            seen.append(("round", gc.isenabled()))
+            step(r)
+
+        engine._round = stepping
+        engine.run()
+        assert gc.isenabled() == collector
+        assert seen == [("build", False)] + [("round", False)] * 12
+
+    def test_the_collector_is_restored_when_a_round_raises(self, collector, monkeypatch):
+        def forging(self, view):
+            return {3: {j: Envelope(sender=0) for j in range(4)}}
+
+        monkeypatch.setattr(Adversary, "byz_outboxes", forging)
+        engine = RoundEngine(config(rounds=12))
+        with pytest.raises(TransportError, match="node 3 attempted to send as 0"):
+            engine.run()
+        assert gc.isenabled() == collector
+        with pytest.raises(ConfigError):
+            RoundEngine(config(n=3))
+        assert gc.isenabled() == collector
 
 
 class TestMeasureStabilization:

@@ -5,7 +5,7 @@ from corsim.cores import DelayStubCore
 from corsim.env import make_params
 from corsim.harness import RoundEngine
 from corsim.node import CorrectNode
-from corsim.transport import Envelope, EstPayload, RoundMail
+from corsim.transport import Envelope, EstPayload, RoundMail, SigPayload
 
 P = make_params(n=4, t=1, log_size=3, index_num=8)
 
@@ -85,6 +85,21 @@ def test_mail_that_is_not_an_envelope_reads_as_an_absent_sender():
     assert 3 not in reference.pending[0].inbox
     reference._round(0)
     assert engine.trace.rounds == reference.trace.rounds
+
+
+def test_an_unhashable_sig_value_is_not_tallied():
+    """Node 0 and worst_sig's predictions tally the index votes of round
+    kappa-3; a value that cannot be a dict key counts as no vote."""
+    engines = [RoundEngine(TrialConfig(params=P, rounds=P.kappa, adversary="worst_sig"))
+               for _ in range(2)]
+    for engine, sig in zip(engines, (SigPayload(kind="index", value=[1]), None)):
+        for r in range(P.kappa - 3):
+            engine._round(r)
+        engine.pending[0].plant(3, Envelope(sender=3, sig=sig))
+        engine._round(P.kappa - 3)
+    planted, reference = engines
+    assert planted.trace.rounds == reference.trace.rounds
+    assert planted.nodes[0].sig.propose_val == reference.nodes[0].sig.propose_val
 
 
 def test_each_incarnation_is_reported_read_once():

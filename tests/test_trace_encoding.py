@@ -6,10 +6,8 @@ Every trace here must encode to the bytes of `one_shot_bytes`
 dumps it in one call.
 """
 
-import gc
 import json
 import tracemalloc
-import weakref
 from dataclasses import replace
 
 import pytest
@@ -114,23 +112,3 @@ def test_a_result_true_then_1_is_written_true_then_1():
     rounds = json.loads(trace.to_bytes())["rounds"]
     assert [rounds[r]["mvc"][0] for r in planted] == ["True", "1"]
     assert_encodes_as_one_shot(trace)
-
-
-@pytest.mark.parametrize("core, adversary, inject", [
-    ("stub", "worst_sig", "full"),
-    ("stub", "equivocate", "targeted"),
-    ("mmr-lite", "random", "full"),
-])
-def test_a_finished_engine_is_freed_without_the_cycle_collector(core, adversary, inject):
-    """No reference cycle keeps a finished engine, and all its nodes, alive
-    until the next full collection; only its trace outlives it."""
-    engine = RoundEngine(config(rounds=40, core=core, adversary=adversary, inject=inject))
-    gc.disable()
-    try:
-        trace = engine.run()
-        freed = weakref.ref(engine)
-        del engine
-        assert freed() is None
-    finally:
-        gc.enable()
-    assert len(trace.rounds) == 40
