@@ -9,6 +9,9 @@ be forged.
 A policy is a per-round builder: given the round's view it returns a
 function (sender, receiver) -> (est, co, sig), and POLICIES finds it by
 name. Work shared by several pairs is done once, when the builder runs.
+worst_sig predicts each node's index rules from the tally the node's own
+mail reader gives it (`corsim.node.read_mail`), so a prediction is what
+the node computes by construction.
 
 Transient faults strike once, before round 0: every targeted mutable field
 is replaced while containers stay structurally valid (vector lengths, tag
@@ -20,15 +23,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from .env import Params, derived_int, seeded_rng
 from .mvc import _labels
-from .sig_index import index_vote, read_kind, tally, vote_bit
+from .node import CorrectNode, read_mail
+from .sig_index import index_vote, vote_bit
 from .transport import CoPayload, Envelope, EstPayload, RoundMail, SigPayload
-
-if TYPE_CHECKING:
-    from .node import CorrectNode
 
 Fields = Callable[[int, int], tuple]  # (sender, receiver) -> (est, co, sig)
 
@@ -44,7 +45,7 @@ class AdversaryView:
     round: int
     phase: int
     params: Params
-    correct_nodes: dict[int, "CorrectNode"]
+    correct_nodes: dict[int, CorrectNode]
     mail: dict[int, RoundMail]
 
 
@@ -208,16 +209,14 @@ POLICIES: dict[str, Callable[[Adversary, AdversaryView], Fields]] = {
 def predict(view: AdversaryView, rule: Callable[[dict, int], object]) -> list:
     """What an index-phase rule yields at each correct node this round.
 
-    Node i's tally is taken from its mail as the node takes it, a value
-    that is not an `Envelope` being an absent sender, so the rule applied
-    to that tally is exactly what node i computes.
+    Node i's tally is the one node i reads through `read_mail`, so the rule
+    applied to it is what node i computes by construction.
     """
-    kind = read_kind(view.phase, view.params.kappa)
-    outcomes = []
-    for i in sorted(view.correct_nodes):
-        sigs = [env.sig for env in view.mail[i].inbox.values() if isinstance(env, Envelope)]
-        outcomes.append(rule(tally(sigs, kind), view.params.quorum))
-    return outcomes
+    p, memo = view.params, {}
+    return [
+        rule(read_mail(view.mail[i], view.phase, p, memo)[1], p.quorum)
+        for i in sorted(view.correct_nodes)
+    ]
 
 
 def _counts(values: list) -> list[tuple[object, int]]:
@@ -236,7 +235,10 @@ def plan_corruption(mode: str, params: Params, correct_ids: list[int]) -> dict:
     """The one-shot corruption plan: per correct node, the fields to overwrite.
 
     The targeted `clear_delivered` key applies nothing, since no object exists
-    before round 0; it stays because the plan is recorded in the trace.
+    before round 0, and neither do the full plan's `propose_val` and `bit`,
+    since the index phases send those values as they compute them and keep
+    neither; the keys and their draws stay because the plan is recorded in
+    the trace.
     """
     if mode not in INJECT_MODES:
         raise ValueError(f"unknown injection mode {mode!r}")
@@ -270,7 +272,7 @@ def plan_corruption(mode: str, params: Params, correct_ids: list[int]) -> dict:
 
 
 def inject(
-    nodes: dict[int, "CorrectNode"],
+    nodes: dict[int, CorrectNode],
     round0_mail: dict[int, RoundMail],
     plan: dict,
     params: Params,
@@ -290,7 +292,7 @@ def inject(
     all_ones = None
     for i, fields in plan.get("nodes", {}).items():
         node = nodes[i]
-        for name in ("index", "propose_val", "save", "bit", "inc"):
+        for name in ("index", "save", "inc"):
             if name in fields:
                 setattr(node.sig, name, fields[name])
         if "current_result" in fields:
@@ -310,7 +312,7 @@ def inject(
             _garble_mail(round0_mail, i, rng, params)
 
 
-def _fill_tree(node: "CorrectNode", level: dict[tuple, object], params: Params) -> None:
+def _fill_tree(node: CorrectNode, level: dict[tuple, object], params: Params) -> None:
     """Plant a completed run's stored level, every leaf label of length t+1.
 
     The dict is stored, not copied, and other nodes may hold the same one,
@@ -322,7 +324,7 @@ def _fill_tree(node: "CorrectNode", level: dict[tuple, object], params: Params) 
     co.tree = level
 
 
-def _garble_tree(node: "CorrectNode", rng: random.Random, params: Params) -> None:
+def _garble_tree(node: CorrectNode, rng: random.Random, params: Params) -> None:
     co = node.mvc.co
     co.started = bool(rng.getrandbits(1))
     co.exchanges_done = rng.randrange(0, params.t + 3)
@@ -335,7 +337,7 @@ def _garble_tree(node: "CorrectNode", rng: random.Random, params: Params) -> Non
     co.tree = tree
 
 
-def _garble_objects(node: "CorrectNode", rng: random.Random, params: Params) -> None:
+def _garble_objects(node: CorrectNode, rng: random.Random, params: Params) -> None:
     """Garble about half of the slots, each with one draw in slot order to pick it."""
     for slot in range(params.index_num):
         if rng.random() < 0.5:

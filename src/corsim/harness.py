@@ -60,6 +60,9 @@ EIG_LEAF_LIMIT = 1_000_000
 # Objects are built on first touch, but `full` inject builds and garbles about
 # half of each node's index_num slots (about 1 KB each under mmr-lite).
 OBJECT_LIMIT = 262_144
+# Each round builds an outbox entry per (correct sender, node) pair, and a
+# trace's delivery headers hold node ids as u16; n^2 <= 2^20 bounds both.
+DELIVERY_LIMIT = 1 << 20
 
 
 @contextmanager
@@ -130,6 +133,11 @@ class TrialConfig:
             problems.append(
                 f"index_num x (n-t) = {p.index_num:,} x {p.n - p.t} = {objects:,} "
                 f"recyclable objects exceed the limit of {OBJECT_LIMIT:,}"
+            )
+        if not problems and p.n * p.n > DELIVERY_LIMIT:
+            problems.append(
+                f"n^2 = {p.n * p.n:,} deliveries per round exceed the limit of "
+                f"{DELIVERY_LIMIT:,}"
             )
         if problems:
             raise ConfigError(problems)
@@ -396,7 +404,8 @@ class RoundEngine:
 
         self.pending = exchange(r, outboxes, self.node_ids, self.correct_ids)
         deliveries = [] if self.config.log_traffic else None
-        digest = traffic_digest(outboxes, deliveries)
+        # every receiver's mail holds the round's one shared part
+        digest = traffic_digest(outboxes, self.pending[0].shared, deliveries)
         if deliveries is not None:
             self.trace.traffic.extend(
                 f"{r} {i} {j} {data.hex()}" for i, j, data in deliveries

@@ -29,19 +29,18 @@ they never collide):
   appending it run once per (payload, sender, level);
 - each distinct leaf level is resolved once per cycle.
 
-`process` registers each broadcast it builds, for as long as the payload
-lives, as already checked at its own level, and a receiver that expects
-that level takes its entries unchecked. That is exactly what the checks
-would return: every inbox key is a node id in 0..n-1 (the exchange binds
-it), so each label `process` builds is a checked label of one level lower
-with one more distinct id in range appended, and each value passed the
-hashability check one level lower. The registry is keyed by (n, id) and
-holds its payloads weakly, so an entry dies with its payload and cannot
-match a later object that reuses the id. Anything else gets the full
-check: Byzantine payloads, mail planted before round 0, propose payloads,
-and a built broadcast read at any other level (a garbled
-`exchanges_done`). Only a built broadcast is relayed by more than one
-sender, so the full checks are not shared across senders.
+A receiver takes an arrival from a sender in its shared part (see
+`corsim.transport`), at the level it expects, without the checks, because
+a correct co field passes them unchanged: `propose` builds a level-0
+payload of the node's 0/1 sample, and `process` builds each label from a checked
+label of one level lower with one more distinct id in 0..n-1 appended
+(every inbox key is a node id, which the exchange binds), and each value
+passed the hashability check one level lower. Anything else gets the full
+check: Byzantine payloads, mail planted in place of what a sender sent,
+and a correct broadcast read at any other level (a garbled
+`exchanges_done`). `test_built_broadcasts_pass_their_own_checks` holds
+every golden trial to this rule. Only a correct broadcast is relayed by
+more than one sender, so the full checks are not shared across senders.
 
 This sharing rests on one rule: neither a stored level nor a payload is
 ever mutated in place. `propose` and `process` assign a new dict, and so
@@ -61,14 +60,11 @@ phase 0 only initiates the first exchange.
 
 from __future__ import annotations
 
+from collections.abc import Container
 from functools import lru_cache
 from itertools import permutations
-from weakref import WeakValueDictionary
 
 from .transport import CoPayload
-
-# (n, id(payload)) -> each level broadcast `process` built, while it lives
-_REGISTRY: WeakValueDictionary[tuple[int, int], CoPayload] = WeakValueDictionary()
 
 
 class EigConsensus:
@@ -120,15 +116,15 @@ class EigConsensus:
             kept.append(item)
         return tuple(kept)
 
-    def _validate(self, sender: int, payload: CoPayload, level: int) -> tuple:
+    def _validate(self, sender: int, payload: CoPayload, level: int, trusted: bool) -> tuple:
         """The (label + (sender,), value) pairs a receiver stores from one arrival.
 
         The payload's checked entries, less those whose label names the
         sender; the pairs keep the received label objects, which are relayed
-        as sent. A broadcast `process` built, read at its own level, is
-        registered as checked, so its entries are taken as they are.
+        as sent. A `trusted` arrival is a correct broadcast, so at the
+        expected level its entries are taken as they are.
         """
-        if _REGISTRY.get((self.n, id(payload))) is payload and payload.level == level:
+        if trusted and payload.level == level:
             entries = payload.entries
         else:
             entries = self._checked(payload, level)
@@ -136,7 +132,9 @@ class EigConsensus:
             (label + (sender,), value) for label, value in entries if sender not in label
         )
 
-    def process(self, msgs: dict[int, CoPayload | None], memo: dict) -> CoPayload | None:
+    def process(
+        self, msgs: dict[int, CoPayload | None], memo: dict, trusted: Container[int]
+    ) -> CoPayload | None:
         """Absorb the previous exchange; return the next level's broadcast.
 
         The level just received replaces the stored one. Malformed arrivals
@@ -149,7 +147,9 @@ class EigConsensus:
         payload and the pairs it stores from that sender. Holding the
         payloads keeps their ids from being reused while the memo lives.
         Share one memo only among the receivers of one round of one engine.
-        Each broadcast built here is registered as checked at its own level.
+        `trusted` holds the senders of the receiver's shared part, whose
+        arrivals are correct broadcasts; they store what the checks would
+        store, so receivers that trust different senders share the memo.
         """
         if not self.started:
             return None
@@ -164,12 +164,13 @@ class EigConsensus:
                 pair_key = (id(payload), sender, k - 1)
                 pairs = memo.get(pair_key)
                 if pairs is None:
-                    pairs = memo[pair_key] = (payload, self._validate(sender, payload, k - 1))
+                    pairs = memo[pair_key] = (
+                        payload, self._validate(sender, payload, k - 1, sender in trusted)
+                    )
                 level.update(pairs[1])
             out = None
             if k <= self.t:
                 out = CoPayload(level=k, entries=tuple(sorted(level.items())))
-                _REGISTRY[(self.n, id(out))] = out
             hit = memo[key] = (tuple(msgs.values()), level, out)
         _, self.tree, out = hit
         self.exchanges_done = k
@@ -238,13 +239,18 @@ class MvcController:
         co_msgs: dict[int, CoPayload | None],
         sample: object,
         memo: dict,
+        trusted: Container[int],
     ) -> dict[int, CoPayload]:
-        """One phase; `sample` is the phase-0 input, and one payload goes to every node."""
+        """One phase; `sample` is the phase-0 input, and one payload goes to every node.
+
+        `trusted` holds the senders whose co fields are correct broadcasts
+        (see `EigConsensus.process`).
+        """
         if phase == 0:
             self.current_result = self.co.result(memo)
             payload = self.co.propose(sample)
         elif 1 <= phase <= self.t + 1:
-            payload = self.co.process(co_msgs, memo)
+            payload = self.co.process(co_msgs, memo, trusted)
         else:
             return {}
         return {} if payload is None else dict.fromkeys(range(self.n), payload)

@@ -9,11 +9,13 @@ active object, and read results. Fresh proposals bind to the slot the index poin
 during phase 0. A flag that is not set builds no object: merging it into a
 fresh one changes nothing.
 
-The round's shared mail (see `corsim.transport`) is split once per round,
-through the round memo, and each receiver folds its own arrivals into a
-copy of that split. The split is read-only: a receiver without own
+`read_mail` is the one mail reader, which worst_sig's predictions call
+too: the round's shared mail (see `corsim.transport`) is split once per
+round, through the round memo, and each receiver folds its own arrivals
+into a copy of that split. The split is read-only: a receiver without own
 arrivals reads the shared one as it is. Flag merges write this node's
-objects, so they run at each receiver.
+objects, so they run at each receiver. The consensus pulse takes the co
+fields of the shared senders unchecked (see `corsim.mvc`).
 
 One loop reads every live in-window object, the active one, the window's
 anchor, among them (their results must reach every correct node before the
@@ -92,6 +94,22 @@ def _fold(base: Split, part: Mapping[int, object], index_num: int, kind: str | N
     return co, counts, flags, cores
 
 
+def read_mail(mail: RoundMail, phase: int, params: Params, memo: dict) -> Split:
+    """What a node reads from its mail in a round at this phase.
+
+    The shared part is split once per memo, under its id, and the memo
+    holds it, so the id stays reserved while the memo lives; the own
+    arrivals are folded into a copy of that split.
+    """
+    shared, own = mail.shared, mail.own
+    hit = memo.get(id(shared))
+    if hit is None:
+        kind = read_kind(phase, params.kappa)
+        hit = memo[id(shared)] = (shared, kind, _fold(_NO_SPLIT, shared, params.index_num, kind))
+    _, kind, split = hit
+    return _fold(split, own, params.index_num, kind) if own else split
+
+
 class CorrectNode:
     def __init__(
         self,
@@ -127,18 +145,7 @@ class CorrectNode:
         objects = self.objects
         report = StepReport()
 
-        # the shared part is split once per round, under its id, and the memo
-        # holds it, so the id stays reserved while the memo lives; each
-        # receiver folds its own arrivals into a copy of that split
-        shared, own = mail.shared, mail.own
-        hit = memo.get(id(shared))
-        if hit is None:
-            kind = read_kind(phase, params.kappa)
-            hit = memo[id(shared)] = (shared, kind, _fold(_NO_SPLIT, shared, params.index_num, kind))
-        _, kind, split = hit
-        co_msgs, sig_counts, flags_by_slot, cores_by_slot = (
-            _fold(split, own, params.index_num, kind) if own else split
-        )
+        co_msgs, sig_counts, flags_by_slot, cores_by_slot = read_mail(mail, phase, params, memo)
         # a set flag builds its slot's object; merging the unset ones of a
         # slot without one changes nothing
         for slot, flags in flags_by_slot.items():
@@ -151,7 +158,7 @@ class CorrectNode:
         # consensus recomputation; inputs are sampled before any index write
         if phase == 0:
             report.sample = self.was_delivered_active()
-        co_out = self.mvc.pulse(phase, co_msgs, report.sample, memo)
+        co_out = self.mvc.pulse(phase, co_msgs, report.sample, memo, mail.shared)
 
         # index pulse, then the recycler sweep on the possibly-updated index
         sig_out = self.sig.pulse(phase, sig_counts, self.mvc.current_result, coin_bit)

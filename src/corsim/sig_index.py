@@ -77,9 +77,7 @@ class SigIndex:
         self.params = params
         # read raw; an out-of-range corrupted value is normalized at the next write
         self.index = 0
-        self.propose_val: object = None
         self.save: object = None
-        self.bit = 0
         self.inc = 0
         # which branch the last write took: "ones", "zeros" or "coin"
         self.last_quorum: str | None = None
@@ -98,18 +96,16 @@ class SigIndex:
             return SigPayload(kind="index", value=self.index)
 
         if phase == k - 3:
-            self.propose_val = index_vote(counts, p.quorum)
-            return SigPayload(kind="propose", value=self.propose_val)
+            return SigPayload(kind="propose", value=index_vote(counts, p.quorum))
 
         if phase == k - 2:
-            self.bit = vote_bit(counts, p.quorum)
             # a strict majority is unique, so the first one found is the one
             self.save = 0
             for value, count in counts.items():
                 if value is not None and 2 * count > p.n:
                     self.save = value
                     break
-            return SigPayload(kind="bit", value=self.bit)
+            return SigPayload(kind="bit", value=vote_bit(counts, p.quorum))
 
         if phase == k - 1:
             self.inc = 1 if mvc_result == 1 else 0

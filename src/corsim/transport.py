@@ -17,12 +17,14 @@ Each payload writes its own repr: the generated repr's bytes for every
 acyclic value, without its recursion guard (no payload contains itself).
 
 A broadcast costs O(1) Python work per round, not one unit per receiver.
-`exchange` checks a broadcast box once and puts its envelope in the
-round's shared part, one dict that every receiver's `RoundMail` holds;
-only a receiver's own arrivals, Byzantine or planted, are kept per
-receiver. `traffic_digest` hashes a broadcast as one join of its bytes
-with precomputed delivery headers. Both tell a broadcast by identity, one
-envelope object for every receiver, never by equality.
+`exchange` checks each correct box once, and a box that sends one
+envelope object to every node is a correct broadcast: its envelope joins
+the round's shared part, one dict that every receiver's `RoundMail`
+holds. That part is the one mark of a correct broadcast: `traffic_digest`
+hashes a sender in it as one join, the node splits it once per round (see
+`corsim.node`), and EIG takes its co fields unchecked (see `corsim.mvc`).
+Only a receiver's own arrivals, Byzantine or planted, are kept per
+receiver.
 """
 
 from __future__ import annotations
@@ -46,9 +48,7 @@ class EstPayload:
         return f"EstPayload(slot={self.slot!r}, core={self.core!r}, delivered={self.delivered!r})"
 
 
-# not slotted: `corsim.mvc` registers built broadcasts weakly, and a slotted
-# class takes weak references only with `weakref_slot` (Python 3.11+)
-@dataclass(unsafe_hash=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CoPayload:
     """One consensus-core message: tree level plus (label, value) entries."""
 
@@ -82,11 +82,11 @@ class Envelope:
 class RoundMail:
     """One receiver's mail for one round: the round's shared part plus its own arrivals.
 
-    `shared` maps each sender of the round's leading broadcasts (see
-    `exchange`) to its envelope, and every receiver's mail holds that one
-    dict, which is never mutated. `own` maps every other sender to what
-    this receiver got from it: a Byzantine sender's envelope, or a value
-    planted with `plant`. The two parts name disjoint senders.
+    `shared` maps each sender of a correct broadcast (see `exchange`) to
+    its envelope, and every receiver's mail holds that one dict, which is
+    never mutated. `own` maps every other sender to what this receiver got
+    from it: a Byzantine sender's envelope, or a value planted with
+    `plant`. The two parts name disjoint senders.
     """
 
     shared: dict[int, Envelope]
@@ -94,19 +94,14 @@ class RoundMail:
 
     @property
     def inbox(self) -> dict[int, object]:
-        """A new dict of every arrival, sender id -> envelope: the shared part, then the own.
-
-        Mail from `exchange` is in sender order; an arrival planted in place
-        of a shared one comes after the shared arrivals.
-        """
+        """A new dict of every arrival, sender id -> envelope: the shared part, then the own."""
         return {**self.shared, **self.own}
 
     def plant(self, sender: int, value: object) -> None:
         """Deliver value from sender to this receiver in place of what it sent.
 
         A shared arrival is replaced through a copy of the shared part that
-        leaves the sender out, so the planted value comes after the shared
-        arrivals, and no other receiver's mail changes.
+        leaves the sender out, so no other receiver's mail changes.
         """
         if sender in self.shared:
             self.shared = {i: env for i, env in self.shared.items() if i != sender}
@@ -129,47 +124,37 @@ def exchange(
     is missing, or that skips a correct receiver, is a fatal simulator bug;
     a Byzantine node may omit destinations.
 
-    A correct box is checked once, in one pass over the node ids that tests
-    coverage and identity: whether it sends one envelope object to every
-    node. Senders are then taken in node order. Each leading such
-    broadcast joins the round's shared part after one sender-stamp test,
-    and every receiver's mail holds that one dict. From the first sender
-    that is not one, each delivery goes to its receiver's own part. So the
-    shared senders precede the own ones, and every inbox is in sender order.
+    A correct box is checked once: whether it sends one envelope object to
+    every node and to no other. Such a broadcast joins the round's shared
+    part after one sender-stamp test, and every receiver's mail holds that
+    one dict. Every other box is delivered to its receivers' own parts.
     """
-    broadcasts: dict[int, Envelope] = {}  # correct sender -> its one envelope object
+    shared: dict[int, Envelope] = {}
     for i in correct_ids:
         box = outboxes.get(i)
         if box is None:
             raise TransportError(f"round {round_index}: missing outbox for correct node {i}")
         # identity, not equality: equal envelopes can serialize differently
         env = box.get(i)
-        if env is not None:
+        if env is not None and len(box) == len(node_ids):
             for j in node_ids:
                 if box.get(j) is not env:
                     break
             else:
-                broadcasts[i] = env
+                if env.sender != i:
+                    raise TransportError(
+                        f"round {round_index}: node {i} attempted to send as {env.sender}"
+                    )
+                shared[i] = env
                 continue
         for j in correct_ids:
             if j not in box:
                 raise TransportError(f"round {round_index}: envelope {i}->{j} missing")
-    shared: dict[int, Envelope] = {}
     own: dict[int, dict[int, object]] = {j: {} for j in node_ids}
-    leading = True
     for i in node_ids:
-        env = broadcasts.get(i) if leading else None
-        if env is not None:
-            if env.sender != i:
-                raise TransportError(
-                    f"round {round_index}: node {i} attempted to send as {env.sender}"
-                )
-            shared[i] = env
-            continue
         box = outboxes.get(i)
-        if not box:
+        if not box or i in shared:
             continue
-        leading = False
         for j, env in box.items():
             if env.sender != i:
                 raise TransportError(
@@ -223,57 +208,45 @@ def _broadcast_headers(n: int) -> tuple[tuple[bytes, ...], ...]:
 
 def traffic_digest(
     outboxes: dict[int, dict[int, Envelope]],
+    shared: dict[int, Envelope],
     deliveries: list[tuple[int, int, bytes]] | None = None,
 ) -> str:
     """Stable digest of one round's full message traffic.
 
     Hashes sender, receiver and serialized envelope for every delivery, in
-    sender-then-receiver order, as one hash update per sender. Each
-    distinct envelope object is serialized once, and each distinct payload
-    object is repr'd once, so a consensus payload that several correct
-    senders share (see `corsim.mvc`) costs one repr. Both memos are keyed
-    by identity, not equality: equal payloads can have different reprs
-    (``delivered=True`` and ``delivered=1``). They live for one call only,
-    because ids are reused once an object is collected.
-
-    With n senders, a box that sends one envelope object, by identity, to
-    receivers 0..n-1 is a broadcast: its bytes are one join of the
-    envelope's bytes with the sender's precomputed delivery headers. Any
-    other box is walked one delivery at a time.
+    sender-then-receiver order, as one hash update per sender. `shared` is
+    the round's shared part from `exchange`, with node ids 0..n-1 for n
+    boxes: a sender in it sends its one envelope to receivers 0..n-1, so
+    its bytes are one join of the envelope's bytes with the sender's
+    precomputed delivery headers. Every other box is walked one delivery
+    at a time. Each distinct payload object is repr'd once, so a consensus
+    payload that several correct senders share (see `corsim.mvc`) costs one
+    repr. That memo is keyed by identity, not equality: equal payloads can
+    have different reprs (``delivered=True`` and ``delivered=1``). It lives
+    for one call only, because ids are reused once an object is collected.
 
     When ``deliveries`` is a list, every (sender, receiver, bytes) is
     appended to it in the same order.
     """
     h = hashlib.sha256()
-    wire: dict[int, bytes] = {}
     bodies: dict[int, bytes] = {}
     n = len(outboxes)
     rows = _broadcast_headers(n)
     for i in sorted(outboxes):
+        env = shared.get(i)
+        if env is not None:
+            data = serialize_envelope(env, bodies)
+            h.update(data.join(rows[i]))
+            if deliveries is not None:
+                deliveries += zip(repeat(i), range(n), repeat(data))
+            continue
         box = outboxes[i]
         if not box:
             continue
-        if len(box) == n and 0 <= i < n:
-            env = box.get(0)
-            if env is not None:
-                for j in range(n):
-                    if box.get(j) is not env:
-                        break
-                else:
-                    data = wire.get(id(env))
-                    if data is None:
-                        data = wire[id(env)] = serialize_envelope(env, bodies)
-                    h.update(data.join(rows[i]))
-                    if deliveries is not None:
-                        deliveries += zip(repeat(i), range(n), repeat(data))
-                    continue
         sender = i.to_bytes(2, "little")
         parts = []
         for j in sorted(box):
-            env = box[j]
-            data = wire.get(id(env))
-            if data is None:
-                data = wire[id(env)] = serialize_envelope(env, bodies)
+            data = serialize_envelope(box[j], bodies)
             parts += (sender + j.to_bytes(2, "little"), data)
             if deliveries is not None:
                 deliveries.append((i, j, data))

@@ -17,7 +17,8 @@ def run_eig_t1(proposals, byz_round1, byz_round2_by_receiver):
 
     byz_round1: per-receiver level-0 value {i: v}.
     byz_round2_by_receiver: per-receiver level-1 claims {i: {j: v}} about
-    what each correct j said.
+    what each correct j said. Every node takes the correct nodes'
+    payloads unchecked, as a node takes the senders of its shared part.
     Returns ({node: decision}, decided_early: bool).
     """
     n, t = 4, 1
@@ -29,7 +30,7 @@ def run_eig_t1(proposals, byz_round1, byz_round2_by_receiver):
         msgs = dict(out0)
         msgs[3] = CoPayload(level=0, entries=(((), byz_round1[i]),))
         inbox1[i] = msgs
-    out1 = {i: nodes[i].process(inbox1[i], {}) for i in nodes}
+    out1 = {i: nodes[i].process(inbox1[i], {}, nodes) for i in nodes}
     decided_early = any(nodes[i].result({}) is not None for i in nodes)
 
     inbox2 = {}
@@ -40,7 +41,7 @@ def run_eig_t1(proposals, byz_round1, byz_round2_by_receiver):
         msgs[3] = CoPayload(level=1, entries=entries)
         inbox2[i] = msgs
     for i in nodes:
-        nodes[i].process(inbox2[i], {})
+        nodes[i].process(inbox2[i], {}, nodes)
     return {i: nodes[i].result({}) for i in nodes}, decided_early
 
 
@@ -50,7 +51,7 @@ def run_eig_t0(proposals):
     nodes = {i: EigConsensus(n, t) for i in range(4)}
     out0 = {i: nodes[i].propose(proposals[i]) for i in nodes}
     for i in nodes:
-        nodes[i].process(out0, {})
+        nodes[i].process(out0, {}, nodes)
     return {i: nodes[i].result({}) for i in nodes}
 
 
@@ -86,11 +87,12 @@ def enumerate_eig_byzantine_t1(proposals, domain=(0, 1, BOT)):
 
 
 def run_sig_cycle(params, indices, byz_script, mvc_results, coin_bit,
-                  saves=None):
+                  saves=None, sent=None):
     """Drive the four index phases for the correct nodes of one cycle.
 
     byz_script maps phase offset ('k-4'..'k-2') to per-receiver SigPayloads
     (or None for silence). Returns the SigIndex instances after the k-1 step.
+    When sent is a dict, it maps each phase to what each node sent.
     """
     p = params
     correct = list(range(len(indices)))
@@ -108,6 +110,8 @@ def run_sig_cycle(params, indices, byz_script, mvc_results, coin_bit,
                              mvc_results[i], coin_bit)
             for i in correct
         }
+        if sent is not None:
+            sent[phase] = outs
         pending = {
             i: {j: outs[j] for j in correct if outs[j] is not None} for i in correct
         }

@@ -112,11 +112,13 @@ class TestStrategies:
                     bits = predict(view, vote_bit)
                     engine._round(r)
                     ids = sorted(engine.nodes)
+                    # each node's vote and bit, as its broadcast carries them
+                    sent = [engine.pending[0].inbox[i].sig for i in ids]
                     if phase == p.kappa - 3:
-                        assert votes == [engine.nodes[i].sig.propose_val for i in ids]
+                        assert votes == [sig.value for sig in sent]
                         checked.add(("vote", votes[0] is None))
                     if phase == p.kappa - 2:
-                        assert bits == [engine.nodes[i].sig.bit for i in ids]
+                        assert bits == [sig.value for sig in sent]
                         checked.add(("bit", bits[0]))
         # both outcomes of each rule were exercised
         assert checked == {("vote", True), ("vote", False), ("bit", 0), ("bit", 1), "planted"}

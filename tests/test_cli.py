@@ -54,6 +54,8 @@ def test_invalid_params_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("argv, size, limit", [
     (["--n", "31", "--t", "10", "--rounds", "8"], "(31)_11", "1,000,000"),
     (["--index-num", "50000000", "--rounds", "1"], "150,000,000", "262,144"),
+    (["--n", "20000", "--t", "0", "--index-num", "2", "--log-size", "0", "--rounds", "1"],
+     "400,000,000", "1,048,576"),
 ])
 def test_infeasible_size_exits_2_before_allocating(tmp_path, capsys, argv, size, limit):
     tracemalloc.start()
@@ -78,6 +80,8 @@ def test_infeasible_size_exits_2_before_allocating(tmp_path, capsys, argv, size,
     (10**9, 3 * 10**8, 8, False),  # stops multiplying once past the limit
     (4, 1, 87_381, True),  # 262,143 objects
     (4, 1, 87_382, False),  # 262,146
+    (1024, 0, 8, True),  # n^2 = 2^20 deliveries per round
+    (1025, 0, 8, False),  # 1,050,625
 ])
 def test_size_limits(n, t, index_num, ok):
     config = TrialConfig(params=make_params(n, t, log_size=3, index_num=index_num))

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from corsim import TrialConfig, make_params, mvc
+from corsim import TrialConfig, harness, make_params
 from corsim.harness import RoundEngine, Trace
 from corsim.mvc import EigConsensus
 from corsim.transport import CoPayload, Envelope, EstPayload, SigPayload
@@ -223,28 +223,27 @@ def test_live_objects_are_exactly_the_non_fresh_ones(case):
 
 @pytest.mark.parametrize("case", grid(), ids=case_id)
 def test_built_broadcasts_pass_their_own_checks(case, monkeypatch):
-    """Receivers skip the checks of the broadcasts `corsim.mvc` registered
-    as built, so each registered payload must come out of those checks
-    unchanged, and the registry must hold exactly what `process` built."""
-    before = {id(p): p for p in mvc._REGISTRY.values()}  # held, so no id is reused
-    process = EigConsensus.process
-    built = {}  # held too, so every payload built stays registered
+    """Receivers skip the checks of the co fields in a round's shared part
+    read at their own level (see `corsim.mvc`), so every such field must
+    come out of those checks unchanged."""
+    exchange = harness.exchange
+    checked = []
 
-    def recording(self, msgs, memo):
-        out = process(self, msgs, memo)
-        if out is not None:
-            built[id(out)] = out
-            assert self._checked(out, out.level) == out.entries
-        registered = [
-            (key, p) for key, p in mvc._REGISTRY.items() if before.get(key[1]) is not p
-        ]
-        assert len(registered) == len(built)
-        assert all(key == (self.n, id(p)) and built.get(id(p)) is p for key, p in registered)
-        return out
+    def checking(r, outboxes, node_ids, correct_ids):
+        mail = exchange(r, outboxes, node_ids, correct_ids)
+        co = EigConsensus(case["n"], case["t"])
+        for env in mail[0].shared.values():
+            if env.co is not None:
+                assert isinstance(env.co, CoPayload)
+                kept = co._checked(env.co, env.co.level)
+                assert kept == env.co.entries, f"round {r} sender {env.sender}"
+                assert all(a is b for a, b in zip(kept, env.co.entries))
+                checked.append(env.co.level)
+        return mail
 
-    monkeypatch.setattr(EigConsensus, "process", recording)
+    monkeypatch.setattr(harness, "exchange", checking)
     build(case).run()
-    assert built
+    assert set(checked) == set(range(case["t"] + 1))
 
 
 MESSAGES = (EstPayload, CoPayload, SigPayload, Envelope)

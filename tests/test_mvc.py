@@ -1,8 +1,6 @@
 """EIG consensus core and the floating-output recomputation wrapper."""
 
-import gc
 import random
-import weakref
 from collections import Counter
 from itertools import permutations
 from types import SimpleNamespace
@@ -54,9 +52,9 @@ class TestEigMechanics:
         node = EigConsensus(4, 1)
         node.propose(1)
         assert node.result({}) is None
-        node.process({}, {})
+        node.process({}, {}, ())
         assert node.result({}) is None
-        node.process({}, {})
+        node.process({}, {}, ())
         assert node.result({}) is not None
 
     def test_propose_starts_a_clean_run_from_any_state(self):
@@ -81,6 +79,7 @@ class TestEigMechanics:
                 3: CoPayload(level=0, entries=(((0, 0), 1),)),  # bad label
             },
             {},
+            (),
         )
         assert all(len(label) != 1 for label in node.tree)
 
@@ -105,7 +104,7 @@ def drive_controllers_cycle(controllers, inputs, kappa):
     for phase in range(kappa):
         outs = {}
         for i, ctl in controllers.items():
-            outs[i] = ctl.pulse(phase, pending[i], inputs[i], {})
+            outs[i] = ctl.pulse(phase, pending[i], inputs[i], {}, controllers)
         pending = {
             i: {j: outs[j][i] for j in controllers if i in outs[j]}
             for i in controllers
@@ -116,24 +115,24 @@ class TestMvcController:
     def test_capture_restart_propose_at_phase_zero(self):
         ctl = MvcController(4, 1)
         ctl.current_result = "stale"
-        out = ctl.pulse(0, {}, 1, {})
+        out = ctl.pulse(0, {}, 1, {}, ())
         assert ctl.current_result is None  # fresh co had no decision yet
         assert set(out) == {0, 1, 2, 3}
 
     def test_one_payload_object_addressed_to_every_node(self):
         ctl = MvcController(4, 1)
         for phase in (0, 1):  # t=1: phase 2 stores the leaves and sends nothing
-            out = ctl.pulse(phase, {}, 1, {})
+            out = ctl.pulse(phase, {}, 1, {}, ())
             assert list(out) == [0, 1, 2, 3]
             assert len({id(payload) for payload in out.values()}) == 1
             assert isinstance(out[0], CoPayload) and out[0].level == phase
 
     def test_processing_window_closes_after_t_plus_1(self):
         ctl = MvcController(4, 1)
-        ctl.pulse(0, {}, 1, {})
-        assert ctl.pulse(1, {}, None, {}) != {}
-        assert ctl.pulse(3, {}, None, {}) == {}  # t=1: window is {1, 2}
-        assert ctl.pulse(4, {}, None, {}) == {}  # phase t+2 and later: silent
+        ctl.pulse(0, {}, 1, {}, ())
+        assert ctl.pulse(1, {}, None, {}, ()) != {}
+        assert ctl.pulse(3, {}, None, {}, ()) == {}  # t=1: window is {1, 2}
+        assert ctl.pulse(4, {}, None, {}, ()) == {}  # phase t+2 and later: silent
 
     def test_unanimous_inputs_become_next_cycle_result(self):
         controllers = {i: MvcController(4, 0) for i in range(4)}
@@ -228,7 +227,7 @@ def reference_process(co: EigConsensus, msgs: dict, memo: dict) -> CoPayload | N
         key = (id(payload), sender, k - 1)
         hit = memo.get(key)
         if hit is None:
-            hit = memo[key] = (payload, co._validate(sender, payload, k - 1))
+            hit = memo[key] = (payload, co._validate(sender, payload, k - 1, False))
         co.tree.update(hit[1])
     co.exchanges_done = k
     if k > co.t:
@@ -250,7 +249,7 @@ def stored(co: EigConsensus, sender: int, payload, level: int) -> dict:
     co.started = True
     co.exchanges_done = level
     co.tree = {}
-    co.process({sender: payload}, {})
+    co.process({sender: payload}, {}, ())
     return co.tree
 
 
@@ -362,7 +361,7 @@ class TestValidation:
                 co = EigConsensus(N, 1)
                 co.started = True
                 co.exchanges_done = done
-                co.process(msgs, memo_for())
+                co.process(msgs, memo_for(), ())
                 out.append(co.tree)
             return out
 
@@ -379,9 +378,9 @@ class TestValidation:
         calls = []
         validate = EigConsensus._validate
 
-        def counting(self, sender, payload, level):
+        def counting(self, sender, payload, level, trusted):
             calls.append(level)
-            return validate(self, sender, payload, level)
+            return validate(self, sender, payload, level, trusted)
 
         monkeypatch.setattr(EigConsensus, "_validate", counting)
         params = make_params(10, 3, 3, 8, seed=1)
@@ -530,7 +529,7 @@ def run_against_flat_reference(rng: random.Random, co: EigConsensus, ref: EigCon
     for k in range(1, co.t + 2):
         msgs = random_arrivals(rng, k - 1, sent.entries)
         memo: dict = {}  # shared, so both sides store the same validated pair objects
-        got = co.process(msgs, memo)
+        got = co.process(msgs, memo, ())
         want = reference_process(ref, msgs, memo)
         assert same_payload(got, want)
         assert all(len(label) == k for label in co.tree)
@@ -571,7 +570,7 @@ class TestOneLevel:
                 _garble_tree(SimpleNamespace(mvc=ctl), random.Random(arg), params)
                 _garble_tree(SimpleNamespace(mvc=SimpleNamespace(co=ref)), random.Random(arg), params)
             sample = rng.choice((0, 1))
-            out = ctl.pulse(0, {}, sample, {})
+            out = ctl.pulse(0, {}, sample, {}, ())
             assert repr(ctl.current_result) == repr(reference_result(ref))
             ref.tree = {}
             ref.exchanges_done = 0
@@ -605,19 +604,20 @@ class TestSharedLevels:
     @pytest.mark.parametrize("adversary,inject", SHARING_CASES)
     def test_shared_memo_equals_private_memo_per_receiver(self, monkeypatch, n, t,
                                                           adversary, inject):
-        """Each pulse also runs on a copy of the node with a memo of its own,
-        which is the per-receiver behaviour; tree, broadcast and floating
-        output must come out the same."""
+        """Each pulse also runs on a copy of the node with a memo of its own
+        that trusts no sender, which is the per-receiver behaviour with
+        every arrival checked; tree, broadcast and floating output must
+        come out the same."""
         pulse = MvcController.pulse
         shared_rounds = []
 
-        def checking(self, phase, co_msgs, sample, memo):
+        def checking(self, phase, co_msgs, sample, memo, trusted):
             alone = MvcController(self.n, self.t)
             alone.current_result = self.current_result
             co, ref = self.co, alone.co
             ref.tree, ref.exchanges_done, ref.started = co.tree, co.exchanges_done, co.started
-            want = pulse(alone, phase, co_msgs, sample, {})
-            got = pulse(self, phase, co_msgs, sample, memo)
+            want = pulse(alone, phase, co_msgs, sample, {}, ())
+            got = pulse(self, phase, co_msgs, sample, memo, trusted)
             assert same_pairs(co.tree.items(), ref.tree.items())
             assert (co.exchanges_done, co.started) == (ref.exchanges_done, ref.started)
             assert list(got) == list(want)
@@ -642,11 +642,10 @@ class TestSharedLevels:
     def test_counts_per_round(self, monkeypatch):
         """n=10, t=3, worst_eig/targeted: the two receiver halves hear two
         stories, so each processing round builds 2 levels; the checks run
-        once per (payload, sender) pair that `process` did not build (7
-        correct proposals + 3 x 2 Byzantine at phase 1, then only the 3 x 2
-        Byzantine ones, since the 2 shared correct levels are registered as
-        checked), and phase 0 resolves each distinct leaf level once: the
-        one level targeted injection plants in every node at round 0."""
+        once per (payload, sender) pair that is not a correct broadcast,
+        that is for the 3 x 2 Byzantine ones alone, and phase 0 resolves
+        each distinct leaf level once: the one level targeted injection
+        plants in every node at round 0."""
         checks, resolves = [], []
         checked, labels = EigConsensus._checked, mvc._labels
 
@@ -676,7 +675,7 @@ class TestSharedLevels:
                 assert (len(checks), len(resolves)) == (0, len(leaves)), f"round {r}"
                 assert len(leaves) == (1 if r == 0 else 2)  # targeted plants 1 level
             elif phase <= t + 1:
-                assert len(checks) == (13 if phase == 1 else 6), f"round {r}"
+                assert len(checks) == 6, f"round {r}"
                 assert resolves == []
                 assert len(trees) == 2, f"round {r}"
             else:
@@ -754,17 +753,10 @@ def from_byz(labels: set) -> set:
     return {label for label in labels if label and label[-1] in BYZ}
 
 
-class NothingBuilt(dict):
-    """A registry that never holds a payload: every arrival gets the full check."""
-
-    def __setitem__(self, key, value):
-        pass
-
-
 class TestCarriedChecks:
-    """Receivers trust the broadcasts `process` registered as built; every
-    tree must equal a run with a private memo per receiver in which no
-    payload counts as built."""
+    """Receivers take the co fields of their shared part unchecked; every
+    tree must equal a run with a private memo per receiver that trusts no
+    sender."""
 
     def run(self, replay, garble: int | None = None) -> list:
         """Every node's tree (by repr, and its labels) and floating output
@@ -789,10 +781,9 @@ class TestCarriedChecks:
     def reference(self, monkeypatch, replay, garble: int | None = None) -> list:
         pulse = MvcController.pulse
         with monkeypatch.context() as m:
-            m.setattr(mvc, "_REGISTRY", NothingBuilt())
             m.setattr(MvcController, "pulse",
-                      lambda self, phase, co_msgs, sample, memo:
-                      pulse(self, phase, co_msgs, sample, {}))
+                      lambda self, phase, co_msgs, sample, memo, trusted:
+                      pulse(self, phase, co_msgs, sample, {}, ()))
             return self.run(replay, garble)
 
     def test_resent_malformed_payload_dropped_both_times(self, monkeypatch):
@@ -827,39 +818,24 @@ class TestCarriedChecks:
         assert ahead == set(permutations(range(5), 2))  # correct relays only
 
 
-class TestRegistry:
-    def test_registry_keeps_no_payload_alive(self, monkeypatch):
-        """A registered broadcast lives only as long as something else holds
-        it, and an equal payload that is not that object gets the full check."""
-        gc.collect()
-        n, t = 7, 2
-        eng = engine(n, t, "worst_eig", "full", rounds=KAPPA + 2)
-        for r in range(eng.config.rounds):
-            eng._round(r)
-        assert clock_read(eng.config.rounds - 1, KAPPA) == 1  # level 1 in flight
-        sent = [eng.pending[0].inbox[i].co for i in eng.correct_ids]
-        assert all(mvc._REGISTRY.get((n, id(p))) is p for p in sent)
-        assert {p.level for p in sent} == {1}
+def test_an_arrival_planted_over_a_broadcast_is_checked_in_full():
+    """A planted arrival leaves the receiver's shared part, so its entries
+    are checked: the label of the wrong length is dropped, which a trusted
+    arrival would have stored."""
+    planted = CoPayload(level=0, entries=(((), 1), ((0,), 1)))
+    co = EigConsensus(7, 2)
+    co.propose(0)
+    co.process({1: planted}, {}, {1})
+    assert co.tree == {(1,): 1, (0, 1): 1}
 
-        checks = []
-        checked = EigConsensus._checked
-
-        def counting(self, payload, level):
-            checks.append(payload)
-            return checked(self, payload, level)
-
-        monkeypatch.setattr(EigConsensus, "_checked", counting)
-        co = EigConsensus(n, t)
-        built = sent[0]
-        copy = CoPayload(level=built.level, entries=built.entries)
-        assert copy == built and copy is not built
-        assert co._validate(4, copy, 1) == co._validate(4, built, 1)
-        assert checks == [copy]
-
-        refs = [weakref.ref(p) for p in sent]
-        del sent, built, copy, eng
-        gc.collect()
-        assert all(ref() is None for ref in refs)
+    eng = engine(7, 2, "silent", "none", rounds=2)
+    eng._round(0)  # phase 0: every correct node broadcasts its level-0 payload
+    eng.pending[0].plant(1, Envelope(sender=1, co=planted))
+    assert 1 not in eng.pending[0].shared
+    eng._round(1)
+    tree = eng.nodes[0].mvc.co.tree
+    assert tree[(1,)] == 1 and (0, 1) not in tree
+    assert set(tree) == {(i,) for i in eng.correct_ids}
 
 
 def test_label_cache_keeps_only_the_last_trial_size():

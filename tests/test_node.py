@@ -99,7 +99,8 @@ def test_an_unhashable_sig_value_is_not_tallied():
         engine._round(P.kappa - 3)
     planted, reference = engines
     assert planted.trace.rounds == reference.trace.rounds
-    assert planted.nodes[0].sig.propose_val == reference.nodes[0].sig.propose_val
+    # node 0's vote, as its broadcast carries it
+    assert planted.pending[0].inbox[0].sig == reference.pending[0].inbox[0].sig
 
 
 def test_each_incarnation_is_reported_read_once():

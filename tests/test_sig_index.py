@@ -41,11 +41,12 @@ class TestGetIndex:
 class TestHandSimulatedCycles:
     def test_idle_cycle_keeps_index(self):
         # hand simulation: unanimous index 3, no increment, silent byz
+        sent = {}
         sigs = run_sig_cycle(P, indices=[3, 3, 3], byz_script={},
-                             mvc_results=[0, 0, 0], coin_bit=1)
+                             mvc_results=[0, 0, 0], coin_bit=1, sent=sent)
         assert all(s.index == 3 for s in sigs.values())
         assert all(s.save == 3 for s in sigs.values())
-        assert all(s.bit == 1 for s in sigs.values())
+        assert [out.value for out in sent[P.kappa - 2].values()] == [1, 1, 1]
         assert all(s.last_quorum == "ones" for s in sigs.values())
 
     def test_increment_cycle(self):
@@ -125,8 +126,8 @@ class TestPhaseDetails:
             2: SigPayload(kind="propose", value=3),
             3: SigPayload(kind="propose", value=None),
         }
-        pulse(sig, P.kappa - 2, msgs)
-        assert sig.bit == 1  # three non-empty votes from distinct senders
+        out = pulse(sig, P.kappa - 2, msgs)
+        assert out.value == 1  # three non-empty votes from distinct senders
         assert sig.save == 0  # but no majority value: default
 
     def test_mistyped_payloads_ignored(self):

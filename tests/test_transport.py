@@ -114,19 +114,29 @@ class TestExchange:
         outboxes[1] = box
         mail = exchange(0, outboxes, self.ids, correct_ids=self.ids)
         assert all(mail[j].inbox[1] is box[j] for j in self.ids)
-        assert all(list(mail[j].inbox) == self.ids for j in self.ids)
+        assert list(mail[0].shared) == [0, 2, 3]
+        assert all(mail[j].own == {1: box[j]} for j in self.ids)
 
-    def test_shared_part_is_the_leading_run_of_broadcasts(self):
-        # sender 1 equivocates, so sender 2's broadcast is delivered per
-        # receiver, and every inbox stays in sender order
+    def test_every_correct_broadcast_is_shared(self):
+        # sender 1 equivocates and sender 3 is Byzantine, so each is delivered
+        # per receiver; the correct broadcasts of 0 and 2 are shared
         outboxes = {i: dict.fromkeys(self.ids, Envelope(sender=i)) for i in self.ids}
         outboxes[1] = {j: Envelope(sender=1) for j in self.ids}
         mail = exchange(0, outboxes, self.ids, correct_ids=[0, 1, 2])
         assert all(mail[j].shared is mail[0].shared for j in self.ids)
-        assert list(mail[0].shared) == [0]
+        assert mail[0].shared == {0: outboxes[0][0], 2: outboxes[2][0]}
         for j in self.ids:
-            assert list(mail[j].inbox) == self.ids
+            assert list(mail[j].own) == [1, 3]
             assert all(mail[j].inbox[i] is outboxes[i][j] for i in self.ids)
+
+    def test_a_broadcast_with_an_extra_receiver_is_not_shared(self):
+        # one object to every node and to one more: delivered per receiver,
+        # and the extra delivery goes nowhere
+        outboxes = {i: dict.fromkeys(self.ids, Envelope(sender=i)) for i in self.ids}
+        outboxes[2] = dict.fromkeys(self.ids + [4], Envelope(sender=2))
+        mail = exchange(0, outboxes, self.ids, correct_ids=self.ids)
+        assert list(mail[0].shared) == [0, 1, 3]
+        assert all(mail[j].own == {2: outboxes[2][j]} for j in self.ids)
 
     def test_plant_replaces_one_receivers_arrival(self):
         outboxes = {i: dict.fromkeys(self.ids, Envelope(sender=i)) for i in self.ids}
@@ -175,9 +185,10 @@ class TestSerialization:
 
     def test_digest_stable_and_order_insensitive_input(self):
         env = Envelope(sender=0, sig=SigPayload(kind="index", value=3))
-        out1 = {0: {1: env, 0: env}}
-        out2 = {0: {0: env, 1: env}}
-        assert traffic_digest(out1) == traffic_digest(out2)
+        out1 = {0: {1: env, 0: env}, 1: {}}
+        out2 = {0: {0: env, 1: env}, 1: {}}
+        assert traffic_digest(out1, {}) == traffic_digest(out2, {})
+        assert traffic_digest(out2, {0: env}) == traffic_digest(out2, {})
 
 
 # the message classes as frozen dataclasses, the form whose reprs, equality
@@ -361,21 +372,39 @@ def outbox_corpus(count=300, seed=22):
     return corpus
 
 
+def broadcasts(outboxes):
+    """Every sender whose box sends one envelope object to receivers 0..n-1
+    and to no other, n being the number of boxes: what a shared part may hold."""
+    n = len(outboxes)
+    if sorted(outboxes) != list(range(n)):
+        return {}
+    return {
+        i: box[0] for i, box in outboxes.items()
+        if len(box) == n and box.get(0) is not None and all(box.get(j) is box[0] for j in range(n))
+    }
+
+
 def test_digest_equals_the_per_delivery_loop_on_a_corpus():
+    """Whichever broadcasts are marked shared, the digest and the deliveries
+    are the per-delivery loop's."""
     corpus = outbox_corpus()
     seen = set()
     for outboxes, shapes in corpus:
-        deliveries, expected = [], []
-        assert traffic_digest(outboxes, deliveries) == legacy_digest(outboxes, expected)
-        assert deliveries == expected
-        assert traffic_digest(outboxes) == legacy_digest(outboxes)
+        every = broadcasts(outboxes)
+        for shared in (every, dict(list(every.items())[::2]), {}):
+            deliveries, expected = [], []
+            assert (traffic_digest(outboxes, shared, deliveries)
+                    == legacy_digest(outboxes, expected))
+            assert deliveries == expected
+            assert traffic_digest(outboxes, shared) == legacy_digest(outboxes)
         n = len(outboxes)
         seen.update((shape, sorted(outboxes) == list(range(n))) for shape in shapes.values())
     assert seen == {(shape, zero_based) for shape in BOX_SHAPES for zero_based in (True, False)}
+    assert any(broadcasts(outboxes) for outboxes, _ in corpus)
 
 
-class TestDigestOncePerEnvelope:
-    ids = [0, 1, 2, 3]
+class TestDigestSharedObjects:
+    ids = [0, 1, 2, 3, 4, 5, 6]
 
     def mixed_outboxes(self):
         shared = Envelope(
@@ -385,7 +414,7 @@ class TestDigestOncePerEnvelope:
             sig=SigPayload(kind="bit", value=1),
         )
         # equal envelopes whose payload reprs differ: identity, not equality,
-        # decides what is serialized once
+        # decides what is repr'd once
         yes = Envelope(sender=3, est=EstPayload(slot=0, core=None, delivered=True))
         one = Envelope(sender=3, est=EstPayload(slot=0, core=None, delivered=1))
         assert yes == one and serialize_envelope(yes) != serialize_envelope(one)
@@ -406,12 +435,15 @@ class TestDigestOncePerEnvelope:
 
     def test_equals_per_delivery_loop(self):
         outboxes = self.mixed_outboxes()
-        assert traffic_digest(outboxes) == reference_digest(outboxes)
+        shared = broadcasts(outboxes)
+        assert list(shared) == [0, 1, 4, 5]
+        assert traffic_digest(outboxes, shared) == reference_digest(outboxes)
+        assert traffic_digest(outboxes, {}) == reference_digest(outboxes)
 
     def test_deliveries_carry_each_pair_serialized(self):
         outboxes = self.mixed_outboxes()
         deliveries = []
-        traffic_digest(outboxes, deliveries)
+        traffic_digest(outboxes, broadcasts(outboxes), deliveries)
         assert deliveries == [
             (i, j, serialize_envelope(outboxes[i][j]))
             for i in sorted(outboxes)
