@@ -14,7 +14,9 @@ second, its peak RSS and the trace digest:
 - `silent` adversary, no injection: every arrival but one per receiver is a
   correct broadcast;
 - `random` adversary, `full` injection: Byzantine fields and planted
-  round-0 mail reach every receiver.
+  round-0 mail reach every receiver;
+- `worst_sig` adversary, `full` injection: its predictions at the index
+  phases and the nodes share one reading of the round's shared mail.
 
 One JSON object goes to standard output: every run, then per side and case
 the median rounds per second and the set of digests seen. The digests of
@@ -33,7 +35,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-CASES = (("silent", "none"), ("random", "full"))
+CASES = (("silent", "none"), ("random", "full"), ("worst_sig", "full"))
 N, T, ROUNDS = 31, 1, 200
 
 CHILD = """

@@ -11,7 +11,8 @@ function (sender, receiver) -> (est, co, sig), and POLICIES finds it by
 name. Work shared by several pairs is done once, when the builder runs.
 worst_sig predicts each node's index rules from the tally the node's own
 mail reader gives it (`corsim.node.read_mail`), so a prediction is what
-the node computes by construction.
+the node computes by construction. It reads through the round's memo,
+which the nodes then use, so the round's shared mail is read once.
 
 Transient faults strike once, before round 0: every targeted mutable field
 is replaced while containers stay structurally valid (vector lengths, tag
@@ -38,8 +39,10 @@ Fields = Callable[[int, int], tuple]  # (sender, receiver) -> (est, co, sig)
 class AdversaryView:
     """What the adversary may observe when fixing a round's Byzantine traffic.
 
-    `mail` is what each node receives this round, keyed by receiver. The
-    current round's coin is deliberately absent.
+    `mail` is what each node receives this round, keyed by receiver, and
+    `memo` the round's memo, which the nodes' steps share (see
+    `corsim.node.read_mail`). The current round's coin is deliberately
+    absent.
     """
 
     round: int
@@ -47,6 +50,7 @@ class AdversaryView:
     params: Params
     correct_nodes: dict[int, CorrectNode]
     mail: dict[int, RoundMail]
+    memo: dict
 
 
 class Adversary:
@@ -209,12 +213,13 @@ POLICIES: dict[str, Callable[[Adversary, AdversaryView], Fields]] = {
 def predict(view: AdversaryView, rule: Callable[[dict, int], object]) -> list:
     """What an index-phase rule yields at each correct node this round.
 
-    Node i's tally is the one node i reads through `read_mail`, so the rule
+    Node i's tally is the one its own reading from `read_mail` carries,
+    which counts every arrival, read with the round's memo, so the rule
     applied to it is what node i computes by construction.
     """
-    p, memo = view.params, {}
+    p = view.params
     return [
-        rule(read_mail(view.mail[i], view.phase, p, memo)[1], p.quorum)
+        rule(read_mail(view.mail[i], view.phase, p, view.memo)[1][1], p.quorum)
         for i in sorted(view.correct_nodes)
     ]
 

@@ -362,8 +362,9 @@ class RoundEngine:
             correct_ids=tuple(self.correct_ids),
             byz_ids=tuple(self.byz_ids),
         )
-        # round-0 mail has an empty shared part; inject plants in the own parts
-        self.pending: dict[int, RoundMail] = {i: RoundMail({}, {}) for i in self.node_ids}
+        # round-0 mail has one empty shared part; inject plants in the own parts
+        shared: dict = {}
+        self.pending: dict[int, RoundMail] = {i: RoundMail(shared, {}) for i in self.node_ids}
 
         plan = plan_corruption(config.inject, p, self.correct_ids)
         inject(self.nodes, self.pending, plan, p)
@@ -379,6 +380,9 @@ class RoundEngine:
         p = self.params
         phase = clock_read(r, p.kappa)
 
+        # the round's memo (the reading of the shared mail, and EIG's levels
+        # and resolves), shared by the adversary's predictions and every receiver
+        memo: dict = {}
         byz_out = self.adversary.byz_outboxes(
             AdversaryView(
                 round=r,
@@ -386,15 +390,13 @@ class RoundEngine:
                 params=p,
                 correct_nodes=self.nodes,
                 mail=self.pending,
+                memo=memo,
             )
         )
         coin_bit = self.coin.draw(r)
 
         outboxes: dict[int, dict[int, Envelope]] = {}
         reports = {}
-        # the round's memo (the split of the shared mail, and EIG's
-        # validations, levels and resolves), shared by every receiver
-        memo: dict = {}
         for i in self.correct_ids:
             outbox, report = self.nodes[i].step(phase, self.pending[i], coin_bit, memo)
             outboxes[i] = outbox

@@ -20,27 +20,26 @@ the same payload objects, and the work is shared through a memo that
 lives for one round of one engine (its kinds of key differ in shape, so
 they never collide):
 
-- an exchange's arrivals, as (sender, payload object) in inbox order, build
-  one level and one next broadcast; every receiver with the same arrivals
-  at the same level stores that level dict and returns that payload object,
+- the co fields of the round's shared part (see `corsim.transport`) build
+  one base level and its next broadcast per (level, shared part); every
+  receiver without own co arrivals stores that level dict and returns that
+  payload object;
+- a receiver's own co arrivals, Byzantine or planted, add their checked
+  pairs to a copy of the base level, once per (base level, own arrivals),
   so only receivers that a Byzantine sender told different stories build
   their own;
-- the checks on a payload, dropping the labels that name the sender and
-  appending it run once per (payload, sender, level);
 - each distinct leaf level is resolved once per cycle.
 
-A receiver takes an arrival from a sender in its shared part (see
-`corsim.transport`), at the level it expects, without the checks, because
-a correct co field passes them unchanged: `propose` builds a level-0
-payload of the node's 0/1 sample, and `process` builds each label from a checked
-label of one level lower with one more distinct id in 0..n-1 appended
-(every inbox key is a node id, which the exchange binds), and each value
-passed the hashability check one level lower. Anything else gets the full
-check: Byzantine payloads, mail planted in place of what a sender sent,
-and a correct broadcast read at any other level (a garbled
-`exchanges_done`). `test_built_broadcasts_pass_their_own_checks` holds
-every golden trial to this rule. Only a correct broadcast is relayed by
-more than one sender, so the full checks are not shared across senders.
+The base level takes a shared sender's co field at the level the receiver
+expects without the checks, because a correct co field passes them
+unchanged: `propose` builds a level-0 payload of the node's 0/1 sample, and
+`process` builds each label from a checked label of one level lower with
+one more distinct id in 0..n-1 appended (every inbox key is a node id,
+which the exchange binds), and each value passed the hashability check one
+level lower. Anything else gets the full check: the own arrivals, and a
+correct broadcast read at any other level (a garbled `exchanges_done`).
+`test_built_broadcasts_pass_their_own_checks` holds every golden trial to
+this rule.
 
 This sharing rests on one rule: neither a stored level nor a payload is
 ever mutated in place. `propose` and `process` assign a new dict, and so
@@ -60,7 +59,6 @@ phase 0 only initiates the first exchange.
 
 from __future__ import annotations
 
-from collections.abc import Container
 from functools import lru_cache
 from itertools import permutations
 
@@ -116,65 +114,64 @@ class EigConsensus:
             kept.append(item)
         return tuple(kept)
 
-    def _validate(self, sender: int, payload: CoPayload, level: int, trusted: bool) -> tuple:
-        """The (label + (sender,), value) pairs a receiver stores from one arrival.
+    def _pairs(self, sender: int, entries: tuple) -> list:
+        """The (label + (sender,), value) pairs a receiver stores from one arrival's entries.
 
-        The payload's checked entries, less those whose label names the
-        sender; the pairs keep the received label objects, which are relayed
-        as sent. A `trusted` arrival is a correct broadcast, so at the
-        expected level its entries are taken as they are.
+        Entries whose label names the sender are dropped; the pairs keep the
+        received label objects, which are relayed as sent.
         """
-        if trusted and payload.level == level:
-            entries = payload.entries
-        else:
-            entries = self._checked(payload, level)
-        return tuple(
-            (label + (sender,), value) for label, value in entries if sender not in label
-        )
+        return [(label + (sender,), value) for label, value in entries if sender not in label]
 
     def process(
-        self, msgs: dict[int, CoPayload | None], memo: dict, trusted: Container[int]
+        self, shared: dict[int, CoPayload], own: dict[int, object], memo: dict
     ) -> CoPayload | None:
         """Absorb the previous exchange; return the next level's broadcast.
 
-        The level just received replaces the stored one. Malformed arrivals
-        are dropped, which leaves their entries absent; the resolve treats
-        absent as the default value. `memo` maps the arrivals, (level,
-        ((sender, id(payload)), ...)) in inbox order, to the payloads, the
-        level they build and the next broadcast (None after the last
-        exchange), so receivers with the same arrivals share one level dict
-        and one payload object; it maps (id(payload), sender, level) to the
-        payload and the pairs it stores from that sender. Holding the
-        payloads keeps their ids from being reused while the memo lives.
-        Share one memo only among the receivers of one round of one engine.
-        `trusted` holds the senders of the receiver's shared part, whose
-        arrivals are correct broadcasts; they store what the checks would
-        store, so receivers that trust different senders share the memo.
+        `shared` holds the co fields of the receiver's shared part, which
+        are correct broadcasts, and `own` the rest of its arrivals. The
+        level just received replaces the stored one. Malformed arrivals are
+        dropped, which leaves their entries absent; the resolve treats
+        absent as the default value. `memo` maps (level, id(shared)) to
+        `shared`, the level its senders' pairs build and the next broadcast
+        (None after the last exchange), so every receiver of that shared
+        part at that level stores one level dict and returns one payload
+        object. It maps that key plus the own arrivals, ((sender,
+        id(payload)), ...) in inbox order, to those payloads, a copy of the
+        shared level with their checked pairs added and its broadcast, so
+        only receivers that a Byzantine sender told different stories build
+        their own. Holding the dicts and payloads keeps their ids from being
+        reused while the memo lives. Share one memo only among the receivers
+        of one round of one engine.
         """
         if not self.started:
             return None
         k = self.exchanges_done + 1
-        key = (k - 1, tuple([(sender, id(payload)) for sender, payload in msgs.items()]))
+        key = (k - 1, id(shared))
         hit = memo.get(key)
         if hit is None:
             level: dict[tuple, object] = {}
-            for sender, payload in msgs.items():
-                if payload is None:
-                    continue
-                pair_key = (id(payload), sender, k - 1)
-                pairs = memo.get(pair_key)
-                if pairs is None:
-                    pairs = memo[pair_key] = (
-                        payload, self._validate(sender, payload, k - 1, sender in trusted)
-                    )
-                level.update(pairs[1])
-            out = None
-            if k <= self.t:
-                out = CoPayload(level=k, entries=tuple(sorted(level.items())))
-            hit = memo[key] = (tuple(msgs.values()), level, out)
+            for sender, payload in shared.items():
+                # a correct broadcast passes the checks unchanged at its own level
+                entries = payload.entries
+                if payload.level != k - 1:
+                    entries = self._checked(payload, k - 1)
+                level.update(self._pairs(sender, entries))
+            hit = memo[key] = (shared, level, self._next(k, level))
+        if own:
+            key += (tuple([(sender, id(payload)) for sender, payload in own.items()]),)
+            base, hit = hit[1], memo.get(key)
+            if hit is None:
+                level = dict(base)
+                for sender, payload in own.items():
+                    level.update(self._pairs(sender, self._checked(payload, k - 1)))
+                hit = memo[key] = (tuple(own.values()), level, self._next(k, level))
         _, self.tree, out = hit
         self.exchanges_done = k
         return out
+
+    def _next(self, k: int, level: dict) -> CoPayload | None:
+        """The broadcast of level k, None after the last exchange."""
+        return CoPayload(level=k, entries=tuple(sorted(level.items()))) if k <= self.t else None
 
     def result(self, memo: dict) -> object:
         """Root resolve after t+1 exchanges; None before completion.
@@ -234,23 +231,19 @@ class MvcController:
         self.current_result: object = None
 
     def pulse(
-        self,
-        phase: int,
-        co_msgs: dict[int, CoPayload | None],
-        sample: object,
-        memo: dict,
-        trusted: Container[int],
+        self, phase: int, shared: dict[int, CoPayload], own: dict[int, object],
+        sample: object, memo: dict,
     ) -> dict[int, CoPayload]:
         """One phase; `sample` is the phase-0 input, and one payload goes to every node.
 
-        `trusted` holds the senders whose co fields are correct broadcasts
-        (see `EigConsensus.process`).
+        `shared` and `own` are the co fields of the shared part and of the
+        own arrivals (see `EigConsensus.process`).
         """
         if phase == 0:
             self.current_result = self.co.result(memo)
             payload = self.co.propose(sample)
         elif 1 <= phase <= self.t + 1:
-            payload = self.co.process(co_msgs, memo, trusted)
+            payload = self.co.process(shared, own, memo)
         else:
             return {}
         return {} if payload is None else dict.fromkeys(range(self.n), payload)

@@ -1,6 +1,6 @@
 """Per-node composition of the protocol stack for one simulated round.
 
-A correct node's step: split the arriving envelopes into their co fields,
+A correct node's step: read the arriving envelopes into their co fields,
 the tally of their sig fields and, per slot, the delivery flags and core
 messages their est fields carry, merge the flags into this node's objects
 (the only place flags are merged), run the consensus recomputation pulse,
@@ -10,12 +10,12 @@ during phase 0. A flag that is not set builds no object: merging it into a
 fresh one changes nothing.
 
 `read_mail` is the one mail reader, which worst_sig's predictions call
-too: the round's shared mail (see `corsim.transport`) is split once per
-round, through the round memo, and each receiver folds its own arrivals
-into a copy of that split. The split is read-only: a receiver without own
-arrivals reads the shared one as it is. Flag merges write this node's
-objects, so they run at each receiver. The consensus pulse takes the co
-fields of the shared senders unchecked (see `corsim.mvc`).
+too, through the same round memo: the round's shared mail (see
+`corsim.transport`) is read once per round, and every reader gets that one
+reading, read-only. Each receiver reads only its own arrivals, into new
+dicts. Flag merges write this node's objects, so they run at each
+receiver, one part after the other. The consensus pulse takes the shared
+and the own co fields apart (see `corsim.mvc`).
 
 One loop reads every live in-window object, the active one, the window's
 anchor, among them (their results must reach every correct node before the
@@ -50,31 +50,25 @@ class StepReport:
     retrievals: tuple = ()  # (slot, value) pairs newly read this round
 
 
-# What a node reads from its mail: (co, counts, flags, cores), that is
-# sender -> co field, the tally of the sig fields of the kind its phase reads
-# (see `corsim.sig_index`), slot -> sender -> delivery flag, and slot ->
-# sender -> core message. An absent co field is left out: the consensus
-# core takes a sender without one as a sender whose field is None.
-Split = tuple[dict, dict, dict, dict]
-_NO_SPLIT: Split = ({}, {}, {}, {})
+# What a node reads from one part of its mail: (co, counts, flags, cores),
+# that is sender -> co field, the tally of the sig fields of the kind its
+# phase reads (see `corsim.sig_index`), slot -> sender -> delivery flag, and
+# slot -> sender -> core message. An absent co field is left out: the
+# consensus core takes a sender without one as a sender whose field is None.
+Reading = tuple[dict, dict, dict, dict]
 
 
-def _fold(base: Split, part: Mapping[int, object], index_num: int, kind: str | None) -> Split:
-    """base with the arrivals of part, whose senders base does not name, folded in.
+def _read(part: Mapping[int, object], index_num: int, kind: str | None, counts: dict) -> Reading:
+    """The reading of part's arrivals, their sig fields of `kind` tallied into counts.
 
-    A value that is not an `Envelope` is an absent sender, and sig fields
-    are tallied for `kind` (none when it is None). No dict of base is
-    mutated: each is copied before its first write.
+    A value that is not an `Envelope` is an absent sender, and no sig field
+    is tallied when kind is None. Every other dict of the reading is new.
     """
-    base_co, counts, base_flags, base_cores = base
-    co, flags, cores = base_co, base_flags, base_cores
-    sigs = []
+    co, flags, cores, sigs = {}, {}, {}, []
     for sender, env in part.items():
         if not isinstance(env, Envelope):
             continue
         if env.co is not None:
-            if co is base_co:
-                co = dict(co)
             co[sender] = env.co
         if env.sig is not None:
             sigs.append(env.sig)
@@ -82,32 +76,30 @@ def _fold(base: Split, part: Mapping[int, object], index_num: int, kind: str | N
         if not isinstance(est, EstPayload) or not isinstance(est.slot, int):
             continue
         slot = est.slot % index_num
-        if flags is base_flags:
-            flags = {s: dict(by_sender) for s, by_sender in flags.items()}
         flags.setdefault(slot, {})[sender] = bool(est.delivered)
         if est.core is not None:
-            if cores is base_cores:
-                cores = {s: dict(by_sender) for s, by_sender in cores.items()}
             cores.setdefault(slot, {})[sender] = est.core
     if sigs and kind is not None:
-        counts = tally(sigs, kind, dict(counts))
+        tally(sigs, kind, counts)
     return co, counts, flags, cores
 
 
-def read_mail(mail: RoundMail, phase: int, params: Params, memo: dict) -> Split:
-    """What a node reads from its mail in a round at this phase.
+def read_mail(mail: RoundMail, phase: int, params: Params, memo: dict) -> tuple[Reading, Reading]:
+    """The readings of a node's shared part and of its own arrivals this round.
 
-    The shared part is split once per memo, under its id, and the memo
-    holds it, so the id stays reserved while the memo lives; the own
-    arrivals are folded into a copy of that split.
+    The shared part is read once per memo, under its id, and the memo holds
+    it, so the id stays reserved while the memo lives; every receiver gets
+    that one reading, which no reader may mutate. The own reading is new at
+    each call, and its tally starts from a copy of the shared one, so it
+    counts every arrival.
     """
-    shared, own = mail.shared, mail.own
+    shared = mail.shared
     hit = memo.get(id(shared))
     if hit is None:
         kind = read_kind(phase, params.kappa)
-        hit = memo[id(shared)] = (shared, kind, _fold(_NO_SPLIT, shared, params.index_num, kind))
-    _, kind, split = hit
-    return _fold(split, own, params.index_num, kind) if own else split
+        hit = memo[id(shared)] = (shared, kind, _read(shared, params.index_num, kind, {}))
+    _, kind, reading = hit
+    return reading, _read(mail.own, params.index_num, kind, dict(reading[1]))
 
 
 class CorrectNode:
@@ -145,23 +137,25 @@ class CorrectNode:
         objects = self.objects
         report = StepReport()
 
-        co_msgs, sig_counts, flags_by_slot, cores_by_slot = read_mail(mail, phase, params, memo)
-        # a set flag builds its slot's object; merging the unset ones of a
-        # slot without one changes nothing
-        for slot, flags in flags_by_slot.items():
-            obj = objects.live.get(slot)
-            if obj is None and True in flags.values():
-                obj = objects.get(slot)
-            if obj is not None:
-                obj.merge_flags(flags)
+        shared, own = read_mail(mail, phase, params, memo)
+        # the parts name disjoint senders, so their flags merge in turn; a set
+        # flag builds its slot's object, and merging the unset ones of a slot
+        # without one changes nothing
+        for reading in (shared, own):
+            for slot, flags in reading[2].items():
+                obj = objects.live.get(slot)
+                if obj is None and True in flags.values():
+                    obj = objects.get(slot)
+                if obj is not None:
+                    obj.merge_flags(flags)
 
         # consensus recomputation; inputs are sampled before any index write
         if phase == 0:
             report.sample = self.was_delivered_active()
-        co_out = self.mvc.pulse(phase, co_msgs, report.sample, memo, mail.shared)
+        co_out = self.mvc.pulse(phase, shared[0], own[0], report.sample, memo)
 
         # index pulse, then the recycler sweep on the possibly-updated index
-        sig_out = self.sig.pulse(phase, sig_counts, self.mvc.current_result, coin_bit)
+        sig_out = self.sig.pulse(phase, own[1], self.mvc.current_result, coin_bit)
 
         if self.fixed_slot is None:
             report.recycled = tuple(objects.recycler_pulse(self.sig.index))
@@ -173,7 +167,10 @@ class CorrectNode:
             active.propose(value)
             report.proposed_value = value
 
-        est_out = active.pulse_step(cores_by_slot.get(active.slot, {}))
+        cores = shared[3].get(active.slot, {})
+        if active.slot in own[3]:
+            cores = {**cores, **own[3][active.slot]}
+        est_out = active.pulse_step(cores)
 
         if self.fixed_slot is None:
             keep = window(self.sig.index, params.index_num, params.log_size)

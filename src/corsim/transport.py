@@ -21,8 +21,9 @@ A broadcast costs O(1) Python work per round, not one unit per receiver.
 envelope object to every node is a correct broadcast: its envelope joins
 the round's shared part, one dict that every receiver's `RoundMail`
 holds. That part is the one mark of a correct broadcast: `traffic_digest`
-hashes a sender in it as one join, the node splits it once per round (see
-`corsim.node`), and EIG takes its co fields unchecked (see `corsim.mvc`).
+hashes a sender in it as one join, it is read once per round for every
+reader (see `corsim.node`), and EIG takes its co fields unchecked (see
+`corsim.mvc`).
 Only a receiver's own arrivals, Byzantine or planted, are kept per
 receiver.
 """

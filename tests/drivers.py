@@ -18,30 +18,23 @@ def run_eig_t1(proposals, byz_round1, byz_round2_by_receiver):
     byz_round1: per-receiver level-0 value {i: v}.
     byz_round2_by_receiver: per-receiver level-1 claims {i: {j: v}} about
     what each correct j said. Every node takes the correct nodes'
-    payloads unchecked, as a node takes the senders of its shared part.
+    payloads as its shared co fields, unchecked, and node 3's as its own.
     Returns ({node: decision}, decided_early: bool).
     """
     n, t = 4, 1
     nodes = {i: EigConsensus(n, t) for i in range(3)}
     out0 = {i: nodes[i].propose(proposals[i]) for i in nodes}
 
-    inbox1 = {}
-    for i in nodes:
-        msgs = dict(out0)
-        msgs[3] = CoPayload(level=0, entries=(((), byz_round1[i]),))
-        inbox1[i] = msgs
-    out1 = {i: nodes[i].process(inbox1[i], {}, nodes) for i in nodes}
+    out1 = {
+        i: nodes[i].process(out0, {3: CoPayload(level=0, entries=(((), byz_round1[i]),))}, {})
+        for i in nodes
+    }
     decided_early = any(nodes[i].result({}) is not None for i in nodes)
 
-    inbox2 = {}
     for i in nodes:
-        msgs = dict(out1)
         claims = byz_round2_by_receiver[i]
         entries = tuple(((j,), claims[j]) for j in sorted(claims))
-        msgs[3] = CoPayload(level=1, entries=entries)
-        inbox2[i] = msgs
-    for i in nodes:
-        nodes[i].process(inbox2[i], {}, nodes)
+        nodes[i].process(out1, {3: CoPayload(level=1, entries=entries)}, {})
     return {i: nodes[i].result({}) for i in nodes}, decided_early
 
 
@@ -51,7 +44,7 @@ def run_eig_t0(proposals):
     nodes = {i: EigConsensus(n, t) for i in range(4)}
     out0 = {i: nodes[i].propose(proposals[i]) for i in nodes}
     for i in nodes:
-        nodes[i].process(out0, {}, nodes)
+        nodes[i].process(out0, {}, {})
     return {i: nodes[i].result({}) for i in nodes}
 
 

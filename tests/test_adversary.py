@@ -37,6 +37,7 @@ def view_for(nodes, round_index=6, phase=1):
         params=P,
         correct_nodes=nodes,
         mail={i: RoundMail({}, {}) for i in range(P.n)},
+        memo={},
     )
 
 
@@ -107,7 +108,8 @@ class TestStrategies:
                         engine.pending[0].plant(1, "garbage")
                         checked.add("planted")
                     view = AdversaryView(round=r, phase=phase, params=p,
-                                         correct_nodes=engine.nodes, mail=engine.pending)
+                                         correct_nodes=engine.nodes, mail=engine.pending,
+                                         memo={})
                     votes = predict(view, index_vote)
                     bits = predict(view, vote_bit)
                     engine._round(r)
@@ -172,7 +174,7 @@ class TestStrategies:
         from corsim.adversary import AdversaryView
 
         names = {f.name for f in fields(AdversaryView)}
-        assert names == {"round", "phase", "params", "correct_nodes", "mail"}
+        assert names == {"round", "phase", "params", "correct_nodes", "mail", "memo"}
 
 
 class TestInjection:

@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from corsim import TrialConfig, harness, make_params
+from corsim import node as corsim_node
 from corsim.harness import RoundEngine, Trace
 from corsim.mvc import EigConsensus
 from corsim.transport import CoPayload, Envelope, EstPayload, SigPayload
@@ -244,6 +245,55 @@ def test_built_broadcasts_pass_their_own_checks(case, monkeypatch):
     monkeypatch.setattr(harness, "exchange", checking)
     build(case).run()
     assert set(checked) == set(range(case["t"] + 1))
+
+
+@pytest.mark.parametrize("n,t", [(4, 1), (7, 2)])
+def test_shared_mail_is_read_once_per_round(n, t, monkeypatch):
+    """worst_sig's predictions read each node's mail through the round's
+    memo, which the nodes then use, so every round, its κ−3 and κ−2 among
+    them, reads its one shared part once."""
+    reads = []
+    read = corsim_node._read
+
+    def counting(part, *args):
+        reads.append(id(part))
+        return read(part, *args)
+
+    monkeypatch.setattr(corsim_node, "_read", counting)
+    params = make_params(n, t, 3, 8, seed=1)
+    engine = RoundEngine(TrialConfig(params=params, rounds=3 * params.kappa,
+                                     adversary="worst_sig", inject="full"))
+    for r in range(engine.config.rounds):
+        parts = {id(mail.shared) for mail in engine.pending.values()}
+        reads.clear()
+        engine._round(r)
+        assert len(parts) == 1, f"round {r}"
+        assert [part for part in reads if part in parts] == list(parts), f"round {r}"
+
+
+@pytest.mark.parametrize("case", grid(), ids=case_id)
+def test_the_shared_reading_is_left_as_read(case):
+    """Every reader of a round gets the memo's one reading of the shared
+    part and must not mutate it: after the round it still equals a fresh
+    read of that part."""
+    engine = build(case)
+    p = engine.params
+    views = []
+    byz_outboxes = engine.adversary.byz_outboxes
+
+    def capturing(view):
+        views.append(view)
+        return byz_outboxes(view)
+
+    engine.adversary.byz_outboxes = capturing
+    for r in range(engine.config.rounds):
+        engine._round(r)
+        view = views.pop()
+        for i in engine.correct_ids:
+            shared = view.mail[i].shared
+            kept, kind, reading = view.memo[id(shared)]
+            assert kept is shared, f"round {r}"
+            assert reading == corsim_node._read(shared, p.index_num, kind, {}), f"round {r}"
 
 
 MESSAGES = (EstPayload, CoPayload, SigPayload, Envelope)

@@ -52,9 +52,9 @@ class TestEigMechanics:
         node = EigConsensus(4, 1)
         node.propose(1)
         assert node.result({}) is None
-        node.process({}, {}, ())
+        node.process({}, {}, {})
         assert node.result({}) is None
-        node.process({}, {}, ())
+        node.process({}, {}, {})
         assert node.result({}) is not None
 
     def test_propose_starts_a_clean_run_from_any_state(self):
@@ -73,13 +73,13 @@ class TestEigMechanics:
         node = EigConsensus(4, 1)
         node.propose(1)
         node.process(
+            {},
             {
                 1: CoPayload(level=5, entries=(((), 1),)),  # wrong level
                 2: CoPayload(level=0, entries=("garbage",)),  # bad entry shape
                 3: CoPayload(level=0, entries=(((0, 0), 1),)),  # bad label
             },
             {},
-            (),
         )
         assert all(len(label) != 1 for label in node.tree)
 
@@ -104,7 +104,7 @@ def drive_controllers_cycle(controllers, inputs, kappa):
     for phase in range(kappa):
         outs = {}
         for i, ctl in controllers.items():
-            outs[i] = ctl.pulse(phase, pending[i], inputs[i], {}, controllers)
+            outs[i] = ctl.pulse(phase, pending[i], {}, inputs[i], {})
         pending = {
             i: {j: outs[j][i] for j in controllers if i in outs[j]}
             for i in controllers
@@ -115,24 +115,24 @@ class TestMvcController:
     def test_capture_restart_propose_at_phase_zero(self):
         ctl = MvcController(4, 1)
         ctl.current_result = "stale"
-        out = ctl.pulse(0, {}, 1, {}, ())
+        out = ctl.pulse(0, {}, {}, 1, {})
         assert ctl.current_result is None  # fresh co had no decision yet
         assert set(out) == {0, 1, 2, 3}
 
     def test_one_payload_object_addressed_to_every_node(self):
         ctl = MvcController(4, 1)
         for phase in (0, 1):  # t=1: phase 2 stores the leaves and sends nothing
-            out = ctl.pulse(phase, {}, 1, {}, ())
+            out = ctl.pulse(phase, {}, {}, 1, {})
             assert list(out) == [0, 1, 2, 3]
             assert len({id(payload) for payload in out.values()}) == 1
             assert isinstance(out[0], CoPayload) and out[0].level == phase
 
     def test_processing_window_closes_after_t_plus_1(self):
         ctl = MvcController(4, 1)
-        ctl.pulse(0, {}, 1, {}, ())
-        assert ctl.pulse(1, {}, None, {}, ()) != {}
-        assert ctl.pulse(3, {}, None, {}, ()) == {}  # t=1: window is {1, 2}
-        assert ctl.pulse(4, {}, None, {}, ()) == {}  # phase t+2 and later: silent
+        ctl.pulse(0, {}, {}, 1, {})
+        assert ctl.pulse(1, {}, {}, None, {}) != {}
+        assert ctl.pulse(3, {}, {}, None, {}) == {}  # t=1: window is {1, 2}
+        assert ctl.pulse(4, {}, {}, None, {}) == {}  # phase t+2 and later: silent
 
     def test_unanimous_inputs_become_next_cycle_result(self):
         controllers = {i: MvcController(4, 0) for i in range(4)}
@@ -217,18 +217,13 @@ def reference_propose(co: EigConsensus, value: object) -> CoPayload:
     return CoPayload(level=0, entries=(((), value),))
 
 
-def reference_process(co: EigConsensus, msgs: dict, memo: dict) -> CoPayload | None:
+def reference_process(co: EigConsensus, msgs: dict) -> CoPayload | None:
     if not co.started:
         return None
     k = co.exchanges_done + 1
     for sender, payload in msgs.items():
-        if payload is None:
-            continue
-        key = (id(payload), sender, k - 1)
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = (payload, co._validate(sender, payload, k - 1, False))
-        co.tree.update(hit[1])
+        if payload is not None:
+            co.tree.update(co._pairs(sender, co._checked(payload, k - 1)))
     co.exchanges_done = k
     if k > co.t:
         return None
@@ -249,7 +244,7 @@ def stored(co: EigConsensus, sender: int, payload, level: int) -> dict:
     co.started = True
     co.exchanges_done = level
     co.tree = {}
-    co.process({sender: payload}, {}, ())
+    co.process({}, {sender: payload}, {})
     return co.tree
 
 
@@ -344,15 +339,20 @@ class TestValidation:
             assert same_tree(stored(EigConsensus(N, 1), sender, payload, level), want)
 
     def test_shared_memo_equals_private_memos(self):
-        """One memo across receivers expecting different levels, from two
-        senders relaying the same payload object: sender and level are part
-        of what an arrival validates to."""
+        """One memo across receivers of one shared part: receivers expecting
+        different levels, or hearing the same payload object from other
+        senders, store levels of their own, and receivers with the same own
+        arrivals at the same level store one. A shared co field read at a
+        level other than its own is checked in full."""
         level1 = CoPayload(level=1, entries=(((1,), "a"), ((2,), "b"), ((0,), "c")))
         level0 = CoPayload(level=0, entries=(((), "root"),))
+        shared = {3: level1}
         inboxes = (
             (1, {1: level1, 2: level1, 0: level0}),
             (0, {1: level1, 2: level1, 0: level0}),
             (1, {2: level1, 1: level1}),
+            (1, {1: level1, 2: level1, 0: level0}),
+            (1, {}),
         )
 
         def trees(memo_for):
@@ -361,28 +361,31 @@ class TestValidation:
                 co = EigConsensus(N, 1)
                 co.started = True
                 co.exchanges_done = done
-                co.process(msgs, memo_for(), ())
+                co.process(shared, msgs, memo_for())
                 out.append(co.tree)
             return out
 
-        shared: dict = {}
-        private = trees(dict)
-        assert all(map(same_tree, trees(lambda: shared), private))
-        assert private[0] == {(2, 1): "b", (0, 1): "c", (1, 2): "a", (0, 2): "c"}
+        memo: dict = {}
+        private, got = trees(dict), trees(lambda: memo)
+        assert all(map(same_tree, got, private))
+        assert got[0] is got[3] and len({id(tree) for tree in got}) == 4
+        from_shared = {(1, 3): "a", (2, 3): "b", (0, 3): "c"}
+        assert private[0] == {**from_shared, (2, 1): "b", (0, 1): "c", (1, 2): "a", (0, 2): "c"}
         assert private[1] == {(0,): "root"}
+        assert private[4] == from_shared
 
     def test_validation_once_per_arrival_per_round(self, monkeypatch):
         """n=10, t=3 under worst_eig: 7 correct broadcasts plus 3 Byzantine
         senders with two stories each, where every receiver validating every
         arrival made 7 x 10 = 70."""
         calls = []
-        validate = EigConsensus._validate
+        pairs = EigConsensus._pairs
 
-        def counting(self, sender, payload, level, trusted):
-            calls.append(level)
-            return validate(self, sender, payload, level, trusted)
+        def counting(self, sender, entries):
+            calls.append(sender)
+            return pairs(self, sender, entries)
 
-        monkeypatch.setattr(EigConsensus, "_validate", counting)
+        monkeypatch.setattr(EigConsensus, "_pairs", counting)
         params = make_params(10, 3, 3, 8, seed=1)
         engine = RoundEngine(TrialConfig(
             params=params, rounds=12, adversary="worst_eig", inject="targeted", core="stub",
@@ -514,12 +517,10 @@ def random_arrivals(rng: random.Random, level: int, relayed: tuple) -> dict:
 
 
 def same_payload(got, want) -> bool:
-    """Equal entries, down to each label and value object's identity."""
+    """Equal entries, down to each label id and value object's identity."""
     if got is None or want is None:
         return got is want
-    return repr(got) == repr(want) and all(
-        a[0] is b[0] and a[1] is b[1] for a, b in zip(got.entries, want.entries)
-    )
+    return got.level == want.level and same_pairs(got.entries, want.entries)
 
 
 def run_against_flat_reference(rng: random.Random, co: EigConsensus, ref: EigConsensus,
@@ -528,9 +529,8 @@ def run_against_flat_reference(rng: random.Random, co: EigConsensus, ref: EigCon
     exchange on the same arrivals, comparing each broadcast and the result."""
     for k in range(1, co.t + 2):
         msgs = random_arrivals(rng, k - 1, sent.entries)
-        memo: dict = {}  # shared, so both sides store the same validated pair objects
-        got = co.process(msgs, memo, ())
-        want = reference_process(ref, msgs, memo)
+        got = co.process({}, msgs, {})
+        want = reference_process(ref, msgs)
         assert same_payload(got, want)
         assert all(len(label) == k for label in co.tree)
         assert co.tree == {label: v for label, v in ref.tree.items() if len(label) == k}
@@ -570,7 +570,7 @@ class TestOneLevel:
                 _garble_tree(SimpleNamespace(mvc=ctl), random.Random(arg), params)
                 _garble_tree(SimpleNamespace(mvc=SimpleNamespace(co=ref)), random.Random(arg), params)
             sample = rng.choice((0, 1))
-            out = ctl.pulse(0, {}, sample, {}, ())
+            out = ctl.pulse(0, {}, {}, sample, {})
             assert repr(ctl.current_result) == repr(reference_result(ref))
             ref.tree = {}
             ref.exchanges_done = 0
@@ -611,13 +611,13 @@ class TestSharedLevels:
         pulse = MvcController.pulse
         shared_rounds = []
 
-        def checking(self, phase, co_msgs, sample, memo, trusted):
+        def checking(self, phase, shared, own, sample, memo):
             alone = MvcController(self.n, self.t)
             alone.current_result = self.current_result
             co, ref = self.co, alone.co
             ref.tree, ref.exchanges_done, ref.started = co.tree, co.exchanges_done, co.started
-            want = pulse(alone, phase, co_msgs, sample, {}, ())
-            got = pulse(self, phase, co_msgs, sample, memo, trusted)
+            want = pulse(alone, phase, {}, {**shared, **own}, sample, {})
+            got = pulse(self, phase, shared, own, sample, memo)
             assert same_pairs(co.tree.items(), ref.tree.items())
             assert (co.exchanges_done, co.started) == (ref.exchanges_done, ref.started)
             assert list(got) == list(want)
@@ -642,8 +642,8 @@ class TestSharedLevels:
     def test_counts_per_round(self, monkeypatch):
         """n=10, t=3, worst_eig/targeted: the two receiver halves hear two
         stories, so each processing round builds 2 levels; the checks run
-        once per (payload, sender) pair that is not a correct broadcast,
-        that is for the 3 x 2 Byzantine ones alone, and phase 0 resolves
+        once per Byzantine arrival of each story, 3 x 2, since the
+        receivers that hear one story share its level, and phase 0 resolves
         each distinct leaf level once: the one level targeted injection
         plants in every node at round 0."""
         checks, resolves = [], []
@@ -782,8 +782,8 @@ class TestCarriedChecks:
         pulse = MvcController.pulse
         with monkeypatch.context() as m:
             m.setattr(MvcController, "pulse",
-                      lambda self, phase, co_msgs, sample, memo, trusted:
-                      pulse(self, phase, co_msgs, sample, {}, ()))
+                      lambda self, phase, shared, own, sample, memo:
+                      pulse(self, phase, {}, {**shared, **own}, sample, {}))
             return self.run(replay, garble)
 
     def test_resent_malformed_payload_dropped_both_times(self, monkeypatch):
@@ -825,7 +825,7 @@ def test_an_arrival_planted_over_a_broadcast_is_checked_in_full():
     planted = CoPayload(level=0, entries=(((), 1), ((0,), 1)))
     co = EigConsensus(7, 2)
     co.propose(0)
-    co.process({1: planted}, {}, {1})
+    co.process({1: planted}, {}, {})
     assert co.tree == {(1,): 1, (0, 1): 1}
 
     eng = engine(7, 2, "silent", "none", rounds=2)
