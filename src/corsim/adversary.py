@@ -286,9 +286,11 @@ def inject(
 
     It runs before the first round, while no object holds a read value, so
     the node reads every object it leaves decided. It plants object state
-    through `objects.get`, so the sweeps see every object it touches. Any
-    corruption applied later to an object that was already read must also
-    clear its `read_value`, or the node never reads what it changes. It
+    through `objects.get`, which puts each slot it builds in the array's
+    unread set, so the sweeps see every object it touches. Any corruption
+    applied later to an object that was already read must reopen it through
+    the array, clearing its `read_value` and putting its slot back in
+    `objects.unread`, or the node never reads what it changes. It
     builds the all-ones level once per call and plants that one dict in
     every node whose plan sets `eig_all_ones`, as a round shares a level
     it builds (see `corsim.mvc`): nothing may mutate a planted level in

@@ -172,6 +172,13 @@ class MmrLiteCore:
 
     A node stuck longer than the stall limit (possible only from a corrupted
     mixed state) flags an internal fault so the object stays recyclable.
+
+    A step reads only the current round, which never decreases, so the
+    backers and votes of a lower round are never stored, and a round's are
+    dropped when the round ends or is skipped: a steady step costs one pass
+    over its inbox and two backer counts, and it builds a new endorsement or
+    candidate tuple only when a value joins. Catching up is tested only when
+    more than t peers are ahead.
     """
 
     n: int
@@ -183,8 +190,8 @@ class MmrLiteCore:
     my_ests: tuple = ()
     bin_values: tuple = ()
     aux_value: int | None = None
-    est_seen: dict = field(default_factory=dict)  # (round, value) -> set of senders
-    aux_seen: dict = field(default_factory=dict)  # round -> {sender: value}
+    est_seen: dict = field(default_factory=dict)  # (round >= self.round, value) -> set of senders
+    aux_seen: dict = field(default_factory=dict)  # round >= self.round -> {sender: value}
     peer_rounds: dict = field(default_factory=dict)  # sender -> highest round seen
     decided_cache: object = None
     stalled_for: int = 0
@@ -207,81 +214,115 @@ class MmrLiteCore:
             self.faulted = True
         return not self.faulted
 
-    def _absorb(self, sender: int, msg: object) -> None:
-        if not isinstance(msg, tuple) or len(msg) != 4 or msg[0] != "MMR":
-            return
-        _, rnd, ests, aux = msg
-        if not isinstance(rnd, int) or not (1 <= rnd <= 10**6):
-            return
-        self.peer_rounds[sender] = max(self.peer_rounds.get(sender, 0), rnd)
-        if isinstance(ests, tuple):
-            for v in ests:
-                if v in (0, 1):
-                    self.est_seen.setdefault((rnd, v), set()).add(sender)
-        if aux in (0, 1):
-            self.aux_seen.setdefault(rnd, {})[sender] = aux
-
-    def _catch_up(self) -> bool:
-        """Adopt a higher round once t+1 peers are past this one (only
-        reachable from a corrupted start)."""
-        ahead = sorted(r for r in self.peer_rounds.values() if r > self.round)
-        if len(ahead) >= self.t + 1:
-            target = ahead[-(self.t + 1)]
-            if target > self.round:
-                self.round = target
-                self.est = self.coin(target)
-                self.my_ests = (self.est,)
-                self.bin_values = ()
-                self.aux_value = None
-                return True
-        return False
+    def _catch_up(self) -> None:
+        """Adopt the highest round that t+1 peers have reached, once more than t
+        are past this one (only reachable from a corrupted start); the rounds
+        skipped are dropped."""
+        target = sorted(r for r in self.peer_rounds.values() if r > self.round)[-(self.t + 1)]
+        self.round = target
+        self.est = self.coin(target)
+        self.my_ests = (self.est,)
+        self.bin_values = ()
+        self.aux_value = None
+        self.est_seen = {k: s for k, s in self.est_seen.items() if k[0] >= target}
+        self.aux_seen = {r: v for r, v in self.aux_seen.items() if r >= target}
 
     def step(self, inbox: dict[int, object]) -> object | None:
         if self.proposed is None:
             return None
         if not self._check_state():
             return None
+        # one pass over the inbox; a round below the current one is never read
+        # again, so only its sender's highest round is kept
+        now = self.round
+        est_seen, aux_seen, peer_rounds = self.est_seen, self.aux_seen, self.peer_rounds
         for sender, msg in inbox.items():
-            self._absorb(sender, msg)
-        progressed = self._catch_up()
+            if not isinstance(msg, tuple) or len(msg) != 4 or msg[0] != "MMR":
+                continue
+            _, rnd, ests, aux = msg
+            if not isinstance(rnd, int) or not (1 <= rnd <= 10**6):
+                continue
+            if rnd > peer_rounds.get(sender, 0):
+                peer_rounds[sender] = rnd
+            if rnd < now:
+                continue
+            if isinstance(ests, tuple):
+                for v in ests:
+                    if v in (0, 1):
+                        backers = est_seen.get((rnd, v))
+                        if backers is None:
+                            est_seen[rnd, v] = {sender}
+                        else:
+                            backers.add(sender)
+            if aux in (0, 1):
+                votes = aux_seen.get(rnd)
+                if votes is None:
+                    aux_seen[rnd] = {sender: aux}
+                else:
+                    votes[sender] = aux
+        n, t = self.n, self.t
+        progressed = False
+        ahead = 0
+        for r in peer_rounds.values():
+            if r > now:
+                ahead += 1
+        if ahead > t:
+            self._catch_up()
+            progressed = True
+            est_seen, aux_seen = self.est_seen, self.aux_seen
 
         # endorse with t+1 backers, admit as candidate with n-t backers
-        ests = set(self.my_ests)
-        for v in (0, 1):
-            if len(self.est_seen.get((self.round, v), ())) >= self.t + 1:
-                ests.add(v)
-        if ests != set(self.my_ests):
+        rnd = self.round
+        backers = est_seen.get((rnd, 0))
+        zeros = 0 if backers is None else len(backers)
+        backers = est_seen.get((rnd, 1))
+        ones = 0 if backers is None else len(backers)
+        my_ests = self.my_ests
+        if (zeros > t and 0 not in my_ests) or (ones > t and 1 not in my_ests):
+            ests = set(my_ests)
+            if zeros > t:
+                ests.add(0)
+            if ones > t:
+                ests.add(1)
             self.my_ests = tuple(sorted(ests))
             progressed = True
-        candidates = set(self.bin_values)
-        for v in (0, 1):
-            if len(self.est_seen.get((self.round, v), ())) >= self.n - self.t:
-                candidates.add(v)
-        if candidates != set(self.bin_values):
-            self.bin_values = tuple(sorted(candidates))
+        bin_values = self.bin_values
+        if (zeros >= n - t and 0 not in bin_values) or (ones >= n - t and 1 not in bin_values):
+            candidates = set(bin_values)
+            if zeros >= n - t:
+                candidates.add(0)
+            if ones >= n - t:
+                candidates.add(1)
+            bin_values = self.bin_values = tuple(sorted(candidates))
             progressed = True
-        if self.bin_values and self.aux_value is None:
-            self.aux_value = self.bin_values[0]
+        if bin_values and self.aux_value is None:
+            self.aux_value = bin_values[0]
             progressed = True
 
         if self.aux_value is not None:
-            arrived = self.aux_seen.get(self.round, {})
-            backed = {s: v for s, v in arrived.items() if v in self.bin_values}
-            if len(backed) >= self.n - self.t:
-                view = set(backed.values())
-                c = self.coin(self.round)
-                if len(view) == 1:
-                    b = view.pop()
-                    if b == c and self.decided_cache is None:
-                        self.decided_cache = b
-                    self.est = b
-                else:
-                    self.est = c
-                self.round += 1
-                self.my_ests = (self.est,)
-                self.bin_values = ()
-                self.aux_value = None
-                progressed = True
+            arrived = aux_seen.get(rnd, {})
+            # a backed vote is one inside the candidate set
+            if len(arrived) >= n - t:
+                backed = [v for v in arrived.values() if v in bin_values]
+                if len(backed) >= n - t:
+                    view = set(backed)
+                    c = self.coin(rnd)
+                    if len(view) == 1:
+                        b = view.pop()
+                        if b == c and self.decided_cache is None:
+                            self.decided_cache = b
+                        self.est = b
+                    else:
+                        self.est = c
+                    # the finished round is never read again
+                    est_seen.pop((rnd, 0), None)
+                    est_seen.pop((rnd, 1), None)
+                    aux_seen.pop(rnd, None)
+                    self.round += 1
+                    self.my_ests = (self.est,)
+                    self.bin_values = ()
+                    self.aux_value = None
+                    progressed = True
 
         if self.decided_cache is None:
             self.stalled_for = 0 if progressed else self.stalled_for + 1

@@ -17,14 +17,14 @@ dicts. Flag merges write this node's objects, so they run at each
 receiver, one part after the other. The consensus pulse takes the shared
 and the own co fields apart (see `corsim.mvc`).
 
-One loop reads every live in-window object, the active one, the window's
-anchor, among them (their results must reach every correct node before the
-window slides past them), but only the active object sends traffic. With
-recycling off it reads only the fixed slot. A slot without a live object is
-fresh, and reading a fresh object changes nothing. An object that already
-holds a read value is skipped too: a core's decision never changes once
-made, so a second read would return the same value and leave the same flag
-set.
+One loop, `ObjectArray.read`, reads every live in-window object that holds
+no read value yet, the active one, the window's anchor, among them (their
+results must reach every correct node before the window slides past them),
+but only the active object sends traffic. With recycling off it reads only
+the fixed slot. A slot without a live object is fresh, and reading a fresh
+object changes nothing. An object that already holds a read value is not
+visited: a core's decision never changes once made, so a second read would
+return the same value and leave the same flag set.
 """
 
 from __future__ import annotations
@@ -174,17 +174,9 @@ class CorrectNode:
 
         if self.fixed_slot is None:
             keep = window(self.sig.index, params.index_num, params.log_size)
-            reads = sorted(keep.intersection(objects.live))
         else:
-            reads = [active.slot]
-        retrievals = []
-        for slot in reads:
-            obj = objects.live[slot]
-            if obj.read_value is None:
-                obj.read_value = obj.observe_result()
-                if obj.read_value is not None:
-                    retrievals.append((slot, obj.read_value))
-        report.retrievals = tuple(retrievals)
+            keep = (active.slot,)
+        report.retrievals = tuple(objects.read(keep))
 
         # a correct node broadcasts: one envelope object serves every receiver
         env = Envelope(

@@ -9,7 +9,9 @@ are set, which is the evidence the recycling stack agrees on.
 
 An object lives for one incarnation: its array builds it with a new core on
 the slot's first touch and drops it when the slot is recycled, so the value
-this node read from it (read_value) goes with it.
+this node read from it goes with it. That value, read_value, is written only
+by the array's read (`ObjectArray.read`), which also takes the slot out of the
+array's unread set, so no planted state can skip the read.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ CORE_ERROR = _ErrorSymbol()
 
 
 class RecyclableObject:
+    # the value this node's read returned; None until then (see the module docstring)
+    read_value: object = None
+
     def __init__(self, n: int, t: int, node_id: int, slot: int, core: AsyncCore):
         self.n = n
         self.t = t
@@ -38,9 +43,6 @@ class RecyclableObject:
         self.slot = slot
         self.core = core
         self.delivered: list[bool] = [False] * n
-        # the value this node's read returned; None until then. Only the
-        # node's read loop sets it, so no planted state can skip the read.
-        self.read_value: object = None
 
     @property
     def proposed(self) -> object:

@@ -5,20 +5,25 @@ the shared index is reset. The array holds only live objects: a slot's
 object is built on first touch (a proposal, a set delivery flag, the active
 slot, a transient fault), and a slot without one is fresh. Recycling drops
 the object, and the freshness sweep drops every live object it finds fresh,
-so after each round the live slots are exactly the non-fresh ones. The
-sweeps visit only live slots: out-of-window garbage is purged even when the
-index never moves, and memory follows the window, not index_num.
+so after each round the live slots are exactly the non-fresh ones. Memory
+follows the window, not index_num: out-of-window garbage is purged even when
+the index never moves.
 
-An object that holds a read value (its read_value, set by the node's own
-read) is non-fresh without a test: a core's decision never changes once
-made, so its own delivery flag stays set until the object is recycled, and
-recycling drops the value with the object.
+The array also keeps its unread slots, the live ones whose object holds no
+read value. `read` is the one place a read is recorded: it reads the unread
+objects the node keeps, sets the read value of each that returns one and
+takes its slot out of the set. An object that holds a read value stays
+non-fresh without a test: a core's decision never changes once made, so its
+own delivery flag stays set until the object is recycled, and recycling
+drops the value with the object. So the read and freshness sweeps visit only
+unread slots, and a steady round costs what is still unread, not the
+window's size.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterable
 
 from .recyclable import RecyclableObject
 
@@ -44,6 +49,8 @@ class ObjectArray:
         self._core_factory = core_factory
         # slot -> its live object; an absent slot is fresh
         self.live: dict[int, RecyclableObject] = {}
+        # the live slots whose object holds no read value
+        self.unread: set[int] = set()
 
     def get(self, slot: int) -> RecyclableObject:
         """The slot's object, built fresh on first touch."""
@@ -51,6 +58,7 @@ class ObjectArray:
         if obj is None:
             core = self._core_factory(slot)
             obj = self.live[slot] = RecyclableObject(self.n, self.t, self.node_id, slot, core)
+            self.unread.add(slot)
         return obj
 
     def recycler_pulse(self, ind: int) -> list[int]:
@@ -65,17 +73,38 @@ class ObjectArray:
             return []
         recycled = []
         for slot in sorted(self.live.keys() - keep):
+            self.unread.discard(slot)
             if self.live.pop(slot).has_local_state():
                 recycled.append(slot)
         return recycled
+
+    def read(self, keep: Iterable[int]) -> list[tuple[int, object]]:
+        """Read each unread object in keep, in slot order: the (slot, value) pairs read.
+
+        An object whose read returns a value keeps it as its read value and
+        leaves the unread set; one still undecided stays unread. This is the
+        only writer of read values.
+        """
+        live, unread = self.live, self.unread
+        retrievals = []
+        for slot in sorted(unread.intersection(keep)):
+            obj = live[slot]
+            value = obj.observe_result()
+            if value is not None:
+                obj.read_value = value
+                unread.discard(slot)
+                retrievals.append((slot, value))
+        return retrievals
 
     def non_fresh_slots(self) -> list[int]:
         """The non-fresh slots in ascending order; the fresh ones are dropped.
 
         An object that holds a read value is non-fresh by construction, so only
-        the rest are tested.
+        the unread ones are tested.
         """
-        live = self.live
-        for slot in [s for s, obj in live.items() if obj.read_value is None and obj.is_fresh()]:
+        live, unread = self.live, self.unread
+        fresh = [slot for slot in unread if live[slot].is_fresh()]
+        for slot in fresh:
             del live[slot]
+        unread.difference_update(fresh)
         return sorted(live)

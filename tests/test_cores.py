@@ -1,5 +1,8 @@
 """Core contract checks for the delay stub and the coin-based consensus."""
 
+import copy
+import dataclasses
+
 import pytest
 
 from corsim.adversary import _garble_objects
@@ -7,6 +10,7 @@ from corsim.cores import (
     CORE_FAULT,
     DECIDED,
     DelayStubCore,
+    MmrLiteCore,
     StubOracle,
     mmr_core_factory,
 )
@@ -305,3 +309,199 @@ def test_a_read_result_stays_until_recycled(core, seed):
     assert later_reads > 1000
     assert any(r > 0 for r, _ in first.values())  # some objects decide while stepped
     assert CORE_ERROR in results and {0, 1} <= set(results)
+
+
+class ReferenceMmrCore(MmrLiteCore):
+    """MmrLiteCore's step before it was made lean, kept as the reference.
+
+    It absorbs each message through `_absorb`, keeps the backers and votes
+    of every round it ever saw, sorts the peers' rounds at every step and
+    rebuilds its endorsement and candidate sets each time.
+    """
+
+    def _absorb(self, sender, msg):
+        if not isinstance(msg, tuple) or len(msg) != 4 or msg[0] != "MMR":
+            return
+        _, rnd, ests, aux = msg
+        if not isinstance(rnd, int) or not (1 <= rnd <= 10**6):
+            return
+        self.peer_rounds[sender] = max(self.peer_rounds.get(sender, 0), rnd)
+        if isinstance(ests, tuple):
+            for v in ests:
+                if v in (0, 1):
+                    self.est_seen.setdefault((rnd, v), set()).add(sender)
+        if aux in (0, 1):
+            self.aux_seen.setdefault(rnd, {})[sender] = aux
+
+    def _catch_up(self):
+        ahead = sorted(r for r in self.peer_rounds.values() if r > self.round)
+        if len(ahead) >= self.t + 1:
+            target = ahead[-(self.t + 1)]
+            if target > self.round:
+                self.round = target
+                self.est = self.coin(target)
+                self.my_ests = (self.est,)
+                self.bin_values = ()
+                self.aux_value = None
+                return True
+        return False
+
+    def step(self, inbox):
+        if self.proposed is None:
+            return None
+        if not self._check_state():
+            return None
+        for sender, msg in inbox.items():
+            self._absorb(sender, msg)
+        progressed = self._catch_up()
+
+        ests = set(self.my_ests)
+        for v in (0, 1):
+            if len(self.est_seen.get((self.round, v), ())) >= self.t + 1:
+                ests.add(v)
+        if ests != set(self.my_ests):
+            self.my_ests = tuple(sorted(ests))
+            progressed = True
+        candidates = set(self.bin_values)
+        for v in (0, 1):
+            if len(self.est_seen.get((self.round, v), ())) >= self.n - self.t:
+                candidates.add(v)
+        if candidates != set(self.bin_values):
+            self.bin_values = tuple(sorted(candidates))
+            progressed = True
+        if self.bin_values and self.aux_value is None:
+            self.aux_value = self.bin_values[0]
+            progressed = True
+
+        if self.aux_value is not None:
+            arrived = self.aux_seen.get(self.round, {})
+            backed = {s: v for s, v in arrived.items() if v in self.bin_values}
+            if len(backed) >= self.n - self.t:
+                view = set(backed.values())
+                c = self.coin(self.round)
+                if len(view) == 1:
+                    b = view.pop()
+                    if b == c and self.decided_cache is None:
+                        self.decided_cache = b
+                    self.est = b
+                else:
+                    self.est = c
+                self.round += 1
+                self.my_ests = (self.est,)
+                self.bin_values = ()
+                self.aux_value = None
+                progressed = True
+
+        if self.decided_cache is None:
+            self.stalled_for = 0 if progressed else self.stalled_for + 1
+        self._check_state()
+        return ("MMR", self.round, self.my_ests, self.aux_value)
+
+
+def typed(x):
+    """x with the type of every part spelled out, so that 1, 1.0 and True differ."""
+    if isinstance(x, dict):
+        return "dict", frozenset((typed(k), typed(v)) for k, v in x.items())
+    if isinstance(x, (set, frozenset)):
+        return type(x).__name__, frozenset(typed(v) for v in x)
+    if isinstance(x, (tuple, list)):
+        return type(x).__name__, tuple(typed(v) for v in x)
+    return type(x).__name__, repr(x)
+
+
+def core_fields(core):
+    """Every field but the coin; the backers and votes only at rounds >= round,
+    since a lower round is never read again."""
+    fields = {f.name: getattr(core, f.name) for f in dataclasses.fields(core) if f.name != "coin"}
+    r = core.round
+    fields["est_seen"] = {k: v for k, v in core.est_seen.items() if k[0] >= r}
+    fields["aux_seen"] = {k: v for k, v in core.aux_seen.items() if k >= r}
+    return typed(fields)
+
+
+def seeded_core_state(rng, n, t):
+    """A state as inject leaves it (proposed, decided_cache, round, est), or a
+    proposed core further on, often with peers ahead of it."""
+    state = {"stalled_for": rng.choice((0, 0, 0, 60))}
+    if rng.random() < 0.5:
+        state["propose"] = rng.choice((0, 1, True, 5))
+    else:
+        state["proposed"] = rng.choice((None, 0, 1, rng.randrange(8)))
+        state["est"] = rng.choice((0, 1, None, 2))
+    state["decided_cache"] = rng.choice((None, None, None, 0, 1, rng.randrange(2, 9)))
+    rnd = state["round"] = rng.choice((1, 1, 2, rng.randrange(1, 50), 10**6, 10**6 + 1, 0))
+    if rng.random() < 0.5:
+        state["peer_rounds"] = {s: max(1, rnd + rng.randrange(-2, 5))
+                                for s in rng.sample(range(n), rng.randrange(n + 1))}
+    if rng.random() < 0.3 and rnd >= 1:
+        state["est_seen"] = {(rnd, v): set(rng.sample(range(n), rng.randrange(1, n)))
+                             for v in (0, 1) if rng.random() < 0.5}
+    return state
+
+
+def build_core(cls, n, t, seed, state, coin_log):
+    factory_coin = mmr_core_factory(n, t, seed)(3).coin
+
+    def coin(mmr_round):
+        coin_log.append(mmr_round)
+        return factory_coin(mmr_round)
+
+    core = cls(n=n, t=t, coin=coin)
+    for name, value in copy.deepcopy(state).items():
+        if name == "propose":
+            core.propose(value)
+        else:
+            setattr(core, name, value)
+    return core
+
+
+def random_core_message(rng, rnd, fav):
+    """A well-formed message near round rnd, often backing fav, or a malformed one."""
+    if rng.random() < 0.4:
+        return ("MMR", rnd, (fav,), fav)
+    if rng.random() < 0.6:
+        return (
+            "MMR",
+            rng.choice((rnd, rnd, rnd + 1, rnd - 1, rnd + rng.randrange(2, 6), True, 0, 10**6 + 1)),
+            rng.choice(((0,), (1,), (0, 1), (1, 0), (), (True,), (2,), [1], (1.0,), (0, 0))),
+            rng.choice((None, 0, 1, True, 0.0, 2, -1, "1", [1], {0: 1})),
+        )
+    return rng.choice((
+        None, 17, "MMR", ("MMR",), ("MMR", rnd, (1,)), ("MMR", rnd, (1,), 1, 0),
+        ("XYZ", rnd, (1,), 1), ["MMR", rnd, (1,), 1], ("MMR", 1.0, (1,), 1),
+        ("MMR", "1", (0,), 0), ("MMR", -3, (0,), 0),
+    ))
+
+
+@pytest.mark.parametrize("n, t", [(4, 1), (7, 2)])
+@pytest.mark.parametrize("seed", range(3))
+def test_lean_step_matches_the_reference(n, t, seed):
+    """From equal seeded states and on equal random inboxes, the lean step
+    returns what the reference returns, leaves every field equal, types
+    included, and draws the coin at the same rounds."""
+    rng = seeded_rng(seed, "test-lean-step", n)
+    seen = {"advance": 0, "catch_up": 0, "decide": 0, "fault": 0}
+    for _ in range(60):
+        state = seeded_core_state(rng, n, t)
+        lean_coins, ref_coins = [], []
+        lean = build_core(MmrLiteCore, n, t, seed, state, lean_coins)
+        ref = build_core(ReferenceMmrCore, n, t, seed, state, ref_coins)
+        assert core_fields(lean) == core_fields(ref)
+        for _ in range(40):
+            before, drawn = ref.round, len(ref_coins)
+            senders = rng.sample(range(n + 2), rng.randrange(n + 2))
+            fav = rng.getrandbits(1)
+            inbox = {s: random_core_message(rng, ref.round, fav) for s in senders}
+            out = lean.step(inbox)
+            assert typed(out) == typed(ref.step(inbox))
+            assert core_fields(lean) == core_fields(ref)
+            assert lean_coins == ref_coins
+            assert all(k[0] >= lean.round for k in lean.est_seen)
+            assert all(k >= lean.round for k in lean.aux_seen)
+            # a catch-up draws the coin of the round it jumps to, an advance the one it ends
+            draws = ref_coins[drawn:]
+            seen["catch_up"] += bool(draws) and draws[0] > before
+            seen["advance"] += before in draws
+        seen["decide"] += ref.decided_cache in (0, 1) and state["decided_cache"] is None
+        seen["fault"] += ref.faulted
+    assert all(count > 0 for count in seen.values()), seen

@@ -223,6 +223,24 @@ def test_live_objects_are_exactly_the_non_fresh_ones(case):
 
 
 @pytest.mark.parametrize("case", grid(), ids=case_id)
+def test_unread_slots_are_the_live_ones_without_a_read_value(case):
+    """The read and freshness sweeps visit only an array's unread slots, so
+    after every round those must be exactly its live objects that hold no
+    read value: a built object joins them, and a read, a recycle or a
+    freshness drop takes its slot out."""
+    engine = build(case)
+    reads = 0
+    for r in range(engine.config.rounds):
+        engine._round(r)
+        for i in engine.correct_ids:
+            array = engine.nodes[i].objects
+            expected = {s for s, obj in array.live.items() if obj.read_value is None}
+            assert array.unread == expected, f"round {r} node {i}"
+            reads += len(array.live) - len(expected)
+    assert reads
+
+
+@pytest.mark.parametrize("case", grid(), ids=case_id)
 def test_built_broadcasts_pass_their_own_checks(case, monkeypatch):
     """Receivers skip the checks of the co fields in a round's shared part
     read at their own level (see `corsim.mvc`), so every such field must

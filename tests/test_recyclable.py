@@ -91,8 +91,8 @@ class TestRecycle:
             obj = arr.get(slot)
             obj.propose(1)
             obj.core.decided_cache = 1
-            obj.read_value = obj.observe_result()  # as the node does on its read
-            assert obj.read_value == 1
+        assert arr.read({0, 5}) == [(0, 1), (5, 1)]  # as the node does on its read
+        assert arr.unread == set()
         old = arr.get(0)
         assert arr.recycler_pulse(5) == [0]
         new = arr.get(0)
@@ -100,7 +100,7 @@ class TestRecycle:
         assert new.was_delivered() == 0
         assert new.is_fresh()
         # the rebuilt object is read again; the kept one stays read
-        assert new.read_value is None
+        assert new.read_value is None and arr.unread == {0}
         assert arr.get(5).read_value == 1
 
     def test_recycle_clears_corruption(self):
