@@ -16,7 +16,7 @@ second, its peak RSS and the trace digest:
 - `random` adversary, `full` injection: Byzantine fields and planted
   round-0 mail reach every receiver;
 - `worst_sig` adversary, `full` injection: its predictions at the index
-  phases and the nodes share one reading of the round's shared mail.
+  phases and the nodes take the round's one reading of each receiver's mail.
 
 One JSON object goes to standard output: every run, then per side and case
 the median rounds per second and the set of digests seen. The digests of

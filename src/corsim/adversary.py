@@ -9,10 +9,10 @@ be forged.
 A policy is a per-round builder: given the round's view it returns a
 function (sender, receiver) -> (est, co, sig), and POLICIES finds it by
 name. Work shared by several pairs is done once, when the builder runs.
-worst_sig predicts each node's index rules from the tally the node's own
-mail reader gives it (`corsim.node.read_mail`), so a prediction is what
-the node computes by construction. It reads through the round's memo,
-which the nodes then use, so the round's shared mail is read once.
+worst_sig predicts each node's index rules from the tally of the node's
+own reading, the one the round engine reads once (`corsim.node.read_round`)
+and hands the node too, so a prediction is what the node computes by
+construction.
 
 Transient faults strike once, before round 0: every targeted mutable field
 is replaced while containers stay structurally valid (vector lengths, tag
@@ -28,7 +28,7 @@ from typing import Callable
 
 from .env import Params, derived_int, seeded_rng
 from .mvc import _labels
-from .node import CorrectNode, read_mail
+from .node import CorrectNode, Reading
 from .sig_index import index_vote, vote_bit
 from .transport import CoPayload, Envelope, EstPayload, RoundMail, SigPayload
 
@@ -40,9 +40,9 @@ class AdversaryView:
     """What the adversary may observe when fixing a round's Byzantine traffic.
 
     `mail` is what each node receives this round, keyed by receiver, and
-    `memo` the round's memo, which the nodes' steps share (see
-    `corsim.node.read_mail`). The current round's coin is deliberately
-    absent.
+    `readings` each correct receiver's (shared, own) reading of it, which
+    its step takes too (see `corsim.node.read_round`); no policy may mutate
+    one. The current round's coin is deliberately absent.
     """
 
     round: int
@@ -50,7 +50,7 @@ class AdversaryView:
     params: Params
     correct_nodes: dict[int, CorrectNode]
     mail: dict[int, RoundMail]
-    memo: dict
+    readings: dict[int, tuple[Reading, Reading]]
 
 
 class Adversary:
@@ -213,15 +213,12 @@ POLICIES: dict[str, Callable[[Adversary, AdversaryView], Fields]] = {
 def predict(view: AdversaryView, rule: Callable[[dict, int], object]) -> list:
     """What an index-phase rule yields at each correct node this round.
 
-    Node i's tally is the one its own reading from `read_mail` carries,
-    which counts every arrival, read with the round's memo, so the rule
-    applied to it is what node i computes by construction.
+    Node i's tally is the one its own reading carries, which counts every
+    arrival, and node i's step takes that reading, so the rule applied to
+    it is what node i computes by construction.
     """
     p = view.params
-    return [
-        rule(read_mail(view.mail[i], view.phase, p, view.memo)[1][1], p.quorum)
-        for i in sorted(view.correct_nodes)
-    ]
+    return [rule(view.readings[i][1][1], p.quorum) for i in sorted(view.correct_nodes)]
 
 
 def _counts(values: list) -> list[tuple[object, int]]:

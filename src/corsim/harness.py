@@ -1,9 +1,9 @@
 """Scenario runner: the lock-step round engine, traces, metrics and legality checks.
 
-Each simulated round runs, in order: the adversary fixes all Byzantine
-outboxes, the round's coin is revealed, every correct node computes its
-step, and the transport delivers everything for the next round. A one-shot
-state corruption may be applied before round 0.
+Each simulated round runs, in order: each correct node's mail is read, the
+adversary fixes all Byzantine outboxes, the coin is revealed, every correct
+node computes its step, and the transport delivers everything for the next
+round. A one-shot state corruption may be applied before round 0.
 
 The trace records enough per-round state to re-check every protocol
 property offline: indices, floating consensus outputs, phase-0 input
@@ -37,14 +37,14 @@ import io
 import json
 import os
 from collections import defaultdict
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, KeysView
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 from .adversary import INJECT_MODES, POLICIES, Adversary, AdversaryView, inject, plan_corruption
 from .cores import DelayStubCore, StubOracle, mmr_core_factory
 from .env import CoinOracle, Params, clock_read, derived_int, params_validate
-from .node import CorrectNode
+from .node import CorrectNode, read_round
 from .transport import Envelope, RoundMail, exchange, traffic_digest
 
 REVEAL_ORDER = ("byz_outboxes", "coin_reveal", "node_compute")
@@ -380,9 +380,9 @@ class RoundEngine:
         p = self.params
         phase = clock_read(r, p.kappa)
 
-        # the round's memo (the reading of the shared mail, and EIG's levels
-        # and resolves), shared by the adversary's predictions and every receiver
-        memo: dict = {}
+        # each correct receiver's mail, read once, after any plant: the
+        # adversary's predictions and the node's step take the same reading
+        readings = read_round(self.pending, self.correct_ids, phase, p)
         byz_out = self.adversary.byz_outboxes(
             AdversaryView(
                 round=r,
@@ -390,15 +390,16 @@ class RoundEngine:
                 params=p,
                 correct_nodes=self.nodes,
                 mail=self.pending,
-                memo=memo,
+                readings=readings,
             )
         )
         coin_bit = self.coin.draw(r)
 
+        memo: dict = {}  # EIG's levels and resolves, shared by every receiver
         outboxes: dict[int, dict[int, Envelope]] = {}
         reports = {}
         for i in self.correct_ids:
-            outbox, report = self.nodes[i].step(phase, self.pending[i], coin_bit, memo)
+            outbox, report = self.nodes[i].step(phase, readings[i], coin_bit, memo)
             outboxes[i] = outbox
             reports[i] = report
         for b, box in byz_out.items():
@@ -420,7 +421,7 @@ class RoundEngine:
 
     def _record(
         self, r: int, phase: int, coin_bit: int, reports: dict, digest: str,
-        non_fresh: list[list[int]],
+        non_fresh: list[KeysView[int]],
     ) -> None:
         p = self.params
         nodes = self.nodes

@@ -16,9 +16,9 @@ Each exchange reads only the level received last, so a node keeps that one
 level and nothing else.
 
 Every correct node broadcasts, so the receivers of one round mostly get
-the same payload objects, and the work is shared through a memo that
-lives for one round of one engine (its kinds of key differ in shape, so
-they never collide):
+the same payload objects, and the work is shared through a memo that is
+EIG's alone and lives for one round of one engine (its kinds of key differ
+in length, so they never collide):
 
 - the co fields of the round's shared part (see `corsim.transport`) build
   one base level and its next broadcast per (level, shared part); every

@@ -9,13 +9,14 @@ active object, and read results. Fresh proposals bind to the slot the index poin
 during phase 0. A flag that is not set builds no object: merging it into a
 fresh one changes nothing.
 
-`read_mail` is the one mail reader, which worst_sig's predictions call
-too, through the same round memo: the round's shared mail (see
-`corsim.transport`) is read once per round, and every reader gets that one
-reading, read-only. Each receiver reads only its own arrivals, into new
-dicts. Flag merges write this node's objects, so they run at each
-receiver, one part after the other. The consensus pulse takes the shared
-and the own co fields apart (see `corsim.mvc`).
+`read_round` is the one mail reader. The round engine calls it once per
+round, before the adversary fixes its traffic, and worst_sig's predictions
+and the nodes' steps take what it read: each distinct shared part (see
+`corsim.transport`) is read once, and every receiver of it gets that one
+reading; each receiver's own arrivals are read once, into new dicts. No
+reader may mutate a reading. Flag merges write this node's objects, so
+they run at each receiver, one part after the other. The consensus pulse
+takes the shared and the own co fields apart (see `corsim.mvc`).
 
 One loop, `ObjectArray.read`, reads every live in-window object that holds
 no read value yet, the active one, the window's anchor, among them (their
@@ -84,22 +85,27 @@ def _read(part: Mapping[int, object], index_num: int, kind: str | None, counts: 
     return co, counts, flags, cores
 
 
-def read_mail(mail: RoundMail, phase: int, params: Params, memo: dict) -> tuple[Reading, Reading]:
-    """The readings of a node's shared part and of its own arrivals this round.
+def read_round(
+    mail: dict[int, RoundMail], receivers: list[int], phase: int, params: Params
+) -> dict[int, tuple[Reading, Reading]]:
+    """Each receiver's readings this round: (shared reading, own reading).
 
-    The shared part is read once per memo, under its id, and the memo holds
-    it, so the id stays reserved while the memo lives; every receiver gets
-    that one reading, which no reader may mutate. The own reading is new at
-    each call, and its tally starts from a copy of the shared one, so it
-    counts every arrival.
+    Each distinct shared part is read once, keyed by its id, which is safe
+    because `mail` holds every part for the whole call, and its receivers
+    get that one reading. Each own part is read once, and its tally starts
+    from a copy of the shared one, so it counts every arrival.
     """
-    shared = mail.shared
-    hit = memo.get(id(shared))
-    if hit is None:
-        kind = read_kind(phase, params.kappa)
-        hit = memo[id(shared)] = (shared, kind, _read(shared, params.index_num, kind, {}))
-    _, kind, reading = hit
-    return reading, _read(mail.own, params.index_num, kind, dict(reading[1]))
+    kind = read_kind(phase, params.kappa)
+    index_num = params.index_num
+    shared_readings: dict[int, Reading] = {}
+    readings = {}
+    for i in receivers:
+        part = mail[i].shared
+        shared = shared_readings.get(id(part))
+        if shared is None:
+            shared = shared_readings[id(part)] = _read(part, index_num, kind, {})
+        readings[i] = shared, _read(mail[i].own, index_num, kind, dict(shared[1]))
+    return readings
 
 
 class CorrectNode:
@@ -129,7 +135,7 @@ class CorrectNode:
     def step(
         self,
         phase: int,
-        mail: RoundMail,
+        reading: tuple[Reading, Reading],
         coin_bit: int,
         memo: dict,
     ) -> tuple[dict[int, Envelope], StepReport]:
@@ -137,7 +143,7 @@ class CorrectNode:
         objects = self.objects
         report = StepReport()
 
-        shared, own = read_mail(mail, phase, params, memo)
+        shared, own = reading
         # the parts name disjoint senders, so their flags merge in turn; a set
         # flag builds its slot's object, and merging the unset ones of a slot
         # without one changes nothing

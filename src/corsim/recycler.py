@@ -22,6 +22,7 @@ window's size.
 
 from __future__ import annotations
 
+from collections.abc import KeysView
 from functools import lru_cache
 from typing import Callable, Iterable
 
@@ -96,15 +97,15 @@ class ObjectArray:
                 retrievals.append((slot, value))
         return retrievals
 
-    def non_fresh_slots(self) -> list[int]:
-        """The non-fresh slots in ascending order; the fresh ones are dropped.
+    def non_fresh_slots(self) -> KeysView[int]:
+        """A view of the non-fresh slots, valid until the array next changes.
 
-        An object that holds a read value is non-fresh by construction, so only
-        the unread ones are tested.
+        The fresh ones are dropped. An object that holds a read value is
+        non-fresh by construction, so only the unread ones are tested.
         """
         live, unread = self.live, self.unread
         fresh = [slot for slot in unread if live[slot].is_fresh()]
         for slot in fresh:
             del live[slot]
         unread.difference_update(fresh)
-        return sorted(live)
+        return live.keys()

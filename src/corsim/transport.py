@@ -17,13 +17,12 @@ Each payload writes its own repr: the generated repr's bytes for every
 acyclic value, without its recursion guard (no payload contains itself).
 
 A broadcast costs O(1) Python work per round, not one unit per receiver.
-`exchange` checks each correct box once, and a box that sends one
-envelope object to every node is a correct broadcast: its envelope joins
-the round's shared part, one dict that every receiver's `RoundMail`
-holds. That part is the one mark of a correct broadcast: `traffic_digest`
-hashes a sender in it as one join, it is read once per round for every
-reader (see `corsim.node`), and EIG takes its co fields unchecked (see
-`corsim.mvc`).
+`exchange` checks each correct box once: it must send one envelope object
+to every node and to no other, and that envelope joins the round's shared
+part, one dict that every receiver's `RoundMail` holds. That part is the
+one mark of a correct broadcast: `traffic_digest` hashes a sender in it as
+one join, it is read once per round for every reader (see `corsim.node`),
+and EIG takes its co fields unchecked (see `corsim.mvc`).
 Only a receiver's own arrivals, Byzantine or planted, are kept per
 receiver.
 """
@@ -121,14 +120,12 @@ def exchange(
 ) -> dict[int, RoundMail]:
     """Deliver outboxes exactly: inbox[j][i] = outbox[i][j].
 
-    No loss, duplication, reorder or forgery. A correct node's outbox that
-    is missing, or that skips a correct receiver, is a fatal simulator bug;
-    a Byzantine node may omit destinations.
-
-    A correct box is checked once: whether it sends one envelope object to
-    every node and to no other. Such a broadcast joins the round's shared
-    part after one sender-stamp test, and every receiver's mail holds that
-    one dict. Every other box is delivered to its receivers' own parts.
+    No loss, duplication, reorder or forgery. A correct node only
+    broadcasts: its box must send one envelope object, stamped with its
+    sender, to every node and to no other, and that envelope joins the
+    round's shared part, which every receiver's mail holds. Any other
+    correct box is a fatal simulator bug. A Byzantine box is delivered to
+    its receivers' own parts, and may omit destinations.
     """
     shared: dict[int, Envelope] = {}
     for i in correct_ids:
@@ -148,9 +145,7 @@ def exchange(
                     )
                 shared[i] = env
                 continue
-        for j in correct_ids:
-            if j not in box:
-                raise TransportError(f"round {round_index}: envelope {i}->{j} missing")
+        raise TransportError(f"round {round_index}: correct node {i} did not broadcast")
     own: dict[int, dict[int, object]] = {j: {} for j in node_ids}
     for i in node_ids:
         box = outboxes.get(i)

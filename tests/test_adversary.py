@@ -16,7 +16,7 @@ from corsim.adversary import (
 from corsim.cores import DelayStubCore
 from corsim.env import make_params
 from corsim.harness import RoundEngine, TrialConfig
-from corsim.node import CorrectNode
+from corsim.node import CorrectNode, read_round
 from corsim.sig_index import index_vote, vote_bit
 from corsim.transport import RoundMail
 
@@ -31,13 +31,14 @@ def fresh_nodes(params=P):
 
 
 def view_for(nodes, round_index=6, phase=1):
+    mail = {i: RoundMail({}, {}) for i in range(P.n)}
     return AdversaryView(
         round=round_index,
         phase=phase,
         params=P,
         correct_nodes=nodes,
-        mail={i: RoundMail({}, {}) for i in range(P.n)},
-        memo={},
+        mail=mail,
+        readings=read_round(mail, sorted(nodes), phase, P),
     )
 
 
@@ -107,9 +108,10 @@ class TestStrategies:
                         # read as an absent sender, by the node and by predict
                         engine.pending[0].plant(1, "garbage")
                         checked.add("planted")
+                    readings = read_round(engine.pending, engine.correct_ids, phase, p)
                     view = AdversaryView(round=r, phase=phase, params=p,
                                          correct_nodes=engine.nodes, mail=engine.pending,
-                                         memo={})
+                                         readings=readings)
                     votes = predict(view, index_vote)
                     bits = predict(view, vote_bit)
                     engine._round(r)
@@ -174,7 +176,7 @@ class TestStrategies:
         from corsim.adversary import AdversaryView
 
         names = {f.name for f in fields(AdversaryView)}
-        assert names == {"round", "phase", "params", "correct_nodes", "mail", "memo"}
+        assert names == {"round", "phase", "params", "correct_nodes", "mail", "readings"}
 
 
 class TestInjection:

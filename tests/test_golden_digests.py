@@ -23,6 +23,7 @@ from corsim import TrialConfig, harness, make_params
 from corsim import node as corsim_node
 from corsim.harness import RoundEngine, Trace
 from corsim.mvc import EigConsensus
+from corsim.sig_index import read_kind
 from corsim.transport import CoPayload, Envelope, EstPayload, SigPayload
 
 TABLE = Path(__file__).with_name("golden_digests.json")
@@ -267,9 +268,10 @@ def test_built_broadcasts_pass_their_own_checks(case, monkeypatch):
 
 @pytest.mark.parametrize("n,t", [(4, 1), (7, 2)])
 def test_shared_mail_is_read_once_per_round(n, t, monkeypatch):
-    """worst_sig's predictions read each node's mail through the round's
-    memo, which the nodes then use, so every round, its κ−3 and κ−2 among
-    them, reads its one shared part once."""
+    """The round engine reads each correct receiver's mail once, and
+    worst_sig's predictions and the nodes take that reading, so every
+    round, its κ−3 and κ−2 among them, reads each distinct shared part once
+    and each correct receiver's own part once."""
     reads = []
     read = corsim_node._read
 
@@ -281,19 +283,26 @@ def test_shared_mail_is_read_once_per_round(n, t, monkeypatch):
     params = make_params(n, t, 3, 8, seed=1)
     engine = RoundEngine(TrialConfig(params=params, rounds=3 * params.kappa,
                                      adversary="worst_sig", inject="full"))
+    distinct = set()
     for r in range(engine.config.rounds):
-        parts = {id(mail.shared) for mail in engine.pending.values()}
+        if r == 2 * params.kappa - 3:
+            # a planted shared sender gives node 0 a shared part of its own
+            engine.pending[0].plant(1, "garbage")
+        mail = [engine.pending[i] for i in engine.correct_ids]
+        parts = {id(m.shared) for m in mail}
         reads.clear()
         engine._round(r)
-        assert len(parts) == 1, f"round {r}"
-        assert [part for part in reads if part in parts] == list(parts), f"round {r}"
+        assert sorted(reads) == sorted([*parts, *(id(m.own) for m in mail)]), f"round {r}"
+        distinct.add(len(parts))
+    assert distinct == {1, 2}
 
 
 @pytest.mark.parametrize("case", grid(), ids=case_id)
 def test_the_shared_reading_is_left_as_read(case):
-    """Every reader of a round gets the memo's one reading of the shared
-    part and must not mutate it: after the round it still equals a fresh
-    read of that part."""
+    """Every reader of a round, the adversary and the nodes, gets the
+    round's one reading of each receiver's mail and must not mutate it:
+    after the round both halves still equal a fresh read of their parts,
+    and the receivers of one shared part hold one shared reading."""
     engine = build(case)
     p = engine.params
     views = []
@@ -307,11 +316,17 @@ def test_the_shared_reading_is_left_as_read(case):
     for r in range(engine.config.rounds):
         engine._round(r)
         view = views.pop()
+        kind = read_kind(view.phase, p.kappa)
+        assert sorted(view.readings) == engine.correct_ids, f"round {r}"
+        by_part = {}
         for i in engine.correct_ids:
-            shared = view.mail[i].shared
-            kept, kind, reading = view.memo[id(shared)]
-            assert kept is shared, f"round {r}"
-            assert reading == corsim_node._read(shared, p.index_num, kind, {}), f"round {r}"
+            shared, own = view.readings[i]
+            mail = view.mail[i]
+            assert by_part.setdefault(id(mail.shared), shared) is shared, f"round {r}"
+            fresh = corsim_node._read(mail.shared, p.index_num, kind, {})
+            assert shared == fresh, f"round {r}"
+            assert own == corsim_node._read(mail.own, p.index_num, kind, dict(fresh[1])), \
+                f"round {r}"
 
 
 MESSAGES = (EstPayload, CoPayload, SigPayload, Envelope)

@@ -4,7 +4,7 @@ from corsim import TrialConfig
 from corsim.cores import DelayStubCore
 from corsim.env import make_params
 from corsim.harness import RoundEngine
-from corsim.node import CorrectNode
+from corsim.node import CorrectNode, read_round
 from corsim.transport import Envelope, EstPayload, RoundMail, SigPayload
 
 P = make_params(n=4, t=1, log_size=3, index_num=8)
@@ -20,7 +20,9 @@ def flag(sender, slot, delivered):
 
 
 def step(node, inbox, phase=1):
-    return node.step(phase=phase, mail=RoundMail({}, inbox), coin_bit=0, memo={})
+    i = node.node_id
+    reading = read_round({i: RoundMail({}, inbox)}, [i], phase, P)[i]
+    return node.step(phase=phase, reading=reading, coin_bit=0, memo={})
 
 
 def test_step_merges_each_flag_into_the_slot_its_est_names():
@@ -31,7 +33,7 @@ def test_step_merges_each_flag_into_the_slot_its_est_names():
     slots = node.objects.live
     assert slots[0].delivered == [False, True, False, False]
     assert slots[6].delivered == [False, False, True, True]
-    assert node.objects.non_fresh_slots() == [0, 6]
+    assert sorted(node.objects.non_fresh_slots()) == [0, 6]
 
 
 def test_merge_adopts_arriving_flag():

@@ -25,6 +25,28 @@ def broadcast(sender, env, ids):
     return {j: env for j in ids}
 
 
+NOT_BROADCAST = "correct node 1 did not broadcast"
+# what correct node 1 sends in place of its broadcast, given every node's
+# broadcast, and the error it raises; None is no outbox at all
+NOT_BROADCASTS = {
+    "missing": (lambda boxes: None, "missing outbox for correct node 1"),
+    "skips a correct receiver": (lambda boxes: {j: boxes[1][j] for j in (0, 1, 3)},
+                                 NOT_BROADCAST),
+    "skips a Byzantine receiver": (lambda boxes: {j: boxes[1][j] for j in (0, 1, 2)},
+                                   NOT_BROADCAST),
+    "extra receiver": (lambda boxes: dict.fromkeys(range(5), boxes[1][1]), NOT_BROADCAST),
+    "per-receiver envelopes": (
+        lambda boxes: {j: Envelope(sender=1, sig=SigPayload(kind="index", value=j))
+                       for j in range(4)},
+        NOT_BROADCAST,
+    ),
+    "equal but distinct envelopes": (lambda boxes: {j: Envelope(sender=1) for j in range(4)},
+                                     NOT_BROADCAST),
+    "another sender's envelope": (lambda boxes: dict(boxes[0]),
+                                  "node 1 attempted to send as 0"),
+}
+
+
 class TestExchange:
     ids = [0, 1, 2, 3]
 
@@ -58,85 +80,69 @@ class TestExchange:
         with pytest.raises(TransportError, match="node 2 attempted to send as 1"):
             exchange(0, outboxes, self.ids, correct_ids=[0, 1, 2])
 
-    def test_missing_correct_outbox_is_fatal(self):
-        outboxes = {0: broadcast(0, Envelope(sender=0), self.ids)}
-        with pytest.raises(TransportError, match="missing outbox for correct node 1"):
-            exchange(0, outboxes, self.ids, correct_ids=[0, 1])
-
-    def test_correct_outbox_skipping_a_correct_receiver_is_fatal(self):
+    @pytest.mark.parametrize("shape", list(NOT_BROADCASTS))
+    def test_a_correct_box_that_is_not_a_broadcast_is_fatal(self, shape):
         outboxes = {i: broadcast(i, Envelope(sender=i), self.ids) for i in self.ids}
-        del outboxes[2][1]
-        with pytest.raises(TransportError, match="envelope 2->1 missing"):
-            exchange(3, outboxes, self.ids, correct_ids=[0, 1, 2])
-        # a correct sender may skip a Byzantine receiver, and a Byzantine one anybody
-        del outboxes[2][3], outboxes[3][0]
-        outboxes[2][1] = Envelope(sender=2)
-        mail = exchange(3, outboxes, self.ids, correct_ids=[0, 1, 2])
-        assert 2 not in mail[3].inbox and 3 not in mail[0].inbox
+        build, message = NOT_BROADCASTS[shape]
+        box = build(outboxes)
+        if box is None:
+            del outboxes[1]
+        else:
+            outboxes[1] = box
+        with pytest.raises(TransportError, match=message):
+            exchange(0, outboxes, self.ids, correct_ids=[0, 1, 2])
 
     def test_exact_delivery_no_loss_no_duplication(self):
+        # node 0 broadcasts; the Byzantine senders send one envelope per receiver
         outboxes = {
             i: {j: Envelope(sender=i, sig=SigPayload(kind="index", value=i * 10 + j))
                 for j in self.ids}
             for i in self.ids
         }
-        mail = exchange(5, outboxes, self.ids, correct_ids=self.ids)
+        outboxes[0] = broadcast(0, Envelope(sender=0, sig=SigPayload(kind="index", value=0)),
+                                self.ids)
+        mail = exchange(5, outboxes, self.ids, correct_ids=[0])
         for j in self.ids:
             assert sorted(mail[j].inbox) == self.ids
-            for i in self.ids:
+            assert mail[j].inbox[0].sig.value == 0
+            for i in (1, 2, 3):
                 assert mail[j].inbox[i].sig.value == i * 10 + j
 
-    def test_broadcast_shaped_box_keeps_every_check(self):
-        def outboxes():
-            return {i: dict.fromkeys(self.ids, Envelope(sender=i)) for i in self.ids}
+    def test_a_byzantine_node_may_omit_destinations(self):
+        outboxes = {i: broadcast(i, Envelope(sender=i), self.ids) for i in self.ids}
+        del outboxes[3][0]
+        outboxes[2] = {1: Envelope(sender=2)}
+        mail = exchange(3, outboxes, self.ids, correct_ids=[0, 1])
+        assert 3 not in mail[0].inbox and 3 in mail[1].inbox
+        assert [j for j in self.ids if 2 in mail[j].inbox] == [1]
 
-        # one receiver's entry is another envelope, stamped with another sender
-        forged = outboxes()
-        forged[1][2] = Envelope(sender=0)
-        with pytest.raises(TransportError, match="node 1 attempted to send as 0"):
-            exchange(0, forged, self.ids, correct_ids=[0, 1, 2])
-        # one object for every receiver, stamped with another sender
-        forged = outboxes()
-        forged[1] = dict.fromkeys(self.ids, Envelope(sender=0))
-        with pytest.raises(TransportError, match="node 1 attempted to send as 0"):
-            exchange(0, forged, self.ids, correct_ids=[0, 1, 2])
-        # one object for every receiver but one correct receiver
-        skipping = outboxes()
-        del skipping[1][2]
-        with pytest.raises(TransportError, match="envelope 1->2 missing"):
-            exchange(0, skipping, self.ids, correct_ids=[0, 1, 2])
-
-    def test_equal_envelopes_are_not_one_broadcast(self):
-        # equal envelopes whose reprs differ each reach their own receiver
-        box = {j: Envelope(sender=1, est=EstPayload(slot=0, core=None, delivered=(True, 1)[j % 2]))
-               for j in self.ids}
-        outboxes = {i: dict.fromkeys(self.ids, Envelope(sender=i)) for i in self.ids}
-        outboxes[1] = box
-        mail = exchange(0, outboxes, self.ids, correct_ids=self.ids)
-        assert all(mail[j].inbox[1] is box[j] for j in self.ids)
-        assert list(mail[0].shared) == [0, 2, 3]
-        assert all(mail[j].own == {1: box[j]} for j in self.ids)
-
-    def test_every_correct_broadcast_is_shared(self):
-        # sender 1 equivocates and sender 3 is Byzantine, so each is delivered
-        # per receiver; the correct broadcasts of 0 and 2 are shared
-        outboxes = {i: dict.fromkeys(self.ids, Envelope(sender=i)) for i in self.ids}
-        outboxes[1] = {j: Envelope(sender=1) for j in self.ids}
+    def test_a_broadcast_shaped_byzantine_box_is_delivered_per_receiver(self):
+        outboxes = {i: broadcast(i, Envelope(sender=i), self.ids) for i in self.ids}
         mail = exchange(0, outboxes, self.ids, correct_ids=[0, 1, 2])
         assert all(mail[j].shared is mail[0].shared for j in self.ids)
-        assert mail[0].shared == {0: outboxes[0][0], 2: outboxes[2][0]}
+        assert mail[0].shared == {i: outboxes[i][0] for i in (0, 1, 2)}
         for j in self.ids:
-            assert list(mail[j].own) == [1, 3]
+            assert mail[j].own == {3: outboxes[3][j]}
             assert all(mail[j].inbox[i] is outboxes[i][j] for i in self.ids)
+        # one object to every node and to one more: the extra delivery goes nowhere
+        outboxes[3] = dict.fromkeys(self.ids + [4], Envelope(sender=3))
+        mail = exchange(0, outboxes, self.ids, correct_ids=[0, 1, 2])
+        assert all(mail[j].own == {3: outboxes[3][j]} for j in self.ids)
+        # and every envelope keeps the sender-stamp check
+        outboxes[3] = dict.fromkeys(self.ids, Envelope(sender=0))
+        with pytest.raises(TransportError, match="node 3 attempted to send as 0"):
+            exchange(0, outboxes, self.ids, correct_ids=[0, 1, 2])
 
-    def test_a_broadcast_with_an_extra_receiver_is_not_shared(self):
-        # one object to every node and to one more: delivered per receiver,
-        # and the extra delivery goes nowhere
-        outboxes = {i: dict.fromkeys(self.ids, Envelope(sender=i)) for i in self.ids}
-        outboxes[2] = dict.fromkeys(self.ids + [4], Envelope(sender=2))
-        mail = exchange(0, outboxes, self.ids, correct_ids=self.ids)
-        assert list(mail[0].shared) == [0, 1, 3]
-        assert all(mail[j].own == {2: outboxes[2][j]} for j in self.ids)
+    def test_equal_byzantine_envelopes_each_reach_their_own_receiver(self):
+        # equal envelopes whose reprs differ: identity, not equality, is delivered
+        box = {j: Envelope(sender=3, est=EstPayload(slot=0, core=None, delivered=(True, 1)[j % 2]))
+               for j in self.ids}
+        outboxes = {i: broadcast(i, Envelope(sender=i), self.ids) for i in self.ids}
+        outboxes[3] = box
+        mail = exchange(0, outboxes, self.ids, correct_ids=[0, 1, 2])
+        assert all(mail[j].inbox[3] is box[j] for j in self.ids)
+        assert list(mail[0].shared) == [0, 1, 2]
+        assert all(mail[j].own == {3: box[j]} for j in self.ids)
 
     def test_plant_replaces_one_receivers_arrival(self):
         outboxes = {i: dict.fromkeys(self.ids, Envelope(sender=i)) for i in self.ids}
