@@ -29,7 +29,7 @@ from typing import Callable
 from .env import Params, derived_int, seeded_rng
 from .mvc import _labels
 from .node import CorrectNode, Reading
-from .sig_index import index_vote, vote_bit
+from .sig_index import SIG_KINDS, index_vote, send_kind, vote_bit
 from .transport import CoPayload, Envelope, EstPayload, RoundMail, SigPayload
 
 Fields = Callable[[int, int], tuple]  # (sender, receiver) -> (est, co, sig)
@@ -94,7 +94,7 @@ class Adversary:
             co = CoPayload(level=level, entries=self._random_entries(p.n, level))
         sig = None
         if rng.random() < 0.8:
-            kind = rng.choice(("index", "propose", "bit"))
+            kind = rng.choice(SIG_KINDS)
             if kind == "index":
                 value: object = rng.randrange(2 * p.index_num)
             elif kind == "propose":
@@ -120,7 +120,7 @@ class Adversary:
         """Two-faced values: one story for low node ids, another for the rest."""
         p = view.params
         k = p.kappa
-        kind = {k - 4: "index", k - 3: "propose"}.get(view.phase, "bit")
+        kind = send_kind(view.phase, k) or "bit"
         stories = {}  # sender -> [story of the high half, story of the low half]
         for b in self.byz_ids:
             low = derived_int(p.seed, "equiv-a", view.round, b, bound=p.index_num)
@@ -148,8 +148,9 @@ class Adversary:
         k = p.kappa
         phase = view.phase
         nodes = view.correct_nodes
+        kind = send_kind(phase, k)
 
-        def sig(kind: str, value_for: Callable[[int], object]) -> Fields:
+        def sig(value_for: Callable[[int], object]) -> Fields:
             return lambda b, j: (None, None, SigPayload(kind=kind, value=value_for(j)))
 
         if phase == k - 4:
@@ -158,29 +159,29 @@ class Adversary:
             top, top_count = counts[0]
             if top_count >= p.quorum:
                 # quorum unavoidable: send noise and fight at later phases
-                return sig("index", lambda j: top + 1 + j)
+                return sig(lambda j: top + 1 + j)
             if top_count == p.quorum - 1:
                 # plant partial quorums: enough receivers adopt the leader to
                 # split saves two phases later, the rest see nothing
                 boosted = sorted(nodes)[: p.quorum - 1]
-                return sig("index", lambda j: top if j in boosted else top + 1 + j)
+                return sig(lambda j: top if j in boosted else top + 1 + j)
             runner = counts[1][0] if len(counts) > 1 else top + 1
-            return sig("index", lambda j: runner)
+            return sig(lambda j: runner)
         if phase == k - 3:
             proposals = predict(view, index_vote)
             non_empty = [v for v in proposals if v is not None]
             if not non_empty:
-                return sig("propose", lambda j: None)
+                return sig(lambda j: None)
             # push half the receivers over the majority line, starve the rest
-            return sig("propose", lambda j: non_empty[0] if j % 2 == 0 else None)
+            return sig(lambda j: non_empty[0] if j % 2 == 0 else None)
         if phase == k - 2:
             bits = predict(view, vote_bit)
             ones = sum(bits)
             zeros = len(bits) - ones
             if ones >= p.quorum or zeros >= p.quorum:
                 # one draw per (sender, receiver) pair, in pair order
-                return sig("bit", lambda j: self.rng.getrandbits(1))
-            return sig("bit", lambda j: 0 if ones >= zeros else 1)
+                return sig(lambda j: self.rng.getrandbits(1))
+            return sig(lambda j: 0 if ones >= zeros else 1)
         return self._silent(view)
 
     def _worst_eig(self, view: AdversaryView) -> Fields:
@@ -281,13 +282,12 @@ def inject(
 ) -> None:
     """Apply the corruption plan to node state and round-0 channel contents.
 
-    It runs before the first round, while no object holds a read value, so
-    the node reads every object it leaves decided. It plants object state
+    It runs before the first round, while no object has been read, so the
+    node reads every object it leaves decided. It plants object state
     through `objects.get`, which puts each slot it builds in the array's
     unread set, so the sweeps see every object it touches. Any corruption
-    applied later to an object that was already read must reopen it through
-    the array, clearing its `read_value` and putting its slot back in
-    `objects.unread`, or the node never reads what it changes. It
+    applied later to an object that was already read must put its slot back
+    in `objects.unread`, or the node never reads what it changes. It
     builds the all-ones level once per call and plants that one dict in
     every node whose plan sets `eig_all_ones`, as a round shares a level
     it builds (see `corsim.mvc`): nothing may mutate a planted level in
@@ -370,7 +370,7 @@ def _garble_mail(
             delivered=bool(rng.getrandbits(1)),
         )
         sig = SigPayload(
-            kind=rng.choice(("index", "propose", "bit")),
+            kind=rng.choice(SIG_KINDS),
             value=rng.choice((None, rng.randrange(params.index_num), rng.getrandbits(1))),
         )
         co = CoPayload(level=0, entries=(((), rng.choice((0, 1, None))),))

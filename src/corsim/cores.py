@@ -51,6 +51,15 @@ class AsyncCore(Protocol):
     def is_initial(self) -> bool: ...
 
 
+def _decision(cache: object) -> tuple[str, object] | None:
+    """decided()'s answer for a held decision; any value but 0/1 is completed-but-void."""
+    if cache is None:
+        return None
+    if cache not in (0, 1):
+        return (CORE_FAULT, None)
+    return (DECIDED, cache)
+
+
 def _majority_bit(values: list[object]) -> int:
     """Decision rule of the stub: strict majority of 1-proposals, ties to 0."""
     ones = sum(1 for v in values if v == 1)
@@ -143,12 +152,7 @@ class DelayStubCore:
         return None
 
     def decided(self) -> tuple[str, object] | None:
-        if self.decided_cache is None:
-            return None
-        if self.decided_cache not in (0, 1):
-            # state corrupted past recognition: completed-but-void
-            return (CORE_FAULT, None)
-        return (DECIDED, self.decided_cache)
+        return _decision(self.decided_cache)
 
     def is_initial(self) -> bool:
         return self.proposed is None and self.decided_cache is None
@@ -330,13 +334,9 @@ class MmrLiteCore:
         return ("MMR", self.round, self.my_ests, self.aux_value)
 
     def decided(self) -> tuple[str, object] | None:
-        if self.decided_cache is not None:
-            if self.decided_cache not in (0, 1):
-                return (CORE_FAULT, None)
-            return (DECIDED, self.decided_cache)
-        if self.faulted:
+        if self.decided_cache is None and self.faulted:
             return (CORE_FAULT, None)
-        return None
+        return _decision(self.decided_cache)
 
     def is_initial(self) -> bool:
         return (

@@ -648,21 +648,16 @@ def write_trace(trace: Trace, trial: TrialConfig, trace_dir: str) -> None:
         fh.write(trace.to_bytes())
 
 
-def _median(values: list[int]) -> float:
-    """The middle value, or the mean of the two middle ones for an even count."""
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
-
-
 def emit(
     results: list[tuple[TrialConfig, Metrics, Trace]],
     out_path: str | None,
-    strict: bool = False,
     trace_dir: str | None = None,
 ) -> tuple[str, int]:
-    """Write one CSV row per trial, then each trace when trace_dir is set; see `summarize`."""
-    outcome = summarize([(trial, metrics) for trial, metrics, _ in results], out_path, strict)
+    """Write one CSV row per trial, then each trace when trace_dir is set.
+
+    It returns `summarize`'s (summary, exit code) without the strict check, so the code is 0.
+    """
+    outcome = summarize([(trial, metrics) for trial, metrics, _ in results], out_path)
     if trace_dir:
         for trial, _, trace in results:
             write_trace(trace, trial, trace_dir)
@@ -675,6 +670,7 @@ def summarize(
     strict: bool = False,
 ) -> tuple[str, int]:
     """Write one CSV row per trial plus a text summary; return (summary, exit code)."""
+    from statistics import median  # here, so `import corsim` loads no `fractions` or `decimal`
     if out_path:
         rows = [metrics.csv_row(trial) for trial, metrics in results]
         with open(out_path, "w", newline="") as fh:
@@ -691,7 +687,7 @@ def summarize(
         f"trials: {len(metrics)}",
         f"stabilized: {len(stab_rounds)}/{len(metrics)}",
         f"median stabilization round: "
-        f"{_median(stab_rounds) if stab_rounds else 'n/a'}",
+        f"{median(stab_rounds) if stab_rounds else 'n/a'}",
         f"instances completed (total): {completed}",
         "violation totals (post-stabilization): "
         + ", ".join(f"{k}={v}" for k, v in totals.items()),

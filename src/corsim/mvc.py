@@ -36,8 +36,9 @@ unchanged: `propose` builds a level-0 payload of the node's 0/1 sample, and
 `process` builds each label from a checked label of one level lower with
 one more distinct id in 0..n-1 appended (every inbox key is a node id,
 which the exchange binds), and each value passed the hashability check one
-level lower. Anything else gets the full check: the own arrivals, and a
-correct broadcast read at any other level (a garbled `exchanges_done`).
+level lower. A shared field at any other level (read by a receiver whose
+`exchanges_done` is garbled) is dropped, as the checks would drop it. Only
+the own arrivals get the full check.
 `test_built_broadcasts_pass_their_own_checks` holds every golden trial to
 this rule.
 
@@ -129,9 +130,11 @@ class EigConsensus:
 
         `shared` holds the co fields of the receiver's shared part, which
         are correct broadcasts, and `own` the rest of its arrivals. The
-        level just received replaces the stored one. Malformed arrivals are
-        dropped, which leaves their entries absent; the resolve treats
-        absent as the default value. `memo` maps (level, id(shared)) to
+        level just received replaces the stored one. A shared field at the
+        expected level k-1 is taken unchecked; at any other level it is
+        dropped, as the checks would drop it. Own arrivals get the full
+        check. Malformed arrivals are dropped, which leaves their entries
+        absent; the resolve treats absent as the default value. `memo` maps (level, id(shared)) to
         `shared`, the level its senders' pairs build and the next broadcast
         (None after the last exchange), so every receiver of that shared
         part at that level stores one level dict and returns one payload
@@ -151,11 +154,8 @@ class EigConsensus:
         if hit is None:
             level: dict[tuple, object] = {}
             for sender, payload in shared.items():
-                # a correct broadcast passes the checks unchanged at its own level
-                entries = payload.entries
-                if payload.level != k - 1:
-                    entries = self._checked(payload, k - 1)
-                level.update(self._pairs(sender, entries))
+                if payload.level == k - 1:
+                    level.update(self._pairs(sender, payload.entries))
             hit = memo[key] = (shared, level, self._next(k, level))
         if own:
             key += (tuple([(sender, id(payload)) for sender, payload in own.items()]),)

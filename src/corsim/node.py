@@ -18,14 +18,15 @@ reader may mutate a reading. Flag merges write this node's objects, so
 they run at each receiver, one part after the other. The consensus pulse
 takes the shared and the own co fields apart (see `corsim.mvc`).
 
-One loop, `ObjectArray.read`, reads every live in-window object that holds
-no read value yet, the active one, the window's anchor, among them (their
-results must reach every correct node before the window slides past them),
-but only the active object sends traffic. With recycling off it reads only
-the fixed slot. A slot without a live object is fresh, and reading a fresh
-object changes nothing. An object that already holds a read value is not
-visited: a core's decision never changes once made, so a second read would
-return the same value and leave the same flag set.
+One loop, `ObjectArray.read`, reads every live in-window object whose slot
+is still in the array's unread set, the active one, the window's anchor,
+among them (their results must reach every correct node before the window
+slides past them), but only the active object sends traffic. With recycling
+off it reads only the fixed slot. A slot without a live object is fresh, and
+reading a fresh object changes nothing. A slot already read is not visited:
+a core's decision never changes once made, so a second read would return the
+same value and leave the same flag set. The values read reach the trace
+through `StepReport.retrievals`.
 """
 
 from __future__ import annotations

@@ -8,10 +8,10 @@ by the node through merge_flags(). was_delivered() reports 1 once n-t flags
 are set, which is the evidence the recycling stack agrees on.
 
 An object lives for one incarnation: its array builds it with a new core on
-the slot's first touch and drops it when the slot is recycled, so the value
-this node read from it goes with it. That value, read_value, is written only
-by the array's read (`ObjectArray.read`), which also takes the slot out of the
-array's unread set, so no planted state can skip the read.
+the slot's first touch and drops it when the slot is recycled. Whether this
+node has read it is the array's record alone: its read (`ObjectArray.read`)
+takes the slot out of the array's unread set, and the values read reach the
+trace through the node's step report, so no planted state can skip the read.
 """
 
 from __future__ import annotations
@@ -33,9 +33,6 @@ CORE_ERROR = _ErrorSymbol()
 
 
 class RecyclableObject:
-    # the value this node's read returned; None until then (see the module docstring)
-    read_value: object = None
-
     def __init__(self, n: int, t: int, node_id: int, slot: int, core: AsyncCore):
         self.n = n
         self.t = t

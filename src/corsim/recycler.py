@@ -9,15 +9,15 @@ so after each round the live slots are exactly the non-fresh ones. Memory
 follows the window, not index_num: out-of-window garbage is purged even when
 the index never moves.
 
-The array also keeps its unread slots, the live ones whose object holds no
-read value. `read` is the one place a read is recorded: it reads the unread
-objects the node keeps, sets the read value of each that returns one and
-takes its slot out of the set. An object that holds a read value stays
+The array also keeps its unread slots, the live ones this node has not
+read yet: the set is the only record of a read, and `read` the one place
+that records one. It reads the unread objects the node keeps and takes the
+slot of each that returns a value out of the set. A read object stays
 non-fresh without a test: a core's decision never changes once made, so its
 own delivery flag stays set until the object is recycled, and recycling
-drops the value with the object. So the read and freshness sweeps visit only
-unread slots, and a steady round costs what is still unread, not the
-window's size.
+drops the slot from the set with the object. So the read and freshness
+sweeps visit only unread slots, and a steady round costs what is still
+unread, not the window's size.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ class ObjectArray:
         self._core_factory = core_factory
         # slot -> its live object; an absent slot is fresh
         self.live: dict[int, RecyclableObject] = {}
-        # the live slots whose object holds no read value
+        # the live slots this node has not read yet
         self.unread: set[int] = set()
 
     def get(self, slot: int) -> RecyclableObject:
@@ -82,17 +82,15 @@ class ObjectArray:
     def read(self, keep: Iterable[int]) -> list[tuple[int, object]]:
         """Read each unread object in keep, in slot order: the (slot, value) pairs read.
 
-        An object whose read returns a value keeps it as its read value and
-        leaves the unread set; one still undecided stays unread. This is the
-        only writer of read values.
+        An object whose read returns a value leaves the unread set; one
+        still undecided stays unread. This is the only place a slot leaves
+        the set while its object lives.
         """
         live, unread = self.live, self.unread
         retrievals = []
         for slot in sorted(unread.intersection(keep)):
-            obj = live[slot]
-            value = obj.observe_result()
+            value = live[slot].observe_result()
             if value is not None:
-                obj.read_value = value
                 unread.discard(slot)
                 retrievals.append((slot, value))
         return retrievals
@@ -100,8 +98,8 @@ class ObjectArray:
     def non_fresh_slots(self) -> KeysView[int]:
         """A view of the non-fresh slots, valid until the array next changes.
 
-        The fresh ones are dropped. An object that holds a read value is
-        non-fresh by construction, so only the unread ones are tested.
+        The fresh ones are dropped. A read object is non-fresh by
+        construction, so only the unread ones are tested.
         """
         live, unread = self.live, self.unread
         fresh = [slot for slot in unread if live[slot].is_fresh()]

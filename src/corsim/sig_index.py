@@ -11,9 +11,11 @@ consensus decided 1, which is how agreed recycling evidence turns into one
 index increment.
 
 The quorum rules are the module-level functions below; SigIndex.pulse and
-the worst_sig adversary's predictions both call them. Each phase that reads
-the index messages reads one kind (`read_kind`), through its tally: the
-senders per value among the arrivals of that kind. A node tallies the
+the worst_sig adversary's predictions both call them. `SIG_KINDS` is the
+one phase -> kind table: each sending phase sends one kind (`send_kind`),
+and each phase that reads the index messages reads the kind the phase
+before sent (`read_kind`), through its tally: the senders per value among
+the arrivals of that kind. A node tallies the
 round's shared arrivals once and adds its own (see `corsim.node`). Every
 inbox holds at most one payload per sender, and 2(n-t) > n because
 n >= 3t+1, so at most one value can reach an n-t quorum: the vote, and the
@@ -28,15 +30,19 @@ from .env import Params
 from .transport import SigPayload
 
 
+# the kinds that phases kappa-4, kappa-3 and kappa-2 send, in that order
+SIG_KINDS = ("index", "propose", "bit")
+
+
+def send_kind(phase: int, kappa: int) -> str | None:
+    """The kind of payload the phase's pulse sends, or None if it sends none."""
+    step = phase - (kappa - 4)
+    return SIG_KINDS[step] if 0 <= step < len(SIG_KINDS) else None
+
+
 def read_kind(phase: int, kappa: int) -> str | None:
-    """The kind of payload the phase's pulse tallies, or None if it reads none."""
-    if phase == kappa - 3:
-        return "index"
-    if phase == kappa - 2:
-        return "propose"
-    if phase == kappa - 1:
-        return "bit"
-    return None
+    """The kind of payload the phase's pulse tallies, the one the phase before sent."""
+    return send_kind(phase - 1, kappa)
 
 
 def tally(
@@ -93,10 +99,10 @@ class SigIndex:
         p = self.params
         k = p.kappa
         if phase == k - 4:
-            return SigPayload(kind="index", value=self.index)
+            return SigPayload(kind=send_kind(phase, k), value=self.index)
 
         if phase == k - 3:
-            return SigPayload(kind="propose", value=index_vote(counts, p.quorum))
+            return SigPayload(kind=send_kind(phase, k), value=index_vote(counts, p.quorum))
 
         if phase == k - 2:
             # a strict majority is unique, so the first one found is the one
@@ -105,7 +111,7 @@ class SigIndex:
                 if value is not None and 2 * count > p.n:
                     self.save = value
                     break
-            return SigPayload(kind="bit", value=vote_bit(counts, p.quorum))
+            return SigPayload(kind=send_kind(phase, k), value=vote_bit(counts, p.quorum))
 
         if phase == k - 1:
             self.inc = 1 if mvc_result == 1 else 0

@@ -21,8 +21,10 @@ import pytest
 
 from corsim import TrialConfig, harness, make_params
 from corsim import node as corsim_node
+from corsim.cores import CORE_FAULT
 from corsim.harness import RoundEngine, Trace
 from corsim.mvc import EigConsensus
+from corsim.recyclable import CORE_ERROR
 from corsim.sig_index import read_kind
 from corsim.transport import CoPayload, Envelope, EstPayload, SigPayload
 
@@ -197,13 +199,14 @@ def test_live_objects_are_exactly_the_non_fresh_ones(case):
 
     The sweeps visit only live slots, and the freshness sweep drops every live
     object it finds fresh, so the live slots are the non-fresh set the trace
-    counts. An object that holds a read value is skipped by the node's reads
+    counts. A live slot outside the unread set is skipped by the node's reads
     and by the freshness test, so its read must be in the trace's retrievals
-    for its current incarnation.
+    for its current incarnation, with the value its core still answers.
     """
     engine = build(case)
     for i in engine.correct_ids:
-        assert all(obj.read_value is None for obj in engine.nodes[i].objects.live.values())
+        array = engine.nodes[i].objects
+        assert array.unread == array.live.keys()
     read_seen = 0
     for r in range(engine.config.rounds):
         engine._round(r)
@@ -211,33 +214,37 @@ def test_live_objects_are_exactly_the_non_fresh_ones(case):
         for pos, i in enumerate(engine.correct_ids):
             array = engine.nodes[i].objects
             assert not any(obj.is_fresh() for obj in array.live.values()), f"round {r}"
-            for slot, obj in array.live.items():
-                if obj.read_value is None:
-                    continue
+            for slot in array.live.keys() - array.unread:
                 key = (slot, engine.slot_gen[slot])
                 read = engine.trace.retrievals.get(key, {}).get(i)
                 assert read is not None, f"round {r} node {i} {key}"
-                assert read[1] == repr(obj.read_value), f"round {r} node {i} {key}"
+                kind, value = array.live[slot].core.decided()
+                value = CORE_ERROR if kind == CORE_FAULT else value
+                assert read[1] == repr(value), f"round {r} node {i} {key}"
                 read_seen += 1
             assert non_fresh[pos] == len(array.live), f"round {r} node {i}"
     assert read_seen
 
 
 @pytest.mark.parametrize("case", grid(), ids=case_id)
-def test_unread_slots_are_the_live_ones_without_a_read_value(case):
+def test_slots_outside_unread_are_decided_and_delivered(case):
     """The read and freshness sweeps visit only an array's unread slots, so
-    after every round those must be exactly its live objects that hold no
-    read value: a built object joins them, and a read, a recycle or a
-    freshness drop takes its slot out."""
+    after every round each of those must be live, and each live slot outside
+    them must hold a core that has decided and whose own delivery flag is
+    set: a decision never changes, so neither sweep could change such a
+    slot, which is what lets both skip it."""
     engine = build(case)
     reads = 0
     for r in range(engine.config.rounds):
         engine._round(r)
         for i in engine.correct_ids:
             array = engine.nodes[i].objects
-            expected = {s for s, obj in array.live.items() if obj.read_value is None}
-            assert array.unread == expected, f"round {r} node {i}"
-            reads += len(array.live) - len(expected)
+            assert array.unread <= array.live.keys(), f"round {r} node {i}"
+            for slot in array.live.keys() - array.unread:
+                obj = array.live[slot]
+                assert obj.core.decided() is not None, f"round {r} node {i} slot {slot}"
+                assert obj.delivered[i], f"round {r} node {i} slot {slot}"
+                reads += 1
     assert reads
 
 
@@ -359,7 +366,7 @@ def test_messages_are_never_rebound(case, golden, monkeypatch):
 
 @pytest.mark.parametrize("core", ["stub", "mmr-lite"])
 def test_a_decided_core_planted_before_round_0_is_read_once(core):
-    """No object starts with a read value, so planted state cannot skip the first read."""
+    """Every object starts unread, so planted state cannot skip the first read."""
     engine = build(dict(n=4, t=1, adversary="silent", inject="none", core=core,
                         recycling=True, seed=7))
     node = engine.nodes[0]
@@ -377,7 +384,7 @@ def test_a_decided_core_planted_before_round_0_is_read_once(core):
     node.step = spy
     for r in range(4):
         engine._round(r)
-    assert node.objects.live[planted].read_value == 1
+    assert planted in node.objects.live and planted not in node.objects.unread
     assert reads == [[1], [], [], []]
     assert engine.trace.retrievals[(planted, 0)][0] == (0, "1")
 

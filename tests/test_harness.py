@@ -2,10 +2,8 @@
 
 import gc
 import os
-import statistics
 import subprocess
 import sys
-from itertools import product
 
 import pytest
 
@@ -20,13 +18,13 @@ from corsim.harness import (
     RoundEngine,
     Trace,
     TrialConfig,
-    _median,
     assumption1_violations,
     compute_metrics,
     emit,
     legality_violations,
     run_ensemble,
     run_trial,
+    summarize,
 )
 from corsim.transport import Envelope, TransportError
 
@@ -386,10 +384,13 @@ class TestEmit:
 
     def test_strict_flags_unstabilized(self, tmp_path):
         results = run_ensemble(config(rounds=3, inject="targeted"), trials=1)
-        _, code = emit(results, str(tmp_path / "r.csv"), strict=True)
-        assert code == 1
-        _, code_lax = emit(results, str(tmp_path / "r2.csv"), strict=False)
+        rows = [(trial, metrics) for trial, metrics, _ in results]
+        summary, code = summarize(rows, str(tmp_path / "r.csv"), strict=True)
+        assert code == 1 and "strict check failed" in summary
+        _, code_lax = summarize(rows, str(tmp_path / "r2.csv"))
         assert code_lax == 0
+        # emit never applies the strict check
+        assert emit(results, str(tmp_path / "r3.csv"))[1] == 0
 
     def test_trace_files_written(self, tmp_path):
         results = run_ensemble(config(rounds=20), trials=2)
@@ -407,12 +408,6 @@ class TestEmit:
         emit(run_ensemble(config(rounds=60), trials=2), str(a))
         emit(run_ensemble(config(rounds=60), trials=2), str(b))
         assert a.read_bytes() == b.read_bytes()
-
-    def test_median_matches_statistics(self):
-        for length in range(1, 7):
-            for values in product((0, 3, 4, 9, 250), repeat=length):
-                got, want = _median(list(values)), statistics.median(values)
-                assert got == want and type(got) is type(want), values
 
 
 def test_import_loads_no_statistics():

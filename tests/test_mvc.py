@@ -806,16 +806,40 @@ class TestCarriedChecks:
         for r, nodes in enumerate(got):
             assert all(from_byz(labels) == set() for _, _, labels in nodes), f"round {r}"
 
-    def test_receiver_one_exchange_behind_checks_in_full(self, monkeypatch):
+    def test_receiver_one_exchange_behind_drops_the_fresh_broadcasts(self, monkeypatch):
         """A receiver set back one exchange expects the level of the stale
         copy, not the level the fresh broadcasts were built for: it keeps
-        the stale copy's entries and drops the rest."""
+        the stale copy's entries and drops the fresh broadcasts, which its
+        shared part holds at an off level."""
         garble = KAPPA + 2  # phase 2: the fresh broadcasts are level 1
         got = self.run(stale_correct, garble)
         assert got == self.reference(monkeypatch, stale_correct, garble)
         behind, ahead = got[garble][-1][2], got[garble][0][2]
         assert behind == {(b,) for b in BYZ}
         assert ahead == set(permutations(range(5), 2))  # correct relays only
+
+
+@pytest.mark.parametrize("field", [
+    CoPayload(level=0, entries=(((), 1),)),  # level k-2
+    CoPayload(level=2, entries=(((0, 1), 1),)),  # level k
+    SimpleNamespace(level=3, entries=(((0,), 1),)),  # not a CoPayload
+    CoPayload(level=0, entries=(((0, 0), 1), ((9,), 1), "junk")),  # malformed
+], ids=["level-k-2", "level-k", "not-a-copayload", "malformed"])
+def test_an_off_level_shared_field_is_dropped(field):
+    """A receiver at exchange k takes its shared part's co fields at level
+    k-1 unchecked and drops one at any other level, as the checks would:
+    the level stored equals the one built without that sender."""
+    shared = {j: CoPayload(level=1, entries=tuple(((i,), 1) for i in range(5) if i != j))
+              for j in range(5)}
+    levels = []
+    for senders in ({**shared, 5: field}, shared):
+        co = EigConsensus(7, 2)
+        co.propose(0)
+        co.exchanges_done = 1  # k = 2: the expected level is 1
+        out = co.process(senders, {}, {})
+        levels.append((co.tree, out))
+    assert levels[0] == levels[1]
+    assert levels[0][0] == {(i, j): 1 for i in range(5) for j in range(5) if i != j}
 
 
 def test_an_arrival_planted_over_a_broadcast_is_checked_in_full():

@@ -110,13 +110,13 @@ def test_each_incarnation_is_reported_read_once():
     node.fixed_slot = 0
     first = node.objects.get(0)
     first.core.decided_cache = 1
-    assert first.read_value is None
+    assert node.objects.unread == {0}
     assert step(node, {})[1].retrievals == ((0, 1),)
-    assert first.read_value == 1
+    assert node.objects.unread == set()
     assert step(node, {})[1].retrievals == ()
     assert node.objects.recycler_pulse(4) == [0]  # window(4) = {1, 2, 3, 4}
     second = node.objects.get(0)
-    assert second is not first and second.read_value is None
+    assert second is not first and node.objects.unread == {0}
     second.core.decided_cache = 0
     assert step(node, {})[1].retrievals == ((0, 0),)
-    assert second.read_value == 0
+    assert node.objects.unread == set()

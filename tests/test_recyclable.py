@@ -100,8 +100,8 @@ class TestRecycle:
         assert new.was_delivered() == 0
         assert new.is_fresh()
         # the rebuilt object is read again; the kept one stays read
-        assert new.read_value is None and arr.unread == {0}
-        assert arr.get(5).read_value == 1
+        assert arr.unread == {0}
+        assert arr.read({0, 5}) == []
 
     def test_recycle_clears_corruption(self):
         arr = make_array()
